@@ -14,30 +14,41 @@ void Adam::Step() {
   if (max_grad_norm_ > 0.0) {
     double sq = 0.0;
     for (Parameter* p : params_) {
-      for (int i = 0; i < p->grad.size(); ++i) {
-        sq += p->grad.data()[i] * p->grad.data()[i];
-      }
+      const double* g = p->grad.data();
+      const int n = p->grad.size();
+      for (int i = 0; i < n; ++i) sq += g[i] * g[i];
     }
     double norm = std::sqrt(sq);
     if (norm > max_grad_norm_) {
       double scale = max_grad_norm_ / norm;
       for (Parameter* p : params_) {
-        for (int i = 0; i < p->grad.size(); ++i) p->grad.data()[i] *= scale;
+        double* g = p->grad.data();
+        const int n = p->grad.size();
+        for (int i = 0; i < n; ++i) g[i] *= scale;
       }
     }
   }
-  double bc1 = 1.0 - std::pow(beta1_, static_cast<double>(t_));
-  double bc2 = 1.0 - std::pow(beta2_, static_cast<double>(t_));
+  const double bc1 = 1.0 - std::pow(beta1_, static_cast<double>(t_));
+  const double bc2 = 1.0 - std::pow(beta2_, static_cast<double>(t_));
+  const double beta1 = beta1_, beta2 = beta2_;
+  const double one_minus_beta1 = 1.0 - beta1_;
+  const double one_minus_beta2 = 1.0 - beta2_;
+  const double lr = lr_, eps = eps_;
   for (Parameter* p : params_) {
-    for (int i = 0; i < p->value.size(); ++i) {
-      double gi = p->grad.data()[i];
-      p->m.data()[i] = beta1_ * p->m.data()[i] + (1.0 - beta1_) * gi;
-      p->v.data()[i] = beta2_ * p->v.data()[i] + (1.0 - beta2_) * gi * gi;
-      double mhat = p->m.data()[i] / bc1;
-      double vhat = p->v.data()[i] / bc2;
-      p->value.data()[i] -= lr_ * mhat / (std::sqrt(vhat) + eps_);
+    double* value = p->value.data();
+    double* grad = p->grad.data();
+    double* m = p->m.data();
+    double* v = p->v.data();
+    const int n = p->value.size();
+    for (int i = 0; i < n; ++i) {
+      const double gi = grad[i];
+      grad[i] = 0.0;
+      m[i] = beta1 * m[i] + one_minus_beta1 * gi;
+      v[i] = beta2 * v[i] + one_minus_beta2 * gi * gi;
+      const double mhat = m[i] / bc1;
+      const double vhat = v[i] / bc2;
+      value[i] -= lr * mhat / (std::sqrt(vhat) + eps);
     }
-    p->grad.Zero();
   }
 }
 

@@ -2,43 +2,140 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 
 namespace trap::nn {
 
-Graph::VarId Graph::AddNode(Matrix value, std::vector<VarId> inputs,
-                            std::function<void(Graph&, Node&)> backward) {
-  auto n = std::make_unique<Node>();
-  n->value = std::move(value);
-  n->grad = Matrix(n->value.rows(), n->value.cols());
-  n->inputs = std::move(inputs);
-  n->backward = std::move(backward);
-  nodes_.push_back(std::move(n));
-  return static_cast<VarId>(nodes_.size()) - 1;
+// Every kernel below walks raw row pointers. Shapes and indices are checked
+// once, when the op is added; the element loops then perform exactly the
+// floating-point operations of the plain at()-based formulation, in the same
+// order, so results are bit-identical to it (the nn-kernel-equivalence
+// oracle in src/testing holds the two to that).
+
+namespace {
+
+double* Row(Matrix& m, int r) {
+  return m.data() + static_cast<size_t>(r) * static_cast<size_t>(m.cols());
+}
+const double* Row(const Matrix& m, int r) {
+  return m.data() + static_cast<size_t>(r) * static_cast<size_t>(m.cols());
 }
 
-const Matrix& Graph::value(VarId id) const {
-  return nodes_[static_cast<size_t>(id)]->value;
+// Runs body(i) for every i in [0, n), two indices per iteration. In the
+// kernels below, whose buffers are __restrict parameters, this lets the
+// compiler use 16-byte vector instructions at -O2. Vector lanes perform the
+// same IEEE operations as scalar code, so every element still gets exactly
+// the scalar expression.
+template <typename Body>
+inline void ForPairs(int n, Body body) {
+  int i = 0;
+  for (; i + 2 <= n; i += 2) {
+    body(i);
+    body(i + 1);
+  }
+  for (; i < n; ++i) body(i);
+}
+
+// Elementwise kernels. The written buffer never overlaps a read one.
+
+// y += x
+void AddTo(double* __restrict y, const double* __restrict x, int n) {
+  ForPairs(n, [=](int i) { y[i] += x[i]; });
+}
+
+// y += c
+void AddConstTo(double* __restrict y, double c, int n) {
+  ForPairs(n, [=](int i) { y[i] += c; });
+}
+
+// y += a * x
+void AddScaledTo(double* __restrict y, double a, const double* __restrict x,
+                 int n) {
+  ForPairs(n, [=](int i) { y[i] += a * x[i]; });
+}
+
+// y += a0 * b0 + a1 * b1 + a2 * b2 + a3 * b3, added left to right: the four
+// updates AddScaledTo would make one after another, in one sweep over y.
+void AddScaled4To(double* __restrict y, const double* a,
+                  const double* __restrict b0, const double* __restrict b1,
+                  const double* __restrict b2, const double* __restrict b3,
+                  int n) {
+  const double a0 = a[0], a1 = a[1], a2 = a[2], a3 = a[3];
+  ForPairs(n, [=](int j) {
+    y[j] = y[j] + a0 * b0[j] + a1 * b1[j] + a2 * b2[j] + a3 * b3[j];
+  });
+}
+
+// y += x * z
+void AddProductTo(double* __restrict y, const double* __restrict x,
+                  const double* __restrict z, int n) {
+  ForPairs(n, [=](int i) { y[i] += x[i] * z[i]; });
+}
+
+// y *= x
+void MulBy(double* __restrict y, const double* __restrict x, int n) {
+  ForPairs(n, [=](int i) { y[i] *= x[i]; });
+}
+
+// y *= s
+void ScaleBy(double* __restrict y, double s, int n) {
+  ForPairs(n, [=](int i) { y[i] *= s; });
+}
+
+// dx += dy * (1 - y^2)
+void TanhBackward(double* __restrict dx, const double* __restrict dy,
+                  const double* __restrict y, int n) {
+  ForPairs(n, [=](int i) { dx[i] += dy[i] * (1.0 - y[i] * y[i]); });
+}
+
+// dx += dy * y * (1 - y)
+void SigmoidBackward(double* __restrict dx, const double* __restrict dy,
+                     const double* __restrict y, int n) {
+  ForPairs(n, [=](int i) { dx[i] += dy[i] * y[i] * (1.0 - y[i]); });
+}
+
+bool HasZero(const double* v, int n) {
+  for (int j = 0; j < n; ++j) {
+    if (v[j] == 0.0) return true;
+  }
+  return false;
+}
+
+}  // namespace
+
+Graph::VarId Graph::Push(Op op, Matrix value, VarId a, VarId b) {
+  Node& n = nodes_.emplace_back();
+  n.op = op;
+  n.a = a;
+  n.b = b;
+  n.value = std::move(value);
+  return num_nodes() - 1;
 }
 
 Graph::VarId Graph::Input(Matrix value) {
-  return AddNode(std::move(value), {}, nullptr);
+  return Push(Op::kInput, std::move(value));
 }
 
 Graph::VarId Graph::Param(Parameter* p) {
-  VarId id = AddNode(p->value, {}, nullptr);
-  node(id).param = p;
+  VarId id = Push(Op::kParam, Matrix());
+  nodes_.back().param = p;
   return id;
 }
 
-Graph::VarId Graph::Gather(Parameter* p, std::vector<int> ids) {
-  Matrix out(static_cast<int>(ids.size()), p->value.cols());
-  for (int i = 0; i < out.rows(); ++i) {
-    int src = ids[static_cast<size_t>(i)];
-    for (int c = 0; c < out.cols(); ++c) out.at(i, c) = p->value.at(src, c);
+Graph::VarId Graph::Gather(Parameter* p, const std::vector<int>& ids) {
+  const Matrix& table = p->value;
+  const int rows = static_cast<int>(ids.size());
+  const int cols = table.cols();
+  for (int src : ids) TRAP_CHECK(src >= 0 && src < table.rows());
+  Matrix out(rows, cols);
+  for (int i = 0; i < rows; ++i) {
+    std::copy_n(Row(table, ids[static_cast<size_t>(i)]), cols, Row(out, i));
   }
-  VarId id = AddNode(std::move(out), {}, nullptr);
-  node(id).param = p;
-  node(id).gather_ids = std::move(ids);
+  const int offset = static_cast<int>(gather_ids_.size());
+  gather_ids_.insert(gather_ids_.end(), ids.begin(), ids.end());
+  VarId id = Push(Op::kGather, std::move(out));
+  nodes_.back().param = p;
+  nodes_.back().row = offset;
   return id;
 }
 
@@ -46,69 +143,59 @@ Graph::VarId Graph::MatMul(VarId a, VarId b) {
   const Matrix& A = value(a);
   const Matrix& B = value(b);
   TRAP_CHECK(A.cols() == B.rows());
-  Matrix out(A.rows(), B.cols());
-  for (int i = 0; i < A.rows(); ++i) {
-    for (int k = 0; k < A.cols(); ++k) {
-      double av = A.at(i, k);
-      if (av == 0.0) continue;
-      for (int j = 0; j < B.cols(); ++j) out.at(i, j) += av * B.at(k, j);
+  const int n = A.rows(), inner = A.cols(), m = B.cols();
+  Matrix out(n, m);
+  for (int i = 0; i < n; ++i) {
+    const double* arow = Row(A, i);
+    double* orow = Row(out, i);
+    // out[i, j] adds av * B[k, j] over the nonzero av in ascending k, four
+    // rows of B per sweep over out's row.
+    int ks[4];
+    double as[4];
+    int pending = 0;
+    for (int k = 0; k < inner; ++k) {
+      if (arow[k] == 0.0) continue;
+      ks[pending] = k;
+      as[pending] = arow[k];
+      if (++pending < 4) continue;
+      pending = 0;
+      AddScaled4To(orow, as, Row(B, ks[0]), Row(B, ks[1]), Row(B, ks[2]),
+                   Row(B, ks[3]), m);
+    }
+    for (int t = 0; t < pending; ++t) {
+      AddScaledTo(orow, as[t], Row(B, ks[t]), m);
     }
   }
-  return AddNode(std::move(out), {a, b}, [](Graph& g, Node& n) {
-    Node& na = g.node(n.inputs[0]);
-    Node& nb = g.node(n.inputs[1]);
-    // dA += dOut * B^T ; dB += A^T * dOut
-    for (int i = 0; i < na.value.rows(); ++i) {
-      for (int j = 0; j < nb.value.cols(); ++j) {
-        double go = n.grad.at(i, j);
-        if (go == 0.0) continue;
-        for (int k = 0; k < na.value.cols(); ++k) {
-          na.grad.at(i, k) += go * nb.value.at(k, j);
-          nb.grad.at(k, j) += na.value.at(i, k) * go;
-        }
-      }
-    }
-  });
+  return Push(Op::kMatMul, std::move(out), a, b);
 }
 
 Graph::VarId Graph::Transpose(VarId a) {
   const Matrix& A = value(a);
   Matrix out(A.cols(), A.rows());
-  for (int i = 0; i < A.rows(); ++i) {
-    for (int j = 0; j < A.cols(); ++j) out.at(j, i) = A.at(i, j);
-  }
-  return AddNode(std::move(out), {a}, [](Graph& g, Node& n) {
-    Node& na = g.node(n.inputs[0]);
-    for (int i = 0; i < na.value.rows(); ++i) {
-      for (int j = 0; j < na.value.cols(); ++j) {
-        na.grad.at(i, j) += n.grad.at(j, i);
-      }
+  double* o = out.data();
+  const int rows = A.rows(), cols = A.cols();
+  for (int i = 0; i < rows; ++i) {
+    const double* arow = Row(A, i);
+    for (int j = 0; j < cols; ++j) {
+      o[static_cast<size_t>(j) * rows + i] = arow[j];
     }
-  });
+  }
+  return Push(Op::kTranspose, std::move(out), a);
 }
 
 Graph::VarId Graph::Add(VarId a, VarId b) {
   const Matrix& A = value(a);
   const Matrix& B = value(b);
-  bool broadcast = B.rows() == 1 && A.rows() != 1;
+  const bool broadcast = B.rows() == 1 && A.rows() != 1;
   TRAP_CHECK(A.cols() == B.cols());
   TRAP_CHECK(broadcast || A.rows() == B.rows());
   Matrix out = A;
   for (int i = 0; i < A.rows(); ++i) {
-    for (int j = 0; j < A.cols(); ++j) {
-      out.at(i, j) += B.at(broadcast ? 0 : i, j);
-    }
+    AddTo(Row(out, i), Row(B, broadcast ? 0 : i), A.cols());
   }
-  return AddNode(std::move(out), {a, b}, [broadcast](Graph& g, Node& n) {
-    Node& na = g.node(n.inputs[0]);
-    Node& nb = g.node(n.inputs[1]);
-    for (int i = 0; i < n.grad.rows(); ++i) {
-      for (int j = 0; j < n.grad.cols(); ++j) {
-        na.grad.at(i, j) += n.grad.at(i, j);
-        nb.grad.at(broadcast ? 0 : i, j) += n.grad.at(i, j);
-      }
-    }
-  });
+  VarId id = Push(Op::kAdd, std::move(out), a, b);
+  nodes_.back().broadcast = broadcast;
+  return id;
 }
 
 Graph::VarId Graph::Sub(VarId a, VarId b) {
@@ -120,154 +207,108 @@ Graph::VarId Graph::Mul(VarId a, VarId b) {
   const Matrix& B = value(b);
   TRAP_CHECK(A.rows() == B.rows() && A.cols() == B.cols());
   Matrix out = A;
-  for (int i = 0; i < out.size(); ++i) out.data()[i] *= B.data()[i];
-  return AddNode(std::move(out), {a, b}, [](Graph& g, Node& n) {
-    Node& na = g.node(n.inputs[0]);
-    Node& nb = g.node(n.inputs[1]);
-    for (int i = 0; i < n.grad.size(); ++i) {
-      na.grad.data()[i] += n.grad.data()[i] * nb.value.data()[i];
-      nb.grad.data()[i] += n.grad.data()[i] * na.value.data()[i];
-    }
-  });
+  MulBy(out.data(), B.data(), out.size());
+  return Push(Op::kMul, std::move(out), a, b);
 }
 
 Graph::VarId Graph::Scale(VarId a, double s) {
   Matrix out = value(a);
-  for (int i = 0; i < out.size(); ++i) out.data()[i] *= s;
-  return AddNode(std::move(out), {a}, [s](Graph& g, Node& n) {
-    Node& na = g.node(n.inputs[0]);
-    for (int i = 0; i < n.grad.size(); ++i) {
-      na.grad.data()[i] += n.grad.data()[i] * s;
-    }
-  });
+  ScaleBy(out.data(), s, out.size());
+  VarId id = Push(Op::kScale, std::move(out), a);
+  nodes_.back().scale = s;
+  return id;
 }
 
 Graph::VarId Graph::Tanh(VarId a) {
   Matrix out = value(a);
-  for (int i = 0; i < out.size(); ++i) out.data()[i] = std::tanh(out.data()[i]);
-  return AddNode(std::move(out), {a}, [](Graph& g, Node& n) {
-    Node& na = g.node(n.inputs[0]);
-    for (int i = 0; i < n.grad.size(); ++i) {
-      double y = n.value.data()[i];
-      na.grad.data()[i] += n.grad.data()[i] * (1.0 - y * y);
-    }
-  });
+  double* o = out.data();
+  for (int i = 0; i < out.size(); ++i) o[i] = std::tanh(o[i]);
+  return Push(Op::kTanh, std::move(out), a);
 }
 
 Graph::VarId Graph::Sigmoid(VarId a) {
   Matrix out = value(a);
-  for (int i = 0; i < out.size(); ++i) {
-    out.data()[i] = 1.0 / (1.0 + std::exp(-out.data()[i]));
-  }
-  return AddNode(std::move(out), {a}, [](Graph& g, Node& n) {
-    Node& na = g.node(n.inputs[0]);
-    for (int i = 0; i < n.grad.size(); ++i) {
-      double y = n.value.data()[i];
-      na.grad.data()[i] += n.grad.data()[i] * y * (1.0 - y);
-    }
-  });
+  double* o = out.data();
+  for (int i = 0; i < out.size(); ++i) o[i] = 1.0 / (1.0 + std::exp(-o[i]));
+  return Push(Op::kSigmoid, std::move(out), a);
 }
 
 Graph::VarId Graph::Relu(VarId a) {
   Matrix out = value(a);
-  for (int i = 0; i < out.size(); ++i) out.data()[i] = std::max(0.0, out.data()[i]);
-  return AddNode(std::move(out), {a}, [](Graph& g, Node& n) {
-    Node& na = g.node(n.inputs[0]);
-    for (int i = 0; i < n.grad.size(); ++i) {
-      if (n.value.data()[i] > 0.0) na.grad.data()[i] += n.grad.data()[i];
-    }
-  });
+  double* o = out.data();
+  for (int i = 0; i < out.size(); ++i) o[i] = std::max(0.0, o[i]);
+  return Push(Op::kRelu, std::move(out), a);
 }
 
 Graph::VarId Graph::Softmax(VarId a) {
   Matrix out = value(a);
+  const int cols = out.cols();
+  TRAP_CHECK(out.rows() == 0 || cols > 0);
   for (int i = 0; i < out.rows(); ++i) {
-    double mx = out.at(i, 0);
-    for (int j = 1; j < out.cols(); ++j) mx = std::max(mx, out.at(i, j));
+    double* o = Row(out, i);
+    double mx = o[0];
+    for (int j = 1; j < cols; ++j) mx = std::max(mx, o[j]);
     double sum = 0.0;
-    for (int j = 0; j < out.cols(); ++j) {
-      out.at(i, j) = std::exp(out.at(i, j) - mx);
-      sum += out.at(i, j);
+    for (int j = 0; j < cols; ++j) {
+      o[j] = std::exp(o[j] - mx);
+      sum += o[j];
     }
-    for (int j = 0; j < out.cols(); ++j) out.at(i, j) /= sum;
+    for (int j = 0; j < cols; ++j) o[j] /= sum;
   }
-  return AddNode(std::move(out), {a}, [](Graph& g, Node& n) {
-    Node& na = g.node(n.inputs[0]);
-    for (int i = 0; i < n.value.rows(); ++i) {
-      double dot = 0.0;
-      for (int j = 0; j < n.value.cols(); ++j) {
-        dot += n.grad.at(i, j) * n.value.at(i, j);
-      }
-      for (int j = 0; j < n.value.cols(); ++j) {
-        na.grad.at(i, j) += n.value.at(i, j) * (n.grad.at(i, j) - dot);
-      }
-    }
-  });
+  return Push(Op::kSoftmax, std::move(out), a);
 }
 
 Graph::VarId Graph::LogSoftmax(VarId a) {
   Matrix out = value(a);
+  const int cols = out.cols();
+  TRAP_CHECK(out.rows() == 0 || cols > 0);
   for (int i = 0; i < out.rows(); ++i) {
-    double mx = out.at(i, 0);
-    for (int j = 1; j < out.cols(); ++j) mx = std::max(mx, out.at(i, j));
+    double* o = Row(out, i);
+    double mx = o[0];
+    for (int j = 1; j < cols; ++j) mx = std::max(mx, o[j]);
     double sum = 0.0;
-    for (int j = 0; j < out.cols(); ++j) sum += std::exp(out.at(i, j) - mx);
+    for (int j = 0; j < cols; ++j) sum += std::exp(o[j] - mx);
     double lse = mx + std::log(sum);
-    for (int j = 0; j < out.cols(); ++j) out.at(i, j) -= lse;
+    for (int j = 0; j < cols; ++j) o[j] -= lse;
   }
-  return AddNode(std::move(out), {a}, [](Graph& g, Node& n) {
-    Node& na = g.node(n.inputs[0]);
-    for (int i = 0; i < n.value.rows(); ++i) {
-      double gsum = 0.0;
-      for (int j = 0; j < n.value.cols(); ++j) gsum += n.grad.at(i, j);
-      for (int j = 0; j < n.value.cols(); ++j) {
-        na.grad.at(i, j) +=
-            n.grad.at(i, j) - std::exp(n.value.at(i, j)) * gsum;
-      }
-    }
-  });
+  return Push(Op::kLogSoftmax, std::move(out), a);
 }
 
 Graph::VarId Graph::ConcatCols(VarId a, VarId b) {
   const Matrix& A = value(a);
   const Matrix& B = value(b);
   TRAP_CHECK(A.rows() == B.rows());
-  Matrix out(A.rows(), A.cols() + B.cols());
+  const int ac = A.cols(), bc = B.cols();
+  Matrix out(A.rows(), ac + bc);
   for (int i = 0; i < A.rows(); ++i) {
-    for (int j = 0; j < A.cols(); ++j) out.at(i, j) = A.at(i, j);
-    for (int j = 0; j < B.cols(); ++j) out.at(i, A.cols() + j) = B.at(i, j);
+    double* orow = Row(out, i);
+    std::copy_n(Row(A, i), ac, orow);
+    std::copy_n(Row(B, i), bc, orow + ac);
   }
-  int ac = A.cols();
-  return AddNode(std::move(out), {a, b}, [ac](Graph& g, Node& n) {
-    Node& na = g.node(n.inputs[0]);
-    Node& nb = g.node(n.inputs[1]);
-    for (int i = 0; i < n.grad.rows(); ++i) {
-      for (int j = 0; j < ac; ++j) na.grad.at(i, j) += n.grad.at(i, j);
-      for (int j = 0; j < nb.value.cols(); ++j) {
-        nb.grad.at(i, j) += n.grad.at(i, ac + j);
-      }
-    }
-  });
+  VarId id = Push(Op::kConcatCols, std::move(out), a, b);
+  nodes_.back().col = ac;
+  return id;
 }
 
 Graph::VarId Graph::Pick(VarId a, int r, int c) {
+  const Matrix& A = value(a);
+  TRAP_CHECK(r >= 0 && r < A.rows() && c >= 0 && c < A.cols());
   Matrix out(1, 1);
-  out.at(0, 0) = value(a).at(r, c);
-  return AddNode(std::move(out), {a}, [r, c](Graph& g, Node& n) {
-    g.node(n.inputs[0]).grad.at(r, c) += n.grad.at(0, 0);
-  });
+  out.data()[0] = Row(A, r)[c];
+  VarId id = Push(Op::kPick, std::move(out), a);
+  nodes_.back().row = r;
+  nodes_.back().col = c;
+  return id;
 }
 
 Graph::VarId Graph::Sum(VarId a) {
-  Matrix out(1, 1);
   const Matrix& A = value(a);
-  for (int i = 0; i < A.size(); ++i) out.at(0, 0) += A.data()[i];
-  return AddNode(std::move(out), {a}, [](Graph& g, Node& n) {
-    Node& na = g.node(n.inputs[0]);
-    for (int i = 0; i < na.grad.size(); ++i) {
-      na.grad.data()[i] += n.grad.at(0, 0);
-    }
-  });
+  const double* av = A.data();
+  double total = 0.0;
+  for (int i = 0; i < A.size(); ++i) total += av[i];
+  Matrix out(1, 1);
+  out.data()[0] = total;
+  return Push(Op::kSum, std::move(out), a);
 }
 
 Graph::VarId Graph::Mean(VarId a) {
@@ -281,80 +322,291 @@ Graph::VarId Graph::LayerNorm(VarId a, Parameter* gain, Parameter* bias) {
   TRAP_CHECK(gain->value.rows() == 1 && gain->value.cols() == A.cols());
   TRAP_CHECK(bias->value.rows() == 1 && bias->value.cols() == A.cols());
   constexpr double kEps = 1e-5;
+  const int cols = A.cols();
+  const double* gv = gain->value.data();
+  const double* bv = bias->value.data();
   // normalized = (x - mean) / sqrt(var + eps), out = normalized * g + b.
-  Matrix norm(A.rows(), A.cols());
-  std::vector<double> inv_std(static_cast<size_t>(A.rows()));
+  // aux row i holds normalized[i, :] followed by inv_std[i].
+  Matrix aux(A.rows(), cols + 1);
+  Matrix out(A.rows(), cols);
   for (int i = 0; i < A.rows(); ++i) {
+    const double* x = Row(A, i);
+    double* norm = Row(aux, i);
     double mean = 0.0;
-    for (int j = 0; j < A.cols(); ++j) mean += A.at(i, j);
-    mean /= A.cols();
+    for (int j = 0; j < cols; ++j) mean += x[j];
+    mean /= cols;
     double var = 0.0;
-    for (int j = 0; j < A.cols(); ++j) {
-      var += (A.at(i, j) - mean) * (A.at(i, j) - mean);
-    }
-    var /= A.cols();
-    inv_std[static_cast<size_t>(i)] = 1.0 / std::sqrt(var + kEps);
-    for (int j = 0; j < A.cols(); ++j) {
-      norm.at(i, j) = (A.at(i, j) - mean) * inv_std[static_cast<size_t>(i)];
-    }
+    for (int j = 0; j < cols; ++j) var += (x[j] - mean) * (x[j] - mean);
+    var /= cols;
+    const double inv_std = 1.0 / std::sqrt(var + kEps);
+    norm[cols] = inv_std;
+    for (int j = 0; j < cols; ++j) norm[j] = (x[j] - mean) * inv_std;
   }
-  Matrix out(A.rows(), A.cols());
   for (int i = 0; i < A.rows(); ++i) {
-    for (int j = 0; j < A.cols(); ++j) {
-      out.at(i, j) = norm.at(i, j) * gain->value.at(0, j) + bias->value.at(0, j);
-    }
+    const double* norm = Row(aux, i);
+    double* o = Row(out, i);
+    for (int j = 0; j < cols; ++j) o[j] = norm[j] * gv[j] + bv[j];
   }
-  VarId id = AddNode(
-      std::move(out), {a},
-      [norm, inv_std, gain, bias](Graph& g, Node& n) {
-        Node& na = g.node(n.inputs[0]);
-        int cols = n.value.cols();
-        for (int i = 0; i < n.value.rows(); ++i) {
-          // d norm and parameter grads.
-          double sum_dnorm = 0.0, sum_dnorm_norm = 0.0;
-          std::vector<double> dnorm(static_cast<size_t>(cols));
-          for (int j = 0; j < cols; ++j) {
-            double go = n.grad.at(i, j);
-            gain->grad.at(0, j) += go * norm.at(i, j);
-            bias->grad.at(0, j) += go;
-            dnorm[static_cast<size_t>(j)] = go * gain->value.at(0, j);
-            sum_dnorm += dnorm[static_cast<size_t>(j)];
-            sum_dnorm_norm += dnorm[static_cast<size_t>(j)] * norm.at(i, j);
-          }
-          for (int j = 0; j < cols; ++j) {
-            na.grad.at(i, j) +=
-                inv_std[static_cast<size_t>(i)] *
-                (dnorm[static_cast<size_t>(j)] - sum_dnorm / cols -
-                 norm.at(i, j) * sum_dnorm_norm / cols);
-          }
-        }
-      });
+  VarId id = Push(Op::kLayerNorm, std::move(out), a);
+  Node& n = nodes_.back();
+  n.param = gain;
+  n.bias = bias;
+  n.row = static_cast<int>(aux_.size());
+  aux_.push_back(std::move(aux));
   return id;
 }
 
+const Matrix& Graph::grad(VarId id) const {
+  static const Matrix kNone;
+  at(id);  // range check
+  return static_cast<size_t>(id) < grads_.size()
+             ? grads_[static_cast<size_t>(id)]
+             : kNone;
+}
+
 void Graph::Backward(VarId loss) {
-  Node& ln = node(loss);
-  TRAP_CHECK(ln.value.rows() == 1 && ln.value.cols() == 1);
-  ln.grad.at(0, 0) = 1.0;
+  TRAP_CHECK(loss >= 0 && loss < num_nodes());
+  TRAP_CHECK(value(loss).rows() == 1 && value(loss).cols() == 1);
+  // Gradients are allocated here, not per op, so inference-only tapes never
+  // pay for them. A second Backward keeps what the first accumulated.
+  const size_t count = static_cast<size_t>(loss) + 1;
+  if (grads_.size() < count) grads_.resize(count);
+  for (size_t id = 0; id < count; ++id) {
+    const Matrix& v = ValueOf(nodes_[id]);
+    Matrix& g = grads_[id];
+    if (g.rows() != v.rows() || g.cols() != v.cols()) {
+      g = Matrix(v.rows(), v.cols());
+    }
+  }
+  grads_[static_cast<size_t>(loss)].data()[0] = 1.0;
   // Nodes were appended in topological order; walk backwards.
-  for (int id = loss; id >= 0; --id) {
-    Node& n = node(id);
-    if (n.backward) {
-      n.backward(*this, n);
-    } else if (n.param != nullptr) {
-      if (n.gather_ids.empty()) {
-        for (int i = 0; i < n.grad.size(); ++i) {
-          n.param->grad.data()[i] += n.grad.data()[i];
+  for (int id = loss; id >= 0; --id) BackwardNode(id);
+}
+
+// Adds node `id`'s gradient contribution to its inputs' gradients or, for a
+// Param or Gather leaf, folds it into Parameter::grad. A node is never its
+// own input, so its gradient never aliases the buffer being written. When
+// a == b, every element still receives the a-side contribution before the
+// b-side one, as in the interleaved formulation.
+void Graph::BackwardNode(VarId id) {
+  const Node& n = nodes_[static_cast<size_t>(id)];
+  const Matrix& gn = grads_[static_cast<size_t>(id)];
+  const double* go = gn.data();
+  const int size = gn.size();
+  switch (n.op) {
+    case Op::kInput:
+      return;
+    case Op::kParam:
+      AddTo(n.param->grad.data(), go, size);
+      return;
+    case Op::kGather: {
+      const int* ids = gather_ids_.data() + n.row;
+      for (int i = 0; i < gn.rows(); ++i) {
+        AddTo(Row(n.param->grad, ids[i]), Row(gn, i), gn.cols());
+      }
+      return;
+    }
+    default:
+      break;
+  }
+
+  const Node& na = nodes_[static_cast<size_t>(n.a)];
+  Matrix& gna = grads_[static_cast<size_t>(n.a)];
+  double* ga = gna.data();
+  switch (n.op) {
+    case Op::kMatMul: {
+      const Node& nb = nodes_[static_cast<size_t>(n.b)];
+      Matrix& gnb = grads_[static_cast<size_t>(n.b)];
+      const Matrix& A = ValueOf(na);
+      const Matrix& B = ValueOf(nb);
+      const int rows = A.rows(), inner = A.cols(), m = B.cols();
+      // dA += dOut * B^T ; dB += A^T * dOut
+      if (n.a == n.b) {
+        // MatMul(x, x): both gradients land in one buffer, so keep the
+        // interleaved order in which the two contributions meet.
+        for (int i = 0; i < rows; ++i) {
+          const double* grow = Row(gn, i);
+          const double* arow = Row(A, i);
+          double* darow = Row(gna, i);
+          for (int j = 0; j < m; ++j) {
+            const double g = grow[j];
+            if (g == 0.0) continue;
+            for (int k = 0; k < inner; ++k) {
+              darow[k] += g * Row(B, k)[j];
+              Row(gna, k)[j] += arow[k] * g;
+            }
+          }
         }
-      } else {
-        for (int i = 0; i < n.grad.rows(); ++i) {
-          int dst = n.gather_ids[static_cast<size_t>(i)];
-          for (int c = 0; c < n.grad.cols(); ++c) {
-            n.param->grad.at(dst, c) += n.grad.at(i, c);
+        return;
+      }
+      // Two passes over contiguous rows. dA[i, k] sums its terms in
+      // ascending j and dB[k, j] in ascending i, as the interleaved loop did.
+      for (int i = 0; i < rows; ++i) {
+        const double* grow = Row(gn, i);
+        const double* arow = Row(A, i);
+        double* darow = Row(gna, i);
+        // Four k at a time: four independent accumulation chains.
+        int k = 0;
+        for (; k + 4 <= inner; k += 4) {
+          const double* b0 = Row(B, k);
+          const double* b1 = b0 + m;
+          const double* b2 = b1 + m;
+          const double* b3 = b2 + m;
+          double s0 = darow[k], s1 = darow[k + 1];
+          double s2 = darow[k + 2], s3 = darow[k + 3];
+          for (int j = 0; j < m; ++j) {
+            const double g = grow[j];
+            if (g == 0.0) continue;
+            s0 += g * b0[j];
+            s1 += g * b1[j];
+            s2 += g * b2[j];
+            s3 += g * b3[j];
+          }
+          darow[k] = s0;
+          darow[k + 1] = s1;
+          darow[k + 2] = s2;
+          darow[k + 3] = s3;
+        }
+        for (; k < inner; ++k) {
+          const double* brow = Row(B, k);
+          double acc = darow[k];
+          for (int j = 0; j < m; ++j) {
+            if (grow[j] != 0.0) acc += grow[j] * brow[j];
+          }
+          darow[k] = acc;
+        }
+        // dB[k, :] += A[i, k] * dOut[i, :], skipping zero dOut entries.
+        const bool dense = !HasZero(grow, m);
+        for (k = 0; k < inner; ++k) {
+          double* dbrow = Row(gnb, k);
+          if (dense) {
+            AddScaledTo(dbrow, arow[k], grow, m);
+            continue;
+          }
+          for (int j = 0; j < m; ++j) {
+            if (grow[j] != 0.0) dbrow[j] += arow[k] * grow[j];
           }
         }
       }
+      return;
     }
+    case Op::kTranspose: {
+      const int rows = gna.rows(), cols = gna.cols();
+      for (int i = 0; i < rows; ++i) {
+        double* darow = Row(gna, i);
+        for (int j = 0; j < cols; ++j) {
+          darow[j] += go[static_cast<size_t>(j) * rows + i];
+        }
+      }
+      return;
+    }
+    case Op::kAdd: {
+      AddTo(ga, go, size);
+      Matrix& gb = grads_[static_cast<size_t>(n.b)];
+      for (int i = 0; i < gn.rows(); ++i) {
+        AddTo(Row(gb, n.broadcast ? 0 : i), Row(gn, i), gn.cols());
+      }
+      return;
+    }
+    case Op::kMul: {
+      const Node& nb = nodes_[static_cast<size_t>(n.b)];
+      Matrix& gnb = grads_[static_cast<size_t>(n.b)];
+      AddProductTo(ga, go, ValueOf(nb).data(), size);
+      AddProductTo(gnb.data(), go, ValueOf(na).data(), size);
+      return;
+    }
+    case Op::kScale:
+      AddScaledTo(ga, n.scale, go, size);
+      return;
+    case Op::kTanh:
+      TanhBackward(ga, go, n.value.data(), size);
+      return;
+    case Op::kSigmoid:
+      SigmoidBackward(ga, go, n.value.data(), size);
+      return;
+    case Op::kRelu: {
+      const double* y = n.value.data();
+      for (int i = 0; i < size; ++i) {
+        if (y[i] > 0.0) ga[i] += go[i];
+      }
+      return;
+    }
+    case Op::kSoftmax: {
+      const int cols = n.value.cols();
+      for (int i = 0; i < n.value.rows(); ++i) {
+        const double* grow = Row(gn, i);
+        const double* y = Row(n.value, i);
+        double* darow = Row(gna, i);
+        double dot = 0.0;
+        for (int j = 0; j < cols; ++j) dot += grow[j] * y[j];
+        for (int j = 0; j < cols; ++j) darow[j] += y[j] * (grow[j] - dot);
+      }
+      return;
+    }
+    case Op::kLogSoftmax: {
+      const int cols = n.value.cols();
+      for (int i = 0; i < n.value.rows(); ++i) {
+        const double* grow = Row(gn, i);
+        const double* y = Row(n.value, i);
+        double* darow = Row(gna, i);
+        double gsum = 0.0;
+        for (int j = 0; j < cols; ++j) gsum += grow[j];
+        for (int j = 0; j < cols; ++j) {
+          darow[j] += grow[j] - std::exp(y[j]) * gsum;
+        }
+      }
+      return;
+    }
+    case Op::kConcatCols: {
+      Matrix& gb = grads_[static_cast<size_t>(n.b)];
+      const int ac = n.col;
+      for (int i = 0; i < gn.rows(); ++i) {
+        const double* grow = Row(gn, i);
+        AddTo(Row(gna, i), grow, ac);
+        AddTo(Row(gb, i), grow + ac, gb.cols());
+      }
+      return;
+    }
+    case Op::kPick:
+      Row(gna, n.row)[n.col] += go[0];
+      return;
+    case Op::kSum:
+      AddConstTo(ga, go[0], gna.size());
+      return;
+    case Op::kLayerNorm: {
+      const int cols = n.value.cols();
+      const Matrix& aux = aux_[static_cast<size_t>(n.row)];
+      double* gain_grad = n.param->grad.data();
+      double* bias_grad = n.bias->grad.data();
+      const double* gain = n.param->value.data();
+      std::vector<double> dnorm(static_cast<size_t>(cols));
+      for (int i = 0; i < n.value.rows(); ++i) {
+        const double* grow = Row(gn, i);
+        const double* norm = Row(aux, i);
+        const double inv_std = norm[cols];
+        // d norm and parameter grads.
+        double sum_dnorm = 0.0, sum_dnorm_norm = 0.0;
+        for (int j = 0; j < cols; ++j) {
+          const double g = grow[j];
+          gain_grad[j] += g * norm[j];
+          bias_grad[j] += g;
+          dnorm[static_cast<size_t>(j)] = g * gain[j];
+          sum_dnorm += dnorm[static_cast<size_t>(j)];
+          sum_dnorm_norm += dnorm[static_cast<size_t>(j)] * norm[j];
+        }
+        double* darow = Row(gna, i);
+        for (int j = 0; j < cols; ++j) {
+          darow[j] += inv_std * (dnorm[static_cast<size_t>(j)] -
+                                 sum_dnorm / cols -
+                                 norm[j] * sum_dnorm_norm / cols);
+        }
+      }
+      return;
+    }
+    case Op::kInput:
+    case Op::kParam:
+    case Op::kGather:
+      return;
   }
 }
 

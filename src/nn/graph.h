@@ -1,8 +1,7 @@
 #ifndef TRAP_NN_GRAPH_H_
 #define TRAP_NN_GRAPH_H_
 
-#include <functional>
-#include <memory>
+#include <cstdint>
 #include <vector>
 
 #include "nn/matrix.h"
@@ -28,6 +27,12 @@ struct Parameter {
 // and minimal (a dozen ops) gives exact gradients for the GRU
 // encoder-decoder, the attention mechanism, and the transformer baselines
 // without hand-derived backward passes.
+//
+// The tape is an arena of plain nodes, each tagged with an Op; Backward is
+// one switch over it. Node gradients are allocated only when Backward runs,
+// so an inference-only tape never allocates one. A Param() leaf reads the
+// parameter's value in place instead of copying it: do not update a
+// parameter (e.g. Adam::Step) while a tape that reads it is still in use.
 class Graph {
  public:
   using VarId = int;
@@ -42,7 +47,7 @@ class Graph {
   VarId Param(Parameter* p);
   // Row-gather from a parameter matrix: out[i, :] = p->value[ids[i], :].
   // Gradients scatter back into the gathered rows only (sparse update).
-  VarId Gather(Parameter* p, std::vector<int> ids);
+  VarId Gather(Parameter* p, const std::vector<int>& ids);
 
   VarId MatMul(VarId a, VarId b);
   VarId Transpose(VarId a);
@@ -70,7 +75,10 @@ class Graph {
   // (gain/bias are 1xC parameters).
   VarId LayerNorm(VarId a, Parameter* gain, Parameter* bias);
 
-  const Matrix& value(VarId id) const;
+  // The node's value. The reference stays valid until the next op is added.
+  const Matrix& value(VarId id) const { return ValueOf(at(id)); }
+  // The node's accumulated gradient; empty until Backward has reached it.
+  const Matrix& grad(VarId id) const;
 
   // Back-propagates d(loss)/d(everything) from `loss`, which must be 1x1.
   // Parameter gradients are *accumulated* (call ZeroGrad on the optimizer
@@ -80,20 +88,56 @@ class Graph {
   int num_nodes() const { return static_cast<int>(nodes_.size()); }
 
  private:
-  struct Node {
-    Matrix value;
-    Matrix grad;
-    std::vector<VarId> inputs;
-    std::function<void(Graph&, Node&)> backward;  // may be empty for leaves
-    Parameter* param = nullptr;                   // for Param leaves
-    std::vector<int> gather_ids;                  // for Gather leaves
+  enum class Op : uint8_t {
+    kInput,
+    kParam,
+    kGather,
+    kMatMul,
+    kTranspose,
+    kAdd,
+    kMul,
+    kScale,
+    kTanh,
+    kSigmoid,
+    kRelu,
+    kSoftmax,
+    kLogSoftmax,
+    kConcatCols,
+    kPick,
+    kSum,
+    kLayerNorm,
   };
 
-  VarId AddNode(Matrix value, std::vector<VarId> inputs,
-                std::function<void(Graph&, Node&)> backward);
-  Node& node(VarId id) { return *nodes_[static_cast<size_t>(id)]; }
+  struct Node {
+    Op op = Op::kInput;
+    bool broadcast = false;  // kAdd: b is one row spread over a's rows
+    VarId a = -1;            // first input
+    VarId b = -1;            // second input
+    int row = 0;  // kPick row; kGather offset into gather_ids_;
+                  // kLayerNorm index into aux_
+    int col = 0;  // kPick column; kConcatCols split column
+    double scale = 0.0;          // kScale factor
+    Parameter* param = nullptr;  // kParam, kGather; kLayerNorm gain
+    Parameter* bias = nullptr;   // kLayerNorm bias
+    Matrix value;  // empty for kParam, which reads param->value
+  };
 
-  std::vector<std::unique_ptr<Node>> nodes_;
+  const Node& at(VarId id) const {
+    TRAP_CHECK(id >= 0 && id < num_nodes());
+    return nodes_[static_cast<size_t>(id)];
+  }
+  static const Matrix& ValueOf(const Node& n) {
+    return n.op == Op::kParam ? n.param->value : n.value;
+  }
+  // Appends a node; invalidates references into the arena.
+  VarId Push(Op op, Matrix value, VarId a = -1, VarId b = -1);
+  void BackwardNode(VarId id);
+
+  std::vector<Node> nodes_;
+  std::vector<Matrix> grads_;    // by node id, up to the last Backward's loss
+  std::vector<int> gather_ids_;  // row ids of every kGather node
+  std::vector<Matrix> aux_;      // kLayerNorm: rows x (cols + 1) matrices
+                                 // [normalized | inv_std]
 };
 
 }  // namespace trap::nn

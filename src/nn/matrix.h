@@ -1,6 +1,8 @@
 #ifndef TRAP_NN_MATRIX_H_
 #define TRAP_NN_MATRIX_H_
 
+#include <algorithm>
+#include <cmath>
 #include <vector>
 
 #include "common/check.h"
@@ -49,7 +51,7 @@ class Matrix {
 
   static Matrix RowVector(const std::vector<double>& values) {
     Matrix m(1, static_cast<int>(values.size()));
-    for (int i = 0; i < m.cols(); ++i) m.at(0, i) = values[static_cast<size_t>(i)];
+    std::copy(values.begin(), values.end(), m.data_.begin());
     return m;
   }
 

@@ -12,6 +12,7 @@
 #include "catalog/stats_overlay.h"
 #include "common/string_util.h"
 #include "testing/fault_campaign.h"
+#include "testing/nn_equivalence.h"
 #include "drift/episode.h"
 #include "drift/replay.h"
 #include "drift/stats_perturber.h"
@@ -625,6 +626,7 @@ const char* OracleName(OracleId id) {
     case OracleId::kRegretSanity: return "regret-sanity";
     case OracleId::kStatsBudget: return "stats-budget";
     case OracleId::kShardPartition: return "shard-partition";
+    case OracleId::kNnKernelEquivalence: return "nn-kernel-equivalence";
   }
   return "?";
 }
@@ -684,6 +686,8 @@ std::optional<std::string> CheckReproducer(OracleId id, OracleEnv& env,
       return CheckStatsBudget(env, r);
     case OracleId::kShardPartition:
       return CheckShardPartition(env, r);
+    case OracleId::kNnKernelEquivalence:
+      return CheckNnKernelEquivalence(r.walk_seed, r.epsilon);
   }
   return std::nullopt;
 }
@@ -771,6 +775,15 @@ std::optional<OracleFailure> RunOracle(OracleId id, OracleEnv& env,
       r.walk_seed = gen.rng().engine()();  // campaign spec seed
       break;
     }
+    case OracleId::kNnKernelEquivalence: {
+      // As for shard-partition, the workload only keeps the reproducer
+      // shrinkable; the shrinker's budget pass shortens the tape.
+      sql::Query q = gen.Query();
+      r.workload.queries.push_back(workload::WorkloadQuery{q, 1.0});
+      r.epsilon = static_cast<int>(gen.rng().UniformInt(1, 24));  // ops
+      r.walk_seed = gen.rng().engine()();  // tape seed
+      break;
+    }
   }
   std::optional<std::string> message = CheckReproducer(id, env, r);
   if (!message.has_value()) return std::nullopt;
@@ -822,6 +835,10 @@ std::string DescribeReproducer(OracleId id, const OracleEnv& env,
         "campaign: shards=%d workloads=%d spec_seed=%llu\n",
         std::max(1, r.epsilon), std::clamp(r.max_indexes, 1, 4),
         static_cast<unsigned long long>(r.walk_seed));
+  }
+  if (id == OracleId::kNnKernelEquivalence) {
+    out += common::StrFormat("tape: ops=%d seed=%llu\n", r.epsilon,
+                             static_cast<unsigned long long>(r.walk_seed));
   }
   return out;
 }

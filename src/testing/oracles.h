@@ -18,10 +18,10 @@ namespace trap::proptest {
 
 using PerturbationConstraint = ::trap::trap::PerturbationConstraint;
 
-// The ten metamorphic / differential oracle families. Each one states an
-// invariant the engine, an advisor, or the drift runtime must hold for
-// *every* input, so the harness can hammer them with generated cases
-// instead of hand-picked ones:
+// The eleven metamorphic / differential oracle families. Each one states an
+// invariant the engine, an advisor, the drift runtime or the nn kernels
+// must hold for *every* input, so the harness can hammer them with
+// generated cases instead of hand-picked ones:
 //
 //   add-index-monotone     adding one index never increases QueryCost;
 //   superset-monotone      cost under a configuration superset is never
@@ -56,7 +56,13 @@ using PerturbationConstraint = ::trap::trap::PerturbationConstraint;
 //                          positional case indexes, and MakeShardPlan's
 //                          shards exactly partition the case space -- no
 //                          case lost, none duplicated, no empty shard,
-//                          sizes balanced within one.
+//                          sizes balanced within one;
+//   nn-kernel-equivalence  a random autograd tape over every nn::Graph op
+//                          (broadcast, exact zeros, MatMul/Mul(x, x)
+//                          aliasing, reused Param leaves) matches the
+//                          at()-based ReferenceGraph bit for bit in forward
+//                          values, every gradient and two Adam steps with
+//                          and without clipping (differential).
 enum class OracleId {
   kAddIndexMonotone = 0,
   kSupersetMonotone = 1,
@@ -68,9 +74,10 @@ enum class OracleId {
   kRegretSanity = 7,
   kStatsBudget = 8,
   kShardPartition = 9,
+  kNnKernelEquivalence = 10,
 };
 
-inline constexpr int kNumOracles = 10;
+inline constexpr int kNumOracles = 11;
 
 const char* OracleName(OracleId id);
 std::optional<OracleId> OracleFromName(std::string_view name);
@@ -102,8 +109,10 @@ struct Reproducer {
   int epsilon = 0;        // perturbation-budget; drift oracles: episodes
                           // (episode-determinism, regret-sanity) or L1
                           // budget quarters (stats-budget); shard-partition:
-                          // requested shard count
-  uint64_t walk_seed = 0;  // perturbation walk / drift episode-stream seed
+                          // requested shard count; nn-kernel-equivalence:
+                          // tape length in ops
+  uint64_t walk_seed = 0;  // perturbation walk / drift episode-stream seed;
+                           // nn-kernel-equivalence: tape seed
   int advisor = 0;        // advisor-contract + drift: advisor id in [0,6)
   int64_t storage_budget = 0;
   int max_indexes = 0;                // 0 = unconstrained count;

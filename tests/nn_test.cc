@@ -1,12 +1,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <functional>
+#include <ostream>
+#include <string>
 
 #include "nn/adam.h"
 #include "nn/graph.h"
 #include "nn/layers.h"
 #include "nn/transformer.h"
+#include "testing/reference_graph.h"
 
 namespace trap::nn {
 namespace {
@@ -86,16 +90,22 @@ TEST(GraphTest, LogSoftmaxMatchesSoftmax) {
   }
 }
 
+// One op under the gradient check below.
+struct OpCase {
+  const char* name;
+  std::function<Graph::VarId(Graph&, Graph::VarId)> op;
+};
+
+// Prints only the op name, so the listed test name (which carries the
+// printed parameter) holds no pointer value that changes from build to build.
+void PrintTo(const OpCase& c, std::ostream* os) { *os << c.name; }
+
 // Parameterized gradient check across ops: builds loss = Sum(op(x W)) for a
 // variety of ops and validates dW numerically.
-class OpGradientTest
-    : public ::testing::TestWithParam<
-          std::pair<const char*,
-                    std::function<Graph::VarId(Graph&, Graph::VarId)>>> {};
+class OpGradientTest : public ::testing::TestWithParam<OpCase> {};
 
 TEST_P(OpGradientTest, MatchesFiniteDifference) {
-  auto [name, op] = GetParam();
-  (void)name;
+  const auto& op = GetParam().op;
   common::Rng rng(11);
   ParameterStore store;
   Parameter* w = store.Create(3, 4, rng);
@@ -118,31 +128,34 @@ TEST_P(OpGradientTest, MatchesFiniteDifference) {
 INSTANTIATE_TEST_SUITE_P(
     AllOps, OpGradientTest,
     ::testing::Values(
-        std::make_pair("identity",
-                       std::function<Graph::VarId(Graph&, Graph::VarId)>(
-                           [](Graph& g, Graph::VarId v) { (void)g; return v; })),
-        std::make_pair("tanh",
-                       std::function<Graph::VarId(Graph&, Graph::VarId)>(
-                           [](Graph& g, Graph::VarId v) { return g.Tanh(v); })),
-        std::make_pair("sigmoid",
-                       std::function<Graph::VarId(Graph&, Graph::VarId)>(
-                           [](Graph& g, Graph::VarId v) { return g.Sigmoid(v); })),
-        std::make_pair("relu",
-                       std::function<Graph::VarId(Graph&, Graph::VarId)>(
-                           [](Graph& g, Graph::VarId v) { return g.Relu(v); })),
-        std::make_pair("softmax",
-                       std::function<Graph::VarId(Graph&, Graph::VarId)>(
-                           [](Graph& g, Graph::VarId v) { return g.Softmax(v); })),
-        std::make_pair("logsoftmax",
-                       std::function<Graph::VarId(Graph&, Graph::VarId)>(
-                           [](Graph& g, Graph::VarId v) { return g.LogSoftmax(v); })),
-        std::make_pair("transpose",
-                       std::function<Graph::VarId(Graph&, Graph::VarId)>(
-                           [](Graph& g, Graph::VarId v) { return g.Transpose(v); })),
-        std::make_pair("scale",
-                       std::function<Graph::VarId(Graph&, Graph::VarId)>(
-                           [](Graph& g, Graph::VarId v) { return g.Scale(v, -1.7); }))),
-    [](const auto& suite_info) { return suite_info.param.first; });
+        OpCase{"identity",
+               [](Graph& g, Graph::VarId v) { (void)g; return v; }},
+        OpCase{"tanh", [](Graph& g, Graph::VarId v) { return g.Tanh(v); }},
+        OpCase{"sigmoid",
+               [](Graph& g, Graph::VarId v) { return g.Sigmoid(v); }},
+        OpCase{"relu", [](Graph& g, Graph::VarId v) { return g.Relu(v); }},
+        OpCase{"softmax",
+               [](Graph& g, Graph::VarId v) { return g.Softmax(v); }},
+        OpCase{"logsoftmax",
+               [](Graph& g, Graph::VarId v) { return g.LogSoftmax(v); }},
+        OpCase{"transpose",
+               [](Graph& g, Graph::VarId v) { return g.Transpose(v); }},
+        OpCase{"scale",
+               [](Graph& g, Graph::VarId v) { return g.Scale(v, -1.7); }},
+        // Ops whose two inputs are one node: both gradient contributions
+        // land in the same buffer.
+        OpCase{"add_self",
+               [](Graph& g, Graph::VarId v) { return g.Add(v, v); }},
+        OpCase{"mul_self",
+               [](Graph& g, Graph::VarId v) { return g.Mul(v, v); }},
+        OpCase{"concat_self",
+               [](Graph& g, Graph::VarId v) { return g.ConcatCols(v, v); }},
+        OpCase{"matmul_self",
+               [](Graph& g, Graph::VarId v) {
+                 Graph::VarId sq = g.MatMul(v, g.Transpose(v));
+                 return g.MatMul(sq, sq);  // MatMul(x, x)
+               }}),
+    [](const auto& suite_info) { return std::string(suite_info.param.name); });
 
 TEST(GradientTest, GatherScattersGradientsSparsely) {
   common::Rng rng(5);
@@ -169,6 +182,30 @@ TEST(GradientTest, GatherScattersGradientsSparsely) {
     EXPECT_EQ(table->grad.at(3, c), 0.0);
     EXPECT_EQ(table->grad.at(5, c), 0.0);
   }
+}
+
+// Two Param() leaves of one parameter each keep their own gradient buffer
+// and both fold into Parameter::grad.
+TEST(GradientTest, ParamLeafUsedTwice) {
+  common::Rng rng(37);
+  ParameterStore store;
+  Parameter* w = store.Create(3, 3, rng);
+  Matrix x(2, 3);
+  for (int i = 0; i < x.size(); ++i) x.data()[i] = rng.Gaussian();
+  auto build = [&](Graph& g) {
+    Graph::VarId h = g.Tanh(g.MatMul(g.Input(x), g.Param(w)));
+    Graph::VarId y = g.MatMul(h, g.Param(w));
+    return g.Sum(g.Mul(y, y));
+  };
+  auto loss_value = [&]() {
+    Graph g;
+    return g.value(build(g)).at(0, 0);
+  };
+  auto run = [&]() {
+    Graph g;
+    g.Backward(build(g));
+  };
+  CheckParameterGradient(w, loss_value, run, 1e-5);
 }
 
 TEST(GradientTest, GruCellGradient) {
@@ -250,6 +287,122 @@ TEST(GradientTest, TransformerLayerGradient) {
     };
     CheckParameterGradient(p, loss_value, run, 1e-4);
   }
+}
+
+bool SameBits(const Matrix& a, const Matrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         (a.size() == 0 ||
+          std::memcmp(a.data(), b.data(),
+                      static_cast<size_t>(a.size()) * sizeof(double)) == 0);
+}
+
+// A small GRU-like tape that builds on either tape implementation: a zero
+// initial state, a Gather, and Param u read three times per step.
+template <typename G>
+int BuildRecurrentTape(G& g, Parameter* w, Parameter* u, Parameter* table,
+                       const Matrix& x) {
+  int h = g.Input(Matrix(1, 4));
+  for (int step = 0; step < 3; ++step) {
+    int e = g.Gather(table, {step % 3});
+    int z = g.Sigmoid(g.Add(g.MatMul(g.Input(x), g.Param(w)),
+                            g.MatMul(h, g.Param(u))));
+    int n = g.Tanh(g.Add(g.MatMul(g.Mul(z, h), g.Param(u)), e));
+    h = g.Add(h, g.Mul(z, g.Sub(n, h)));
+  }
+  return g.Add(g.Sum(g.LogSoftmax(h)), g.Pick(h, 0, 1));
+}
+
+// Calling Backward twice on one tape accumulates exactly as the reference
+// tape does: node gradients carry over, the loss seed is reset to 1, and
+// every Param leaf folds its whole buffer into Parameter::grad again.
+TEST(GraphTest, BackwardTwiceAccumulatesLikeReference) {
+  common::Rng rng(41);
+  ParameterStore fast_store;
+  Parameter* w = fast_store.Create(3, 4, rng);
+  Parameter* u = fast_store.Create(4, 4, rng);
+  Parameter* table = fast_store.Create(3, 4, rng);
+  ParameterStore ref_store;
+  Parameter* rw = ref_store.CreateZero(3, 4);
+  Parameter* ru = ref_store.CreateZero(4, 4);
+  Parameter* rtable = ref_store.CreateZero(3, 4);
+  ref_store.CopyValuesFrom(fast_store);
+  Matrix x(1, 3);
+  for (int i = 0; i < x.size(); ++i) x.data()[i] = rng.Gaussian();
+
+  Graph g;
+  proptest::ReferenceGraph ref;
+  int loss = BuildRecurrentTape(g, w, u, table, x);
+  ASSERT_EQ(BuildRecurrentTape(ref, rw, ru, rtable, x), loss);
+  g.Backward(loss);
+  Matrix once = w->grad;
+  g.Backward(loss);
+  ref.Backward(loss);
+  ref.Backward(loss);
+  EXPECT_FALSE(SameBits(w->grad, once));  // the second pass did add
+  for (int id = 0; id <= loss; ++id) {
+    EXPECT_TRUE(SameBits(g.grad(id), ref.grad(id))) << "node " << id;
+  }
+  EXPECT_TRUE(SameBits(w->grad, rw->grad));
+  EXPECT_TRUE(SameBits(u->grad, ru->grad));
+  EXPECT_TRUE(SameBits(table->grad, rtable->grad));
+}
+
+// A tape that never runs Backward computes the same values as one that
+// does, and allocates no gradients.
+TEST(GraphTest, InferenceTapeMatchesTrainingTape) {
+  common::Rng rng(43);
+  ParameterStore store;
+  Parameter* w = store.Create(3, 4, rng);
+  Parameter* u = store.Create(4, 4, rng);
+  Parameter* table = store.Create(3, 4, rng);
+  Matrix x(1, 3);
+  for (int i = 0; i < x.size(); ++i) x.data()[i] = rng.Gaussian();
+  Graph infer;
+  Graph train;
+  int loss = BuildRecurrentTape(infer, w, u, table, x);
+  ASSERT_EQ(BuildRecurrentTape(train, w, u, table, x), loss);
+  train.Backward(loss);
+  ASSERT_EQ(infer.num_nodes(), train.num_nodes());
+  for (int id = 0; id < infer.num_nodes(); ++id) {
+    EXPECT_TRUE(SameBits(infer.value(id), train.value(id))) << "node " << id;
+    EXPECT_EQ(infer.grad(id).size(), 0) << "node " << id;
+  }
+}
+
+// Every check the bounds-checked Matrix::at() used to make inside the ops
+// now happens once, at op entry, and still aborts through TRAP_CHECK.
+TEST(GraphDeathTest, GatherRejectsOutOfRangeId) {
+  common::Rng rng(47);
+  ParameterStore store;
+  Parameter* table = store.Create(3, 2, rng);
+  Graph g;
+  EXPECT_DEATH(g.Gather(table, {0, 3}), "TRAP_CHECK failed");
+  EXPECT_DEATH(g.Gather(table, {-1}), "TRAP_CHECK failed");
+}
+
+TEST(GraphDeathTest, PickRejectsElementOutsideMatrix) {
+  Graph g;
+  Graph::VarId x = g.Input(Matrix(2, 3));
+  EXPECT_DEATH(g.Pick(x, 2, 0), "TRAP_CHECK failed");
+  EXPECT_DEATH(g.Pick(x, 0, 3), "TRAP_CHECK failed");
+  EXPECT_DEATH(g.Pick(x, -1, 0), "TRAP_CHECK failed");
+}
+
+TEST(GraphDeathTest, ShapeMismatchesAbort) {
+  Graph g;
+  Graph::VarId a = g.Input(Matrix(2, 3));
+  Graph::VarId b = g.Input(Matrix(2, 2));
+  Graph::VarId c = g.Input(Matrix(3, 3));
+  EXPECT_DEATH(g.MatMul(a, b), "TRAP_CHECK failed");
+  EXPECT_DEATH(g.Add(a, b), "TRAP_CHECK failed");  // column mismatch
+  EXPECT_DEATH(g.Add(a, c), "TRAP_CHECK failed");  // rows, no broadcast
+  EXPECT_DEATH(g.ConcatCols(a, c), "TRAP_CHECK failed");
+}
+
+TEST(GraphDeathTest, BackwardRequiresScalarLoss) {
+  Graph g;
+  Graph::VarId x = g.Input(Matrix(1, 2));
+  EXPECT_DEATH(g.Backward(x), "TRAP_CHECK failed");
 }
 
 TEST(LayersTest, LinearShapesAndParamCount) {

@@ -1,6 +1,6 @@
 // trap_fuzz: metamorphic / differential fuzzing driver for the TRAP engine,
-// perturber, advisors and drift runtime. Runs seeded generated cases
-// against the nine oracle families in src/testing/oracles.h, shrinks
+// perturber, advisors, drift runtime and nn kernels. Runs seeded generated
+// cases against the eleven oracle families in src/testing/oracles.h, shrinks
 // failures to minimal reproducers, and replays the committed regression
 // corpus.
 //

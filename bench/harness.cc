@@ -8,6 +8,7 @@
 
 #include "advisor/registry.h"
 #include "common/file_util.h"
+#include "common/json.h"
 #include "common/stats.h"
 #include "common/thread_pool.h"
 #include "obs/metrics.h"
@@ -265,35 +266,6 @@ void BenchReport::RecordFailure(const advisor::FailureRecord& failure) {
   failures_.push_back(failure);
 }
 
-namespace {
-
-// Minimal JSON string escaping for failure messages (quotes, backslashes,
-// control characters).
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-}  // namespace
-
 std::string BenchReport::Write() const {
   const std::string path = "BENCH_" + name_ + ".json";
   std::ostringstream out;
@@ -323,8 +295,8 @@ std::string BenchReport::Write() const {
   out << "\n  },\n  \"obs_metrics\": {";
   for (size_t i = 0; i < samples.size(); ++i) {
     out << (i == 0 ? "\n" : ",\n");
-    out << "    \"" << JsonEscape(samples[i].name)
-        << "\": {\"value\": " << samples[i].value << ", \"deterministic\": "
+    out << "    " << common::JsonQuote(samples[i].name)
+        << ": {\"value\": " << samples[i].value << ", \"deterministic\": "
         << (samples[i].deterministic ? "true" : "false") << "}";
   }
   char digest_buf[32];
@@ -336,11 +308,11 @@ std::string BenchReport::Write() const {
   for (size_t i = 0; i < failures_.size(); ++i) {
     const advisor::FailureRecord& f = failures_[i];
     out << (i == 0 ? "\n" : ",\n");
-    out << "    {\"advisor\": \"" << JsonEscape(f.advisor) << "\", \"site\": \""
-        << JsonEscape(f.site) << "\", \"code\": \""
+    out << "    {\"advisor\": " << common::JsonQuote(f.advisor)
+        << ", \"site\": " << common::JsonQuote(f.site) << ", \"code\": \""
         << common::StatusCodeName(f.code) << "\", \"attempts\": " << f.attempts
         << ", \"degraded\": " << (f.degraded ? "true" : "false")
-        << ", \"message\": \"" << JsonEscape(f.message) << "\"}";
+        << ", \"message\": " << common::JsonQuote(f.message) << "}";
   }
   out << (failures_.empty() ? "]\n}\n" : "\n  ]\n}\n");
   // Atomic publish (write .tmp, rename): a crash mid-write leaves only the

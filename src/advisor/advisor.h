@@ -59,6 +59,12 @@ class IndexAdvisor {
   virtual common::StatusOr<engine::IndexConfig> TryRecommend(
       const workload::Workload& w, const TuningConstraint& constraint,
       const common::EvalContext& ctx);
+
+  // True when both entry points are pure functions of (workload,
+  // constraint, ctx), fault draws included, so a caller may reuse an
+  // answer instead of asking again. An advisor that draws from its own
+  // random stream while recommending (MCTS) returns false.
+  virtual bool RecommendIsPure() const { return true; }
 };
 
 // A stable 64-bit fingerprint of the workload (query fingerprints +

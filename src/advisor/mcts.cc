@@ -16,6 +16,8 @@ class MctsAdvisor : public IndexAdvisor {
       : optimizer_(&optimizer), options_(options), rng_(options.seed) {}
 
   std::string name() const override { return "MCTS"; }
+  // Rollouts draw from rng_, so asking twice can answer differently.
+  bool RecommendIsPure() const override { return false; }
 
   common::StatusOr<engine::IndexConfig> TryRecommend(
       const workload::Workload& w, const TuningConstraint& constraint,

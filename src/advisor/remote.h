@@ -67,6 +67,9 @@ class RemoteAdvisor : public IndexAdvisor {
       const workload::Workload& w, const TuningConstraint& constraint,
       const common::EvalContext& ctx) override;
 
+  // The child keeps its own state between requests (it may host MCTS).
+  bool RecommendIsPure() const override { return false; }
+
  private:
   common::Status EnsureSpawned();
   void Teardown();

@@ -17,6 +17,8 @@ struct TransformerConfig {
   int num_heads = 4;
   int ff_dim = 256;
   int num_layers = 2;
+  friend bool operator==(const TransformerConfig&,
+                         const TransformerConfig&) = default;
 };
 
 class TransformerEncoderLayer {

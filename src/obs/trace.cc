@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "common/json.h"
 #include "common/rng.h"
 #include "obs/metrics.h"
 
@@ -121,29 +122,6 @@ uint64_t TraceSink::Digest() const {
 
 namespace {
 
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 void AppendArgs(const TraceEvent& e, std::string* out) {
   char buf[64];
   std::snprintf(buf, sizeof buf, "0x%016llx",
@@ -153,9 +131,9 @@ void AppendArgs(const TraceEvent& e, std::string* out) {
   *out += "\"";
   for (const auto& [name, value] : e.args) {
     std::snprintf(buf, sizeof buf, "%lld", static_cast<long long>(value));
-    *out += ", \"";
-    *out += JsonEscape(name);
-    *out += "\": ";
+    *out += ", ";
+    *out += common::JsonQuote(name);
+    *out += ": ";
     *out += buf;
   }
   *out += "}";
@@ -177,9 +155,9 @@ std::string ChromeTraceJson(const TraceSink& sink) {
     first = false;
     out += "  {\"ph\": \"";
     out += phase;
-    out += "\", \"name\": \"";
-    out += JsonEscape(e.name);
-    out += "\", \"pid\": 0, \"tid\": 0, \"ts\": ";
+    out += "\", \"name\": ";
+    out += common::JsonQuote(e.name);
+    out += ", \"pid\": 0, \"tid\": 0, \"ts\": ";
     std::snprintf(buf, sizeof buf, "%lld", static_cast<long long>(ts++));
     out += buf;
     if (phase[0] == 'B') {
@@ -212,9 +190,9 @@ std::string TraceJsonl(const TraceSink& sink) {
     out += "{\"depth\": ";
     std::snprintf(buf, sizeof buf, "%d", e.depth);
     out += buf;
-    out += ", \"name\": \"";
-    out += JsonEscape(e.name);
-    out += "\", \"closed\": ";
+    out += ", \"name\": ";
+    out += common::JsonQuote(e.name);
+    out += ", \"closed\": ";
     out += e.closed ? "true" : "false";
     out += ", \"args\": ";
     AppendArgs(e, &out);

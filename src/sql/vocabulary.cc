@@ -1,5 +1,6 @@
 #include "sql/vocabulary.h"
 
+#include <atomic>
 #include <cmath>
 
 #include "common/stats.h"
@@ -15,7 +16,12 @@ constexpr int kNumConjunctions = 2;
 }  // namespace
 
 Vocabulary::Vocabulary(const catalog::Schema& schema, int values_per_column)
-    : schema_(&schema), values_per_column_(values_per_column) {
+    : schema_(&schema),
+      id_([] {
+        static std::atomic<uint64_t> next{1};
+        return next.fetch_add(1, std::memory_order_relaxed);
+      }()),
+      values_per_column_(values_per_column) {
   TRAP_CHECK(values_per_column_ >= 2);
   special_base_ = 0;
   reserved_base_ = special_base_ + kNumSpecials;

@@ -22,6 +22,10 @@ class Vocabulary {
   Vocabulary(const catalog::Schema& schema, int values_per_column = 8);
 
   int size() const { return size_; }
+  // Process-unique id minted at construction; copies share it. Caches
+  // scoped to one vocabulary key on it, not on its address, which a later
+  // vocabulary may reuse.
+  uint64_t id() const { return id_; }
   int values_per_column() const { return values_per_column_; }
   const catalog::Schema& schema() const { return *schema_; }
 
@@ -48,6 +52,7 @@ class Vocabulary {
 
  private:
   const catalog::Schema* schema_;
+  uint64_t id_;
   int values_per_column_;
   int special_base_ = 0;  // 4 specials
   int reserved_base_ = 0; // 6 reserved words

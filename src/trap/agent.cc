@@ -320,6 +320,10 @@ nn::ParameterStore& TrapAgent::store() { return impl_->store; }
 
 int64_t TrapAgent::NumParameters() const { return impl_->store.NumParameters(); }
 
+int TrapAgent::NumEncoderParameters() const {
+  return impl_->encoder_param_count;
+}
+
 const AgentOptions& TrapAgent::options() const { return impl_->options; }
 
 const sql::Vocabulary& TrapAgent::vocab() const { return *impl_->vocab; }

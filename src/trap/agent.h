@@ -26,6 +26,7 @@ struct AgentOptions {
   int hidden_dim = 64;    // decoder GRU hidden; Bi-GRU directions use half
   nn::TransformerConfig transformer;  // used when encoder == kTransformer
   uint64_t seed = 0x7a9;
+  friend bool operator==(const AgentOptions&, const AgentOptions&) = default;
 };
 
 // The sequence-to-sequence perturbation agent of Section IV-A. Decoding is
@@ -82,6 +83,9 @@ class TrapAgent {
 
   nn::ParameterStore& store();
   int64_t NumParameters() const;
+  // The encoder's parameters are the first this many in store(); the rest
+  // belong to the decoder that ReinitDecoder re-draws.
+  int NumEncoderParameters() const;
   const AgentOptions& options() const;
   const sql::Vocabulary& vocab() const;
 

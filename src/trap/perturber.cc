@@ -1,7 +1,11 @@
 #include "trap/perturber.h"
 
 #include <algorithm>
+#include <memory>
+#include <mutex>
+#include <optional>
 #include <utility>
+#include <vector>
 
 #include "common/fault.h"
 #include "common/rng.h"
@@ -27,6 +31,129 @@ PerturberMetrics& Metrics() {
         reg.counter("trap.perturber.queries_degraded")};
   }();
   return *m;
+}
+
+// Phase-1 pretraining is victim-independent (Section IV-C): it reads the
+// vocabulary, the agent's options, the pool, the constraint, epsilon and
+// PretrainOptions, nothing else. So generators that agree on all of them --
+// one assessment protocol applied to many victims -- share one result. A
+// memo entry holds the encoder parameters' value/m/v after Pretrain (every
+// Adam step leaves grads at zero) plus the NLL trace. Decoder parameters
+// are re-drawn from the agent's own RNG right after, so restoring the
+// encoder and then calling ReinitDecoder is bit-identical to pretraining.
+struct PretrainKey {
+  AgentOptions agent;
+  PretrainOptions pretrain;
+  PerturbationConstraint constraint;
+  int epsilon;
+  std::vector<sql::Query> pool;  // compared query by query, not by hash
+  friend bool operator==(const PretrainKey&, const PretrainKey&) = default;
+};
+
+struct PretrainEntry {
+  PretrainKey key;
+  std::vector<nn::Matrix> value, m, v;  // encoder parameters, store order
+  std::vector<double> trace;
+};
+
+// Entries are scoped to one Vocabulary instance through its id, so a fresh
+// environment never reuses an earlier one's pretraining, and the memo holds
+// at most kMaxEntries encoders of the latest vocabulary id.
+class PretrainMemo {
+ public:
+  static constexpr size_t kMaxEntries = 4;
+
+  std::shared_ptr<const PretrainEntry> Find(uint64_t vocab_id,
+                                            const PretrainKey& key) {
+    std::lock_guard<std::mutex> lock(mu_);
+    SwitchTo(vocab_id);
+    for (const std::shared_ptr<const PretrainEntry>& e : entries_) {
+      if (e->key == key) return e;
+    }
+    return nullptr;
+  }
+
+  void Insert(uint64_t vocab_id, std::shared_ptr<const PretrainEntry> entry) {
+    std::lock_guard<std::mutex> lock(mu_);
+    SwitchTo(vocab_id);
+    for (const std::shared_ptr<const PretrainEntry>& e : entries_) {
+      if (e->key == entry->key) return;  // a concurrent miss inserted it
+    }
+    if (entries_.size() == kMaxEntries) entries_.erase(entries_.begin());
+    entries_.push_back(std::move(entry));
+  }
+
+ private:
+  // Drops the entries of an earlier vocabulary (freed before the caller
+  // pretrains, so they never add to its peak memory).
+  void SwitchTo(uint64_t vocab_id) {
+    if (vocab_id == vocab_id_) return;
+    entries_.clear();
+    vocab_id_ = vocab_id;
+  }
+
+  std::mutex mu_;
+  uint64_t vocab_id_ = 0;
+  std::vector<std::shared_ptr<const PretrainEntry>> entries_;
+};
+
+PretrainMemo& GlobalPretrainMemo() {
+  static PretrainMemo* memo = new PretrainMemo();
+  return *memo;
+}
+
+// Registered on first use, so registries of runs that never pretrain gain
+// no names. The counts are deterministic as long as Fits on one key run one
+// after another, as every caller's do; two concurrent misses both count as
+// runs.
+struct PretrainMetrics {
+  obs::Counter* runs;
+  obs::Counter* reused;
+};
+
+PretrainMetrics& PretrainCounters() {
+  static PretrainMetrics* m = [] {
+    obs::MetricRegistry& reg = obs::MetricRegistry::Global();
+    return new PretrainMetrics{reg.counter("trap.pretrain.runs"),
+                               reg.counter("trap.pretrain.reused")};
+  }();
+  return *m;
+}
+
+// Pretrains `agent` (encoder and decoder) or restores the encoder from the
+// memo; either way the caller re-draws the decoder next.
+std::vector<double> PretrainOrReuse(TrapAgent& agent,
+                                    const std::vector<sql::Query>& pool,
+                                    PerturbationConstraint constraint,
+                                    int epsilon,
+                                    const PretrainOptions& options) {
+  PretrainKey key{agent.options(), options, constraint, epsilon, pool};
+  const uint64_t vocab_id = agent.vocab().id();
+  const std::vector<nn::Parameter*> params = agent.store().parameters();
+  const size_t encoder_params =
+      static_cast<size_t>(agent.NumEncoderParameters());
+  PretrainMemo& memo = GlobalPretrainMemo();
+  if (std::shared_ptr<const PretrainEntry> hit = memo.Find(vocab_id, key)) {
+    for (size_t i = 0; i < encoder_params; ++i) {
+      params[i]->value = hit->value[i];
+      params[i]->m = hit->m[i];
+      params[i]->v = hit->v[i];
+    }
+    PretrainCounters().reused->Add();
+    return hit->trace;
+  }
+  auto entry = std::make_shared<PretrainEntry>();
+  entry->trace = Pretrain(agent, pool, constraint, epsilon, options);
+  PretrainCounters().runs->Add();
+  for (size_t i = 0; i < encoder_params; ++i) {
+    entry->value.push_back(params[i]->value);
+    entry->m.push_back(params[i]->m);
+    entry->v.push_back(params[i]->v);
+  }
+  entry->key = std::move(key);
+  std::vector<double> trace = entry->trace;
+  memo.Insert(vocab_id, std::move(entry));
+  return trace;
 }
 
 }  // namespace
@@ -122,8 +249,14 @@ void AdversarialWorkloadGenerator::Fit(
     return;
   }
   if (config_.method == GenerationMethod::kTrap && config_.pretrain_enabled) {
-    pretrain_trace_ = Pretrain(*agent_, pretrain_pool, config_.constraint,
-                               config_.epsilon, config_.pretrain);
+    // The memo holds results for a freshly built agent; a repeated Fit
+    // pretrains the already trained one further, as it always did.
+    pretrain_trace_ =
+        trainer_ == nullptr
+            ? PretrainOrReuse(*agent_, pretrain_pool, config_.constraint,
+                              config_.epsilon, config_.pretrain)
+            : Pretrain(*agent_, pretrain_pool, config_.constraint,
+                       config_.epsilon, config_.pretrain);
     // Only the encoder's knowledge transfers into RL (Section IV-C).
     agent_->ReinitDecoder();
   }
@@ -189,11 +322,12 @@ common::StatusOr<workload::Workload> AdversarialWorkloadGenerator::TryGenerate(
   // highest estimated IUDR (the same selection budget Random receives).
   TRAP_RETURN_IF_ERROR(sctx.CheckContinue());
   workload::Workload best = trainer_->Perturb(w, sctx);
-  double best_score = trainer_->EstimatedIudr(w, best);
+  std::optional<double> u;  // u(W), shared by every candidate
+  double best_score = trainer_->EstimatedIudr(w, best, &u);
   for (int i = 1; i < config_.model_attempts; ++i) {
     TRAP_RETURN_IF_ERROR(sctx.CheckContinue());
     workload::Workload attempt = trainer_->PerturbSampled(w, rng_, sctx);
-    double score = trainer_->EstimatedIudr(w, attempt);
+    double score = trainer_->EstimatedIudr(w, attempt, &u);
     if (score > best_score) {
       best_score = score;
       best = std::move(attempt);

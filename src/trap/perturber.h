@@ -54,7 +54,12 @@ class AdversarialWorkloadGenerator {
 
   // Trains the generator against `victim` (no-op policy training for
   // kRandom, which still uses the utility model to pick its best attempt).
-  // `pretrain_pool` feeds phase-1; `training` feeds the RL phase.
+  // `pretrain_pool` feeds phase-1; `training` feeds the RL phase. Phase 1
+  // does not depend on the victim: a first Fit reuses the pretrained
+  // encoder of an earlier generator on the same Vocabulary instance with
+  // equal agent options, PretrainOptions, constraint, epsilon and pool,
+  // bit-identically to pretraining again (counted by trap.pretrain.runs /
+  // trap.pretrain.reused). Do not modify agent() before the first Fit.
   void Fit(advisor::IndexAdvisor* victim, advisor::IndexAdvisor* victim_baseline,
            const engine::WhatIfOptimizer* optimizer,
            const gbdt::LearnedUtilityModel* utility,

@@ -69,7 +69,10 @@ RlTrainer::RlTrainer(TrapAgent* agent, advisor::IndexAdvisor* victim,
       constraint_(constraint),
       epsilon_(epsilon),
       tuning_(tuning),
-      options_(options) {
+      options_(options),
+      pure_recommend_(
+          (victim == nullptr || victim->RecommendIsPure()) &&
+          (victim_baseline == nullptr || victim_baseline->RecommendIsPure())) {
   if (options_.use_learned_utility) {
     TRAP_CHECK_MSG(utility_ != nullptr && utility_->trained(),
                    "learned utility model required");
@@ -95,9 +98,16 @@ double RlTrainer::EstimatedUtility(const workload::Workload& w) const {
 
 double RlTrainer::EstimatedIudr(const workload::Workload& w,
                                 const workload::Workload& perturbed) const {
-  double u = EstimatedUtility(w);
-  if (u == 0.0) return 0.0;
-  return 1.0 - EstimatedUtility(perturbed) / u;
+  std::optional<double> u;
+  return EstimatedIudr(w, perturbed, &u);
+}
+
+double RlTrainer::EstimatedIudr(const workload::Workload& w,
+                                const workload::Workload& perturbed,
+                                std::optional<double>* u) const {
+  if (!u->has_value() || !pure_recommend_) *u = EstimatedUtility(w);
+  if (**u == 0.0) return 0.0;
+  return 1.0 - EstimatedUtility(perturbed) / **u;
 }
 
 RlTrace RlTrainer::Train(const std::vector<workload::Workload>& training) {
@@ -115,8 +125,8 @@ RlTrace RlTrainer::Train(const std::vector<workload::Workload>& training) {
       const workload::Workload& w = training[static_cast<size_t>(
           rng.UniformInt(0, static_cast<int64_t>(training.size()) - 1))];
       // Definition 3.3: only properly-operating workloads are usable.
-      double u = EstimatedUtility(w);
-      if (u <= options_.theta) continue;
+      std::optional<double> u = EstimatedUtility(w);
+      if (*u <= options_.theta) continue;
 
       // Sampled trajectory over every query of the workload.
       nn::Graph g;
@@ -136,11 +146,11 @@ RlTrace RlTrainer::Train(const std::vector<workload::Workload>& training) {
         TRAP_CHECK(pq.has_value());
         sampled.queries.push_back(workload::WorkloadQuery{*pq, wq.weight});
       }
-      double reward = EstimatedIudr(w, sampled);
+      double reward = EstimatedIudr(w, sampled, &u);
 
       double baseline_reward = 0.0;
       if (options_.self_critic) {
-        baseline_reward = EstimatedIudr(w, Perturb(w));
+        baseline_reward = EstimatedIudr(w, Perturb(w), &u);
       }
       reward_sum += reward;
       ++reward_count;

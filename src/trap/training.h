@@ -1,6 +1,7 @@
 #ifndef TRAP_TRAP_TRAINING_H_
 #define TRAP_TRAP_TRAINING_H_
 
+#include <optional>
 #include <vector>
 
 #include "advisor/evaluation.h"
@@ -18,6 +19,8 @@ struct PretrainOptions {
   int epochs = 3;
   double learning_rate = 1e-3;
   uint64_t seed = 0x9e7;
+  friend bool operator==(const PretrainOptions&,
+                         const PretrainOptions&) = default;
 };
 
 // Builds a synthetic corpus Q = {(q, q')} by randomly perturbing pool
@@ -80,6 +83,16 @@ class RlTrainer {
   double EstimatedIudr(const workload::Workload& w,
                        const workload::Workload& perturbed) const;
 
+  // The same, with u(W) kept in `*u` across calls on one `w`: the first
+  // call fills it and later ones reuse it, so scoring k perturbations of W
+  // asks the victim for u(W) once, not k times. When the victim or the
+  // baseline is not pure (IndexAdvisor::RecommendIsPure) u(W) is asked
+  // again on every call, as the overload above does, so the advisor's
+  // random stream sees the same calls.
+  double EstimatedIudr(const workload::Workload& w,
+                       const workload::Workload& perturbed,
+                       std::optional<double>* u) const;
+
  private:
   double EstimatedUtility(const workload::Workload& w) const;
   double CostOf(const workload::Workload& w,
@@ -94,6 +107,7 @@ class RlTrainer {
   int epsilon_;
   advisor::TuningConstraint tuning_;
   RlOptions options_;
+  bool pure_recommend_;
 };
 
 }  // namespace trap::trap

@@ -1,9 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
+#include <memory>
+#include <string>
 
 #include "advisor/registry.h"
 #include "catalog/datasets.h"
+#include "common/thread_pool.h"
+#include "obs/metrics.h"
 #include "sql/tokenizer.h"
 #include "trap/agent.h"
 #include "trap/perturber.h"
@@ -244,6 +249,206 @@ TEST_F(TrapTest, PlmOptionsScaleWithModel) {
   int64_t bert = TrapAgent(vocab_, *PlmAgentOptions("Bert", 1)).NumParameters();
   int64_t bart = TrapAgent(vocab_, *PlmAgentOptions("Bart", 1)).NumParameters();
   EXPECT_GT(bart, bert);
+}
+
+// Forwards to `inner`, counting recommend calls, and reports `pure` from
+// RecommendIsPure.
+class CountingAdvisor : public advisor::IndexAdvisor {
+ public:
+  CountingAdvisor(std::unique_ptr<advisor::IndexAdvisor> inner, bool pure)
+      : inner_(std::move(inner)), pure_(pure) {}
+
+  std::string name() const override { return inner_->name(); }
+  common::StatusOr<engine::IndexConfig> TryRecommend(
+      const workload::Workload& w, const advisor::TuningConstraint& c,
+      const common::EvalContext& ctx) override {
+    ++calls_;
+    return inner_->TryRecommend(w, c, ctx);
+  }
+  bool RecommendIsPure() const override { return pure_; }
+  int64_t calls() const { return calls_; }
+
+ private:
+  std::unique_ptr<advisor::IndexAdvisor> inner_;
+  bool pure_;
+  int64_t calls_ = 0;
+};
+
+bool SameBits(const double* a, const double* b, size_t n) {
+  return n == 0 || std::memcmp(a, b, n * sizeof(double)) == 0;
+}
+
+bool SameBits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() && SameBits(a.data(), b.data(), a.size());
+}
+
+bool SameBits(const nn::Matrix& a, const nn::Matrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         SameBits(a.data(), b.data(), static_cast<size_t>(a.size()));
+}
+
+struct PretrainCounts {
+  int64_t runs;
+  int64_t reused;
+};
+
+PretrainCounts ReadPretrainCounts() {
+  obs::MetricRegistry& reg = obs::MetricRegistry::Global();
+  return {reg.counter("trap.pretrain.runs")->value(),
+          reg.counter("trap.pretrain.reused")->value()};
+}
+
+class PretrainMemoTest : public TrapTest {
+ protected:
+  PretrainMemoTest() : utility_(optimizer_, truth_) {
+    utility_.Train(pool_, {engine::IndexConfig()});
+  }
+
+  GeneratorConfig Config() const {
+    GeneratorConfig cfg;
+    cfg.method = GenerationMethod::kTrap;
+    cfg.constraint = PerturbationConstraint::kColumnConsistent;
+    cfg.epsilon = 4;
+    cfg.agent = SmallAgent(EncoderKind::kBiGru, true);
+    cfg.pretrain.num_pairs = 20;
+    cfg.pretrain.epochs = 2;
+    cfg.rl.epochs = 2;
+    cfg.rl.workloads_per_epoch = 2;
+    cfg.rl.theta = 0.0;
+    cfg.seed = 13;
+    return cfg;
+  }
+
+  CountingAdvisor* Victim(const std::string& name, bool pure = true) {
+    victims_.push_back(std::make_unique<CountingAdvisor>(
+        *advisor::MakeAdvisor(name, optimizer_), pure));
+    return victims_.back().get();
+  }
+
+  std::unique_ptr<AdversarialWorkloadGenerator> Fit(
+      const sql::Vocabulary& vocab, const GeneratorConfig& cfg,
+      advisor::IndexAdvisor* victim) {
+    return FitOnPool(vocab, cfg, victim, pool_);
+  }
+
+  std::unique_ptr<AdversarialWorkloadGenerator> FitOnPool(
+      const sql::Vocabulary& vocab, const GeneratorConfig& cfg,
+      advisor::IndexAdvisor* victim, const std::vector<sql::Query>& pool) {
+    auto gen = std::make_unique<AdversarialWorkloadGenerator>(vocab, cfg);
+    gen->Fit(victim, nullptr, &optimizer_, &utility_, pool, training_,
+             Constraint());
+    return gen;
+  }
+
+  // Every parameter's value/m/v, both traces and the generated workload
+  // agree bit for bit.
+  void ExpectSameGenerator(AdversarialWorkloadGenerator& a,
+                           AdversarialWorkloadGenerator& b) {
+    const std::vector<nn::Parameter*> pa = a.agent()->store().parameters();
+    const std::vector<nn::Parameter*> pb = b.agent()->store().parameters();
+    ASSERT_EQ(pa.size(), pb.size());
+    for (size_t i = 0; i < pa.size(); ++i) {
+      EXPECT_TRUE(SameBits(pa[i]->value, pb[i]->value)) << "value " << i;
+      EXPECT_TRUE(SameBits(pa[i]->m, pb[i]->m)) << "m " << i;
+      EXPECT_TRUE(SameBits(pa[i]->v, pb[i]->v)) << "v " << i;
+    }
+    EXPECT_TRUE(SameBits(a.pretrain_trace(), b.pretrain_trace()));
+    EXPECT_TRUE(SameBits(a.rl_trace().mean_reward_per_epoch,
+                         b.rl_trace().mean_reward_per_epoch));
+    const workload::Workload wa = a.Generate(test_);
+    const workload::Workload wb = b.Generate(test_);
+    ASSERT_EQ(wa.size(), wb.size());
+    for (size_t i = 0; i < wa.queries.size(); ++i) {
+      EXPECT_TRUE(wa.queries[i].query == wb.queries[i].query) << i;
+    }
+  }
+
+  gbdt::LearnedUtilityModel utility_;
+  std::vector<std::unique_ptr<CountingAdvisor>> victims_;
+};
+
+TEST_F(PretrainMemoTest, ReuseIsBitIdenticalToPretrainingAfresh) {
+  const GeneratorConfig cfg = Config();
+  const PretrainCounts start = ReadPretrainCounts();
+  Fit(vocab_, cfg, Victim("Extend"));
+  std::unique_ptr<AdversarialWorkloadGenerator> reused =
+      Fit(vocab_, cfg, Victim("DB2Advis"));
+  PretrainCounts now = ReadPretrainCounts();
+  EXPECT_EQ(now.runs - start.runs, 1);
+  EXPECT_EQ(now.reused - start.reused, 1);
+
+  // A fresh vocabulary on the same schema never sees the memo's entries.
+  const sql::Vocabulary fresh_vocab(schema_, 8);
+  std::unique_ptr<AdversarialWorkloadGenerator> fresh =
+      Fit(fresh_vocab, cfg, Victim("DB2Advis"));
+  now = ReadPretrainCounts();
+  EXPECT_EQ(now.runs - start.runs, 2);
+  EXPECT_EQ(now.reused - start.reused, 1);
+  ExpectSameGenerator(*reused, *fresh);
+}
+
+TEST_F(PretrainMemoTest, FourVictimsSharingAConfigPretrainOnce) {
+  const PretrainCounts start = ReadPretrainCounts();
+  for (const char* name : {"Extend", "AutoAdmin", "DB2Advis", "Drop"}) {
+    Fit(vocab_, Config(), Victim(name));
+  }
+  const PretrainCounts now = ReadPretrainCounts();
+  EXPECT_EQ(now.runs - start.runs, 1);
+  EXPECT_EQ(now.reused - start.reused, 3);
+}
+
+TEST_F(PretrainMemoTest, AnyKeyChangeMisses) {
+  GeneratorConfig seed = Config();
+  seed.pretrain.seed ^= 1;
+  GeneratorConfig epsilon = Config();
+  epsilon.epsilon = 3;
+  GeneratorConfig constraint = Config();
+  constraint.constraint = PerturbationConstraint::kSharedTable;
+  std::vector<sql::Query> pool = pool_;
+  pool[0] = pool_[1];
+
+  Fit(vocab_, Config(), Victim("Extend"));
+  for (const GeneratorConfig& cfg : {seed, epsilon, constraint}) {
+    const PretrainCounts start = ReadPretrainCounts();
+    Fit(vocab_, cfg, Victim("Extend"));
+    EXPECT_EQ(ReadPretrainCounts().runs - start.runs, 1);
+  }
+  const PretrainCounts start = ReadPretrainCounts();
+  FitOnPool(vocab_, Config(), Victim("Extend"), pool);
+  const PretrainCounts now = ReadPretrainCounts();
+  EXPECT_EQ(now.runs - start.runs, 1);
+  EXPECT_EQ(now.reused - start.reused, 0);
+}
+
+TEST_F(PretrainMemoTest, ConcurrentFitsOnOneKeyAgree) {
+  const GeneratorConfig cfg = Config();
+  advisor::IndexAdvisor* victims[2] = {Victim("Extend"), Victim("Extend")};
+  std::unique_ptr<AdversarialWorkloadGenerator> gens[2];
+  const PretrainCounts start = ReadPretrainCounts();
+  common::ParallelFor(
+      2, [&](size_t i) { gens[i] = Fit(vocab_, cfg, victims[i]); });
+  const PretrainCounts now = ReadPretrainCounts();
+  EXPECT_EQ((now.runs - start.runs) + (now.reused - start.reused), 2);
+  ExpectSameGenerator(*gens[0], *gens[1]);
+}
+
+// A pure victim is asked for u(W) once per RL step and once per generation;
+// an impure one is asked every time, as before. Both give the same result.
+TEST_F(PretrainMemoTest, UtilityOfWorkloadIsAskedOncePerStepForPureVictims) {
+  GeneratorConfig cfg = Config();
+  cfg.pretrain_enabled = false;
+  cfg.model_attempts = 3;
+  CountingAdvisor* pure = Victim("Extend", true);
+  CountingAdvisor* impure = Victim("Extend", false);
+  std::unique_ptr<AdversarialWorkloadGenerator> a = Fit(vocab_, cfg, pure);
+  std::unique_ptr<AdversarialWorkloadGenerator> b = Fit(vocab_, cfg, impure);
+  EXPECT_LT(pure->calls(), impure->calls());
+  const int64_t pure_fit = pure->calls();
+  const int64_t impure_fit = impure->calls();
+  ExpectSameGenerator(*a, *b);
+  // One generation scores the greedy and two sampled candidates.
+  EXPECT_EQ(pure->calls() - pure_fit, 1 + 3);
+  EXPECT_EQ(impure->calls() - impure_fit, 2 * 3);
 }
 
 }  // namespace

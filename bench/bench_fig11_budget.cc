@@ -24,7 +24,9 @@ int main() {
     double mean_u = 0.0;
     int n = 0;
     for (const workload::Workload& w : env.tests) {
-      double u = env.evaluator.IndexUtility(*extend, nullptr, w, constraint);
+      double u = env.evaluator
+                     .TryIndexUtility(*extend, nullptr, w, constraint, {})
+                     .value_or(0.0);
       if (u > 0.1) {
         mean_u += u;
         ++n;

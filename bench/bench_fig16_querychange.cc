@@ -30,7 +30,9 @@ int main() {
   int nonsarg_total = 0;
 
   for (const workload::Workload& w : env.tests) {
-    double u = env.evaluator.IndexUtility(*extend, nullptr, w, constraint);
+    double u = env.evaluator
+                   .TryIndexUtility(*extend, nullptr, w, constraint, {})
+                   .value_or(0.0);
     if (u <= 0.1) continue;
     for (int attempt = 0; attempt < 60; ++attempt) {
       workload::Workload perturbed;
@@ -55,7 +57,9 @@ int main() {
         continue;
       }
       double u_prime =
-          env.evaluator.IndexUtility(*extend, nullptr, perturbed, constraint);
+          env.evaluator
+              .TryIndexUtility(*extend, nullptr, perturbed, constraint, {})
+              .value_or(0.0);
       double iudr = common::Clamp(
           advisor::RobustnessEvaluator::Iudr(u, u_prime), -1.0, 2.0);
       y.push_back(iudr);

@@ -34,11 +34,14 @@ int main() {
   std::vector<std::vector<double>> originals, perturbed;
   std::vector<bool> effective;
   for (const workload::Workload& w : env.tests) {
-    double u = env.evaluator.IndexUtility(*extend, nullptr, w, constraint);
+    double u = env.evaluator
+                   .TryIndexUtility(*extend, nullptr, w, constraint, {})
+                   .value_or(0.0);
     if (u <= 0.1) continue;
     workload::Workload wp = generator.Generate(w);
-    double u_prime =
-        env.evaluator.IndexUtility(*extend, nullptr, wp, constraint);
+    double u_prime = env.evaluator
+                         .TryIndexUtility(*extend, nullptr, wp, constraint, {})
+                         .value_or(0.0);
     bool eff = advisor::RobustnessEvaluator::Iudr(u, u_prime) > 0.0;
     for (int i = 0; i < w.size(); ++i) {
       originals.push_back(agent->EncodeQueryVector(

@@ -12,12 +12,16 @@ using namespace trap;
 
 int main() {
   bench::BenchEnv env(catalog::MakeTpcH(0.15), 0xf71);
-  advisor::AdvisorSuite::SuiteOptions so;
-  so.rl_episodes = 400;
-  so.max_actions = 64;
-  advisor::AdvisorSuite suite(env.optimizer, 0xf71, so);
-  suite.TrainLearners(env.training, env.StorageConstraint(),
-                      env.CountConstraint(4));
+  advisor::RegistryOptions registry;
+  registry.seed = 0xf71;
+  registry.rl_episodes = 400;
+  registry.max_actions = 64;
+  const advisor::AdvisorSpec* rows[] = {advisor::FindAdvisorSpec("Extend"),
+                                        advisor::FindAdvisorSpec("SWIRL")};
+  std::unique_ptr<advisor::IndexAdvisor> victims[2];
+  for (size_t i = 0; i < 2; ++i) {
+    victims[i] = bench::MakeVictim(env, *rows[i], registry);
+  }
 
   struct Module {
     const char* name;
@@ -37,19 +41,16 @@ int main() {
   std::printf("%-12s %10s %10s\n", "module", "vs Extend", "vs SWIRL");
   for (const Module& m : modules) {
     std::printf("%-12s", m.name);
-    for (const char* victim_name : {"Extend", "SWIRL"}) {
-      advisor::IndexAdvisor* victim = suite.advisor(victim_name);
-      advisor::TuningConstraint constraint =
-          victim_name == std::string("SWIRL") ? env.StorageConstraint()
-                                              : env.StorageConstraint();
+    for (size_t i = 0; i < 2; ++i) {
       tc::GeneratorConfig config = bench::BenchGeneratorConfig(
           m.method, tc::PerturbationConstraint::kSharedTable, 5,
           0xf71 ^ std::hash<std::string>{}(m.name));
       if (m.plm != nullptr) {
         config.agent = *tc::PlmAgentOptions(m.plm, config.seed);
       }
-      bench::AssessmentResult r = bench::AssessRobustness(
-          env, victim, nullptr, config, constraint);
+      bench::AssessmentResult r =
+          bench::AssessRobustness(env, victims[i].get(), nullptr, config,
+                                  env.ConstraintFor(rows[i]->constraint));
       std::printf(" %10.4f", r.mean_iudr);
     }
     std::printf("\n");

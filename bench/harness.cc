@@ -60,6 +60,24 @@ advisor::TuningConstraint BenchEnv::CountConstraint(int n) const {
   return advisor::TuningConstraint::IndexCount(n, schema.DataSizeBytes() / 2);
 }
 
+advisor::TuningConstraint BenchEnv::ConstraintFor(
+    advisor::ConstraintKind kind) const {
+  return kind == advisor::ConstraintKind::kStorage ? StorageConstraint()
+                                                   : CountConstraint(4);
+}
+
+std::unique_ptr<advisor::IndexAdvisor> MakeVictim(
+    BenchEnv& env, const advisor::AdvisorSpec& row,
+    const advisor::RegistryOptions& options) {
+  if (!row.trainable) {
+    return *advisor::MakeAdvisor(row.name, env.optimizer, options);
+  }
+  std::unique_ptr<advisor::LearningAdvisor> learner =
+      *advisor::MakeLearningAdvisor(row.name, env.optimizer, options);
+  learner->Train(env.training, env.ConstraintFor(row.constraint));
+  return learner;
+}
+
 tc::GeneratorConfig BenchGeneratorConfig(tc::GenerationMethod method,
                                          tc::PerturbationConstraint constraint,
                                          int epsilon, uint64_t seed) {
@@ -94,28 +112,26 @@ bool IsNonSargable(BenchEnv& env, const workload::Workload& w,
       *advisor::MakeAdvisor("AutoAdmin", env.optimizer)};
   double utilities[2] = {0.0, 0.0};
   common::ParallelFor(2, [&](size_t i) {
-    utilities[i] = env.evaluator.IndexUtility(*refs[i], nullptr, w, constraint);
+    utilities[i] = env.evaluator.TryIndexUtility(*refs[i], nullptr, w,
+                                                 constraint, {})
+                       .value_or(0.0);
   });
   return utilities[0] < theta && utilities[1] < theta;
 }
 
 namespace {
 
-// IndexUtility through the fault-tolerant path when failures are being
-// collected into a report; the legacy exact path otherwise. A utility the
-// evaluation could not produce at all (deadline/cancellation) scores 0 —
-// the failure record carries the why.
+// A utility the evaluation could not produce at all (deadline/cancellation)
+// scores 0; with a report, the failure records carry the why.
 double ReportedUtility(BenchEnv& env, advisor::IndexAdvisor& advisor,
                        advisor::IndexAdvisor* baseline,
                        const workload::Workload& w,
                        const advisor::TuningConstraint& constraint,
                        BenchReport* report) {
-  if (report == nullptr) {
-    return env.evaluator.IndexUtility(advisor, baseline, w, constraint);
-  }
   std::vector<advisor::FailureRecord> failures;
   common::StatusOr<double> u = env.evaluator.TryIndexUtility(
-      advisor, baseline, w, constraint, {}, {}, &failures);
+      advisor, baseline, w, constraint, {}, {},
+      report != nullptr ? &failures : nullptr);
   for (const advisor::FailureRecord& f : failures) {
     report->RecordFailure(f);
   }

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "advisor/evaluation.h"
+#include "advisor/registry.h"
 #include "catalog/datasets.h"
 #include "gbdt/utility_model.h"
 #include "trap/perturber.h"
@@ -35,7 +36,16 @@ struct BenchEnv {
 
   advisor::TuningConstraint StorageConstraint(double fraction = 0.5) const;
   advisor::TuningConstraint CountConstraint(int n) const;
+  // The constraint a Table III row is trained and assessed under:
+  // StorageConstraint() or CountConstraint(4).
+  advisor::TuningConstraint ConstraintFor(advisor::ConstraintKind kind) const;
 };
+
+// Builds the advisor of a Table III row; a trainable one is trained on
+// env.training under env.ConstraintFor(row.constraint) first.
+std::unique_ptr<advisor::IndexAdvisor> MakeVictim(
+    BenchEnv& env, const advisor::AdvisorSpec& row,
+    const advisor::RegistryOptions& options);
 
 // Default generator configuration for a method at bench scale.
 ::trap::trap::GeneratorConfig BenchGeneratorConfig(
@@ -55,11 +65,9 @@ class BenchReport;
 // Fits `config` against the victim and measures the mean IUDR over the test
 // workloads (Definition 3.3), excluding non-sargable perturbations: a W'
 // on which even the reference advisors cannot reach theta utility
-// (Section V-A's filtering step). With a non-null `report`, utilities run
-// through the fault-tolerant evaluation path and any survived advisor
-// failure (injected fault, deadline, degradation to the no-index fallback)
-// lands in the report's "failures" array; results are identical to the
-// report-less path whenever no fault fires.
+// (Section V-A's filtering step). With a non-null `report`, any advisor
+// failure the evaluation survived (injected fault, deadline, degradation
+// to the no-index fallback) lands in the report's "failures" array.
 AssessmentResult AssessRobustness(BenchEnv& env, advisor::IndexAdvisor* victim,
                                   advisor::IndexAdvisor* baseline,
                                   ::trap::trap::GeneratorConfig config,

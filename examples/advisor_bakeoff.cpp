@@ -5,9 +5,12 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "advisor/evaluation.h"
+#include "advisor/registry.h"
 #include "catalog/datasets.h"
 #include "trap/perturber.h"
 #include "workload/generator.h"
@@ -38,9 +41,24 @@ int main() {
     tests.push_back(workload::SampleWorkload(pool, 4, rng));
   }
 
-  advisor::AdvisorSuite suite(optimizer);
+  // Every advisor of Table III, ranked under one shared #index constraint.
+  advisor::RegistryOptions registry;
+  registry.seed = 0x5417e;
+  registry.rl_episodes = 300;
+  registry.max_actions = 48;
+  registry.mcts_iterations = 300;
   std::printf("training the learning-based advisors (SWIRL, DRLindex, DQN)...\n");
-  suite.TrainLearners(training, constraint);
+  std::vector<std::unique_ptr<advisor::IndexAdvisor>> victims;
+  for (const advisor::AdvisorSpec& row : advisor::AdvisorTable()) {
+    if (!row.trainable) {
+      victims.push_back(*advisor::MakeAdvisor(row.name, optimizer, registry));
+      continue;
+    }
+    std::unique_ptr<advisor::LearningAdvisor> learner =
+        *advisor::MakeLearningAdvisor(row.name, optimizer, registry);
+    learner->Train(training, constraint);
+    victims.push_back(std::move(learner));
+  }
 
   gbdt::LearnedUtilityModel utility(optimizer, truth);
   utility.Train(pool, {engine::IndexConfig()});
@@ -51,9 +69,15 @@ int main() {
     double mean_iudr = 0.0;
   };
   std::vector<Row> rows;
-  for (const std::string& name : advisor::AdvisorSuite::AllNames()) {
-    advisor::IndexAdvisor* victim = suite.advisor(name);
-    advisor::IndexAdvisor* baseline = suite.baseline_for(name);
+  for (size_t i = 0; i < victims.size(); ++i) {
+    const advisor::AdvisorSpec& spec = advisor::AdvisorTable()[i];
+    const std::string name(spec.name);
+    advisor::IndexAdvisor* victim = victims[i].get();
+    std::unique_ptr<advisor::IndexAdvisor> baseline_owner;
+    if (!spec.heuristic()) {
+      baseline_owner = *advisor::MakeAdvisor(spec.baseline, optimizer, registry);
+    }
+    advisor::IndexAdvisor* baseline = baseline_owner.get();
 
     trapcore::GeneratorConfig config;
     config.method = trapcore::GenerationMethod::kTrap;
@@ -74,10 +98,14 @@ int main() {
     double sum = 0.0;
     int n = 0;
     for (const workload::Workload& w : tests) {
-      double u = evaluator.IndexUtility(*victim, baseline, w, constraint);
+      double u = evaluator.TryIndexUtility(*victim, baseline, w, constraint, {})
+                     .value_or(0.0);
       if (u <= 0.02) continue;
-      double u_prime = evaluator.IndexUtility(
-          *victim, baseline, generator.Generate(w), constraint);
+      double u_prime = evaluator
+                           .TryIndexUtility(*victim, baseline,
+                                            generator.Generate(w), constraint,
+                                            {})
+                           .value_or(0.0);
       sum += advisor::RobustnessEvaluator::Iudr(u, u_prime);
       ++n;
     }

@@ -49,8 +49,10 @@ int main() {
               schema.num_tables(), schema.num_columns());
   std::printf("%-10s %10s %10s %8s\n", "advisor", "u(W)", "u(W')", "IUDR");
   for (VictimSpec& v : victims) {
-    double u = evaluator.IndexUtility(*v.advisor, nullptr, analyst_session,
-                                      constraint);
+    double u = evaluator
+                   .TryIndexUtility(*v.advisor, nullptr, analyst_session,
+                                    constraint, {})
+                   .value_or(0.0);
     trapcore::GeneratorConfig config;
     config.method = trapcore::GenerationMethod::kTrap;
     config.constraint = trapcore::PerturbationConstraint::kSharedTable;
@@ -67,7 +69,8 @@ int main() {
                   training, constraint);
     workload::Workload drifted = generator.Generate(analyst_session);
     double u_prime =
-        evaluator.IndexUtility(*v.advisor, nullptr, drifted, constraint);
+        evaluator.TryIndexUtility(*v.advisor, nullptr, drifted, constraint, {})
+            .value_or(0.0);
     std::printf("%-10s %10.4f %10.4f %8.4f\n", v.advisor->name().c_str(), u,
                 u_prime, advisor::RobustnessEvaluator::Iudr(u, u_prime));
   }

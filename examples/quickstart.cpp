@@ -59,10 +59,12 @@ int main() {
 
   // 5. Assess: utility on W vs the adversarial W'.
   advisor::RobustnessEvaluator evaluator(optimizer, truth);
-  double u = evaluator.IndexUtility(*victim, nullptr, test, constraint);
+  double u = evaluator.TryIndexUtility(*victim, nullptr, test, constraint, {})
+                 .value_or(0.0);
   workload::Workload perturbed = generator.Generate(test);
   double u_prime =
-      evaluator.IndexUtility(*victim, nullptr, perturbed, constraint);
+      evaluator.TryIndexUtility(*victim, nullptr, perturbed, constraint, {})
+          .value_or(0.0);
   std::printf("u(W)  = %.4f\nu(W') = %.4f\nIUDR  = %.4f\n", u, u_prime,
               advisor::RobustnessEvaluator::Iudr(u, u_prime));
 

@@ -92,7 +92,8 @@ int main() {
   utility.Train(gen.GeneratePool(80), {engine::IndexConfig()});
 
   advisor::RobustnessEvaluator evaluator(optimizer, truth);
-  double u = evaluator.IndexUtility(*victim, nullptr, reports, constraint);
+  double u = evaluator.TryIndexUtility(*victim, nullptr, reports, constraint, {})
+                 .value_or(0.0);
   std::printf("DB2Advis utility on the seasonal reports: %.4f\n\n", u);
 
   std::printf("%-10s %8s\n", "drift", "IUDR");
@@ -114,7 +115,8 @@ int main() {
                   gen.GeneratePool(40), training, constraint);
     workload::Workload drifted = generator.Generate(reports);
     double u_prime =
-        evaluator.IndexUtility(*victim, nullptr, drifted, constraint);
+        evaluator.TryIndexUtility(*victim, nullptr, drifted, constraint, {})
+            .value_or(0.0);
     std::printf("%-10s %8.4f\n", trapcore::MethodName(m),
                 advisor::RobustnessEvaluator::Iudr(u, u_prime));
   }

@@ -9,20 +9,7 @@ namespace trap::advisor {
 
 engine::IndexConfig IndexAdvisor::Recommend(const workload::Workload& w,
                                             const TuningConstraint& constraint) {
-  // Default: run the fallible path unbounded and degrade errors to the
-  // empty configuration. Subclasses overriding neither virtual would
-  // recurse; every advisor overrides at least one.
   return DegradeToEmpty(TryRecommend(w, constraint, common::EvalContext{}));
-}
-
-common::StatusOr<engine::IndexConfig> IndexAdvisor::TryRecommend(
-    const workload::Workload& w, const TuningConstraint& constraint,
-    const common::EvalContext& ctx) {
-  // Default for advisors not yet converted to the fallible API: honor the
-  // entry-bracket faults and the step budget coarsely, then run the legacy
-  // path (which cannot be cancelled mid-flight).
-  TRAP_RETURN_IF_ERROR(EnterRecommend(name(), w, ctx));
-  return Recommend(w, constraint);
 }
 
 uint64_t WorkloadFingerprint(const workload::Workload& w) {

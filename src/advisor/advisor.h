@@ -38,13 +38,13 @@ struct TuningConstraint {
 // workload and a tuning constraint, return a set of indexes. Advisors
 // interact with the engine exclusively through what-if calls.
 //
-// Error handling: TryRecommend is the fallible, deadline-aware entry point;
-// Recommend is the legacy infallible one. Each defaults to the other, so a
-// subclass must override at least one (overriding neither recurses — the
-// converted advisors all override TryRecommend). When only TryRecommend is
-// overridden, Recommend degrades an error to the empty (no-index)
-// configuration: always constraint-feasible, never a silent wrong answer,
-// merely zero improvement over the baseline.
+// Error handling: TryRecommend is the fallible, deadline-aware entry point
+// every advisor implements. Recommend is the infallible shim over it: it
+// runs TryRecommend unbounded and degrades an error to the empty (no-index)
+// configuration -- always constraint-feasible, never a silent wrong answer,
+// merely zero improvement over the baseline. Recommend stays virtual only
+// because the benchmark's counting proxy (perfbench/victim_proxy.h)
+// overrides it.
 class IndexAdvisor {
  public:
   virtual ~IndexAdvisor() = default;
@@ -58,7 +58,7 @@ class IndexAdvisor {
   // injected faults and internal failures as Statuses instead of aborting.
   virtual common::StatusOr<engine::IndexConfig> TryRecommend(
       const workload::Workload& w, const TuningConstraint& constraint,
-      const common::EvalContext& ctx);
+      const common::EvalContext& ctx) = 0;
 
   // True when both entry points are pure functions of (workload,
   // constraint, ctx), fault draws included, so a caller may reuse an

@@ -1,6 +1,5 @@
 #include "advisor/evaluation.h"
 
-#include "advisor/registry.h"
 #include "common/rng.h"
 #include "obs/obs.h"
 
@@ -136,21 +135,6 @@ RobustnessEvaluator::RobustnessEvaluator(
     const engine::TrueCostModel& truth)
     : optimizer_(&optimizer), truth_(&truth) {}
 
-double RobustnessEvaluator::IndexUtility(IndexAdvisor& advisor,
-                                         IndexAdvisor* baseline,
-                                         const workload::Workload& w,
-                                         const TuningConstraint& constraint) const {
-  engine::IndexConfig selected = advisor.Recommend(w, constraint);
-  engine::IndexConfig base_config;
-  if (baseline != nullptr) {
-    base_config = baseline->Recommend(w, constraint);
-  }
-  double with_cost = engine::ActualCost(w, *truth_, selected);
-  double base_cost = engine::ActualCost(w, *truth_, base_config);
-  if (base_cost <= 0.0) return 0.0;
-  return 1.0 - with_cost / base_cost;
-}
-
 common::StatusOr<double> RobustnessEvaluator::TryIndexUtility(
     IndexAdvisor& advisor, IndexAdvisor* baseline, const workload::Workload& w,
     const TuningConstraint& constraint, const common::EvalContext& ctx,
@@ -180,73 +164,6 @@ common::StatusOr<double> RobustnessEvaluator::TryIndexUtility(
   double base_cost = engine::ActualCost(w, *truth_, base.config);
   if (base_cost <= 0.0) return 0.0;
   return 1.0 - with_cost / base_cost;
-}
-
-const std::vector<std::string>& AdvisorSuite::AllNames() {
-  return AllAdvisorNames();
-}
-
-AdvisorSuite::AdvisorSuite(const engine::WhatIfOptimizer& optimizer,
-                           uint64_t seed)
-    : AdvisorSuite(optimizer, seed, SuiteOptions()) {}
-
-AdvisorSuite::AdvisorSuite(const engine::WhatIfOptimizer& optimizer,
-                           uint64_t seed, SuiteOptions options) {
-  RegistryOptions registry;
-  registry.seed = seed;
-  registry.rl_episodes = options.rl_episodes;
-  registry.max_actions = options.max_actions;
-  registry.mcts_iterations = options.mcts_iterations;
-  for (const std::string& name : AllAdvisorNames()) {
-    // Suite membership mirrors the registry's name list, so construction
-    // cannot fail; the CHECK documents that invariant.
-    common::StatusOr<std::unique_ptr<IndexAdvisor>> made =
-        MakeAdvisor(name, optimizer, registry);
-    TRAP_CHECK_MSG(made.ok(), name.c_str());  // NOLINT(no-abort-in-library): invariant — names come from AllAdvisorNames
-    advisors_[name] = *std::move(made);
-  }
-
-  // Baseline pairing of Table III (same constraint type and index type).
-  baseline_["SWIRL"] = "Extend";
-  baseline_["DRLindex"] = "Drop";
-  baseline_["DQN"] = "AutoAdmin";
-  baseline_["MCTS"] = "AutoAdmin";
-}
-
-void AdvisorSuite::TrainLearners(
-    const std::vector<workload::Workload>& training,
-    const TuningConstraint& constraint) {
-  TrainLearners(training, constraint, constraint);
-}
-
-void AdvisorSuite::TrainLearners(
-    const std::vector<workload::Workload>& training,
-    const TuningConstraint& storage_constraint,
-    const TuningConstraint& count_constraint) {
-  for (auto& [name, advisor] : advisors_) {
-    auto* learner = dynamic_cast<LearningAdvisor*>(advisor.get());
-    if (learner == nullptr) continue;
-    learner->Train(training,
-                   name == "SWIRL" ? storage_constraint : count_constraint);
-  }
-}
-
-IndexAdvisor* AdvisorSuite::advisor(const std::string& name) {
-  auto it = advisors_.find(name);
-  // Suite members are fixed at construction; asking for an unknown name is
-  // a programming error in the caller, not a runtime condition.
-  TRAP_CHECK_MSG(it != advisors_.end(), name.c_str());  // NOLINT(no-abort-in-library): invariant — suite membership is compile-time fixed
-  return it->second.get();
-}
-
-IndexAdvisor* AdvisorSuite::baseline_for(const std::string& name) {
-  auto it = baseline_.find(name);
-  if (it == baseline_.end()) return nullptr;
-  return advisor(it->second);
-}
-
-bool AdvisorSuite::is_learning(const std::string& name) const {
-  return baseline_.count(name) > 0;
 }
 
 }  // namespace trap::advisor

@@ -2,8 +2,6 @@
 #define TRAP_ADVISOR_EVALUATION_H_
 
 #include <cstdint>
-#include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -80,16 +78,12 @@ class RobustnessEvaluator {
                       const engine::TrueCostModel& truth);
 
   // u(W, d, f) = 1 - c(W, d, f(W)) / c(W, d, Ib(W)); `baseline` == nullptr
-  // means Ib is the empty configuration (heuristic advisors).
-  double IndexUtility(IndexAdvisor& advisor, IndexAdvisor* baseline,
-                      const workload::Workload& w,
-                      const TuningConstraint& constraint) const;
-
-  // Fallible utility under `ctx`: advisor and baseline recommendations run
-  // through RecommendWithRetry; a degraded advisor scores against its
-  // fallback config (utility 0 against an empty baseline) rather than
-  // aborting, and a non-OK Status is returned only when the evaluation
-  // itself (not the advisor) cannot proceed.
+  // means Ib is the empty configuration (heuristic advisors). Advisor and
+  // baseline recommendations run through RecommendWithRetry under `ctx`; a
+  // degraded advisor scores against its fallback config (utility 0 against
+  // an empty baseline) rather than aborting, and a non-OK Status is
+  // returned only when the evaluation itself (not the advisor) cannot
+  // proceed.
   common::StatusOr<double> TryIndexUtility(
       IndexAdvisor& advisor, IndexAdvisor* baseline,
       const workload::Workload& w, const TuningConstraint& constraint,
@@ -108,48 +102,6 @@ class RobustnessEvaluator {
  private:
   const engine::WhatIfOptimizer* optimizer_;
   const engine::TrueCostModel* truth_;
-};
-
-// The ten assessed advisors wired with their Table III configurations and
-// baseline pairings (heuristics against the null set; SWIRL vs Extend,
-// DRLindex vs Drop, DQN and MCTS vs AutoAdmin). Learning-based advisors
-// must be trained once via TrainLearners before assessment.
-class AdvisorSuite {
- public:
-  // Budget knobs for the learning-based members (benches on small machines
-  // shrink these; the defaults follow the per-advisor option defaults).
-  struct SuiteOptions {
-    int rl_episodes = 300;      // SWIRL / DRLindex / DQN training episodes
-    int max_actions = 48;       // candidate action-space cap
-    int mcts_iterations = 300;
-  };
-
-  explicit AdvisorSuite(const engine::WhatIfOptimizer& optimizer,
-                        uint64_t seed = 0x5417e);
-  AdvisorSuite(const engine::WhatIfOptimizer& optimizer, uint64_t seed,
-               SuiteOptions options);
-
-  // Names in Table III order.
-  static const std::vector<std::string>& AllNames();
-
-  void TrainLearners(const std::vector<workload::Workload>& training,
-                     const TuningConstraint& constraint);
-
-  // Trains each learner under its Table III constraint kind: SWIRL with the
-  // storage budget, DRLindex/DQN with the index-count constraint.
-  void TrainLearners(const std::vector<workload::Workload>& training,
-                     const TuningConstraint& storage_constraint,
-                     const TuningConstraint& count_constraint);
-
-  IndexAdvisor* advisor(const std::string& name);
-  // nullptr when the baseline Ib is the empty configuration.
-  IndexAdvisor* baseline_for(const std::string& name);
-
-  bool is_learning(const std::string& name) const;
-
- private:
-  std::map<std::string, std::unique_ptr<IndexAdvisor>> advisors_;
-  std::map<std::string, std::string> baseline_;  // name -> baseline name
 };
 
 }  // namespace trap::advisor

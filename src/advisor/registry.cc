@@ -1,10 +1,29 @@
 #include "advisor/registry.h"
 
+#include <array>
+
 #include "advisor/remote.h"
 
 namespace trap::advisor {
 
 namespace {
+
+constexpr ConstraintKind kStorage = ConstraintKind::kStorage;
+constexpr ConstraintKind kCount = ConstraintKind::kIndexCount;
+
+constexpr std::array<AdvisorSpec, 10> kTable3 = {{
+    // name, constraint, index type, criterion, baseline Ib, trainable
+    {"Extend", kStorage, "S/M", "cost/storage", "", false},
+    {"DB2Advis", kStorage, "S/M", "cost/storage", "", false},
+    {"AutoAdmin", kCount, "S/M", "cost", "", false},
+    {"Drop", kCount, "S", "cost", "", false},
+    {"Relaxation", kStorage, "S/M", "cost/storage", "", false},
+    {"DTA", kStorage, "S/M", "cost", "", false},
+    {"SWIRL", kStorage, "S/M", "PPO", "Extend", true},
+    {"DRLindex", kCount, "S", "DQN", "Drop", true},
+    {"DQN", kCount, "S/M", "DQN", "AutoAdmin", true},
+    {"MCTS", kCount, "S/M", "MCTS", "AutoAdmin", false},
+}};
 
 SwirlOptions ResolveSwirl(const RegistryOptions& options) {
   SwirlOptions o = options.swirl;
@@ -32,6 +51,19 @@ MctsOptions ResolveMcts(const RegistryOptions& options) {
 
 }  // namespace
 
+const char* ConstraintKindName(ConstraintKind kind) {
+  return kind == ConstraintKind::kStorage ? "storage" : "#index";
+}
+
+std::span<const AdvisorSpec> AdvisorTable() { return kTable3; }
+
+const AdvisorSpec* FindAdvisorSpec(std::string_view name) {
+  for (const AdvisorSpec& row : kTable3) {
+    if (row.name == name) return &row;
+  }
+  return nullptr;
+}
+
 common::StatusOr<std::unique_ptr<IndexAdvisor>> MakeAdvisor(
     std::string_view name, const engine::WhatIfOptimizer& optimizer,
     const RegistryOptions& options) {
@@ -45,7 +77,8 @@ common::StatusOr<std::unique_ptr<IndexAdvisor>> MakeAdvisor(
   }
   if (name == "Relaxation") return MakeRelaxation(optimizer, options.heuristic);
   if (name == "DTA") return MakeDta(optimizer, options.heuristic);
-  if (name == "SWIRL" || name == "DRLindex" || name == "DQN") {
+  const AdvisorSpec* spec = FindAdvisorSpec(name);
+  if (spec != nullptr && spec->trainable) {
     TRAP_ASSIGN_OR_RETURN(std::unique_ptr<LearningAdvisor> learner,
                           MakeLearningAdvisor(name, optimizer, options));
     return std::unique_ptr<IndexAdvisor>(std::move(learner));
@@ -83,16 +116,14 @@ common::StatusOr<std::unique_ptr<LearningAdvisor>> MakeLearningAdvisor(
                                          std::string(name));
 }
 
-const std::vector<std::string>& AllAdvisorNames() {
-  static const std::vector<std::string>* names = new std::vector<std::string>{
-      "Extend",    "DB2Advis", "AutoAdmin", "Drop", "Relaxation",
-      "DTA",       "SWIRL",    "DRLindex",  "DQN",  "MCTS"};
-  return *names;
-}
-
 const std::vector<std::string>& HeuristicAdvisorNames() {
-  static const std::vector<std::string>* names = new std::vector<std::string>{
-      "Extend", "DB2Advis", "AutoAdmin", "Drop", "Relaxation", "DTA"};
+  static const std::vector<std::string>* names = [] {
+    auto* out = new std::vector<std::string>;
+    for (const AdvisorSpec& row : kTable3) {
+      if (row.heuristic()) out->emplace_back(row.name);
+    }
+    return out;
+  }();
   return *names;
 }
 

@@ -2,6 +2,7 @@
 #define TRAP_ADVISOR_REGISTRY_H_
 
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -14,10 +15,42 @@
 
 namespace trap::advisor {
 
-// The single construction point for the ten assessed advisors. Every
-// harness, oracle, and test builds advisors by name through MakeAdvisor so
-// that Table III wiring (option defaults, seeds, Drop's single-column
-// design) lives in exactly one place.
+// The single home of the ten assessed advisors: their Table III rows and
+// their construction. Every harness, oracle, and test builds advisors by
+// name through MakeAdvisor and reads constraint kinds and baseline pairings
+// from AdvisorTable, so Table III (option defaults, seeds, Drop's
+// single-column design, the Ib pairing) lives in exactly one place.
+
+// How an advisor's tuning constraint is budgeted (Table III "constraint").
+enum class ConstraintKind { kStorage, kIndexCount };
+
+// "storage" or "#index", as Table III prints it.
+const char* ConstraintKindName(ConstraintKind kind);
+
+// One row of Table III.
+struct AdvisorSpec {
+  std::string_view name;
+  ConstraintKind constraint;
+  std::string_view index_type;  // "S" single-column, "S/M" multi-column too
+  std::string_view criterion;   // selection criterion, as Table III prints it
+  // The row whose recommendation is the baseline Ib; empty means Ib is the
+  // no-index configuration. A non-empty baseline is a heuristic with the
+  // same constraint kind and index type (the paper's pairing rule).
+  std::string_view baseline;
+  // Built by MakeLearningAdvisor and trained (LearningAdvisor::Train) under
+  // `constraint` before it is assessed.
+  bool trainable;
+
+  // Heuristics are the rows scored against the no-index Ib.
+  bool heuristic() const { return baseline.empty(); }
+};
+
+// The ten assessed advisors, in Table III order.
+std::span<const AdvisorSpec> AdvisorTable();
+
+// The row named `name`, or nullptr: "Remote" and unknown names have none.
+const AdvisorSpec* FindAdvisorSpec(std::string_view name);
+
 struct RegistryOptions {
   // Family options, used verbatim unless one of the override knobs below is
   // set. Drop always runs single-column (its design in Table III); the
@@ -32,8 +65,8 @@ struct RegistryOptions {
   DqnOptions dqn = DqnAdvisorDefaults();
   MctsOptions mcts;
 
-  // Suite-level budget knobs: when non-zero they override the corresponding
-  // field of every learner's options (the AdvisorSuite semantics).
+  // Budget knobs: when non-zero they override the corresponding field of
+  // every learner's options.
   uint64_t seed = 0;  // learner seeds become seed ^ per-advisor salt
   int rl_episodes = 0;
   int max_actions = 0;
@@ -50,16 +83,13 @@ common::StatusOr<std::unique_ptr<IndexAdvisor>> MakeAdvisor(
     std::string_view name, const engine::WhatIfOptimizer& optimizer,
     const RegistryOptions& options = {});
 
-// As MakeAdvisor, restricted to the trainable advisors ("SWIRL",
-// "DRLindex", "DQN"); other names yield kInvalidArgument.
+// As MakeAdvisor, restricted to the trainable rows ("SWIRL", "DRLindex",
+// "DQN"); other names yield kInvalidArgument.
 common::StatusOr<std::unique_ptr<LearningAdvisor>> MakeLearningAdvisor(
     std::string_view name, const engine::WhatIfOptimizer& optimizer,
     const RegistryOptions& options = {});
 
-// All registered names in Table III order.
-const std::vector<std::string>& AllAdvisorNames();
-
-// The heuristic (training-free) subset, in Table III order.
+// The names of the heuristic rows, in Table III order.
 const std::vector<std::string>& HeuristicAdvisorNames();
 
 }  // namespace trap::advisor

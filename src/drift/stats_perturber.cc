@@ -158,12 +158,4 @@ common::StatusOr<StatsPerturbation> StatsPerturber::TryPerturb(
   return result;
 }
 
-StatsPerturbation StatsPerturber::Perturb(const workload::Workload& w,
-                                          const engine::IndexConfig& fixed,
-                                          const common::EvalContext& ctx) {
-  common::StatusOr<StatsPerturbation> result = TryPerturb(w, fixed, ctx);
-  if (result.ok()) return *std::move(result);
-  return StatsPerturbation{};
-}
-
 }  // namespace trap::drift

@@ -60,11 +60,6 @@ class StatsPerturber {
       const workload::Workload& w, const engine::IndexConfig& fixed,
       const common::EvalContext& ctx = {});
 
-  // Infallible shim: degrades errors to the identity perturbation.
-  StatsPerturbation Perturb(const workload::Workload& w,
-                            const engine::IndexConfig& fixed,
-                            const common::EvalContext& ctx = {});
-
  private:
   const catalog::Schema* schema_;
   StatsPerturberOptions options_;

@@ -68,7 +68,8 @@ JsonValue Finish(JsonValue result, const RequestEnv& env, uint64_t epoch) {
 StatusOr<std::string> ResolveAdvisorName(const JsonValue& params) {
   std::string name = params.StringAt("advisor").value_or("Extend");
   if (name == "greedy") name = "Extend";  // the trap_drift alias
-  if (name == "SWIRL" || name == "DRLindex" || name == "DQN") {
+  const advisor::AdvisorSpec* spec = advisor::FindAdvisorSpec(name);
+  if (spec != nullptr && spec->trainable) {
     return Status::InvalidArgument("advisor not servable (needs training): " +
                                    name);
   }

@@ -18,7 +18,7 @@ namespace trap::proptest {
 // check.sh assert, and the workload trap_trace replays for humans.
 struct TraceScenarioOptions {
   std::string schema = "tpch";     // tpch | tpcds | transaction
-  std::string advisor = "Extend";  // any advisor::AllAdvisorNames() entry
+  std::string advisor = "Extend";  // any advisor::AdvisorTable() row name
   std::uint64_t seed = 0x7ace;
   int pool_size = 12;              // generated query pool
   int workload_size = 4;           // queries per workload

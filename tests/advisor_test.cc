@@ -268,10 +268,11 @@ TEST_F(AdvisorTest, MctsImprovesCostWithinCount) {
 TEST_F(AdvisorTest, UtilityPositiveForGoodAdvisor) {
   RobustnessEvaluator evaluator(optimizer_, truth_);
   auto extend = *MakeAdvisor("Extend", optimizer_);
-  double u = evaluator.IndexUtility(*extend, nullptr, test_workload_,
-                                    StorageConstraint());
-  EXPECT_GT(u, 0.0);
-  EXPECT_LT(u, 1.0);
+  common::StatusOr<double> u = evaluator.TryIndexUtility(
+      *extend, nullptr, test_workload_, StorageConstraint(), {});
+  ASSERT_TRUE(u.ok()) << u.status().ToString();
+  EXPECT_GT(*u, 0.0);
+  EXPECT_LT(*u, 1.0);
 }
 
 TEST_F(AdvisorTest, IudrFormula) {
@@ -281,21 +282,36 @@ TEST_F(AdvisorTest, IudrFormula) {
   EXPECT_EQ(RobustnessEvaluator::Iudr(0.0, 0.3), 0.0);
 }
 
-TEST_F(AdvisorTest, SuiteHasTenAdvisorsWithBaselines) {
-  EXPECT_EQ(AdvisorSuite::AllNames().size(), 10u);
-  AdvisorSuite suite(optimizer_);
-  for (const std::string& name : AdvisorSuite::AllNames()) {
-    EXPECT_NE(suite.advisor(name), nullptr);
-    EXPECT_EQ(suite.advisor(name)->name(), name);
+TEST_F(AdvisorTest, RegistryTableMatchesTableIII) {
+  std::vector<std::string> names, trainable, heuristic;
+  for (const AdvisorSpec& row : AdvisorTable()) {
+    names.emplace_back(row.name);
+    auto made = MakeAdvisor(row.name, optimizer_);
+    ASSERT_TRUE(made.ok()) << made.status().ToString();
+    EXPECT_EQ((*made)->name(), row.name);
+    EXPECT_EQ(MakeLearningAdvisor(row.name, optimizer_).ok(), row.trainable)
+        << row.name;
+    if (row.trainable) trainable.emplace_back(row.name);
+    if (row.heuristic()) heuristic.emplace_back(row.name);
+    EXPECT_EQ(FindAdvisorSpec(row.name), &row);
+    if (row.heuristic()) continue;
+    // The paper's pairing rule: Ib is a heuristic sharing the learner's
+    // constraint kind and index type.
+    const AdvisorSpec* base = FindAdvisorSpec(row.baseline);
+    ASSERT_NE(base, nullptr) << row.name;
+    EXPECT_TRUE(base->heuristic()) << row.name;
+    EXPECT_EQ(base->constraint, row.constraint) << row.name;
+    EXPECT_EQ(base->index_type, row.index_type) << row.name;
   }
-  EXPECT_EQ(suite.baseline_for("Extend"), nullptr);
-  ASSERT_NE(suite.baseline_for("SWIRL"), nullptr);
-  EXPECT_EQ(suite.baseline_for("SWIRL")->name(), "Extend");
-  EXPECT_EQ(suite.baseline_for("DRLindex")->name(), "Drop");
-  EXPECT_EQ(suite.baseline_for("DQN")->name(), "AutoAdmin");
-  EXPECT_EQ(suite.baseline_for("MCTS")->name(), "AutoAdmin");
-  EXPECT_TRUE(suite.is_learning("SWIRL"));
-  EXPECT_FALSE(suite.is_learning("DTA"));
+  EXPECT_EQ(names, (std::vector<std::string>{
+                       "Extend", "DB2Advis", "AutoAdmin", "Drop", "Relaxation",
+                       "DTA", "SWIRL", "DRLindex", "DQN", "MCTS"}));
+  EXPECT_EQ(trainable,
+            (std::vector<std::string>{"SWIRL", "DRLindex", "DQN"}));
+  EXPECT_EQ(heuristic, HeuristicAdvisorNames());
+  EXPECT_FALSE(MakeLearningAdvisor("Remote", optimizer_).ok());
+  EXPECT_EQ(FindAdvisorSpec("NoSuchAdvisor"), nullptr);
+  EXPECT_EQ(FindAdvisorSpec("Remote"), nullptr);
 }
 
 }  // namespace

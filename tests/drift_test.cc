@@ -145,7 +145,10 @@ TEST_F(DriftTest, ZeroBudgetPerturbationIsIdentity) {
   StatsPerturberOptions popt;
   popt.l1_budget = 0.0;
   StatsPerturber perturber(schema_, popt);
-  StatsPerturbation out = perturber.Perturb(base_, fixed);
+  common::StatusOr<StatsPerturbation> result =
+      perturber.TryPerturb(base_, fixed);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  const StatsPerturbation& out = *result;
   EXPECT_TRUE(out.overlay.empty());
   EXPECT_EQ(out.moves, 0);
   EXPECT_EQ(out.l1_spent, 0.0);
@@ -160,7 +163,10 @@ TEST_F(DriftTest, PerturberRespectsBudgetAndDomain) {
   StatsPerturberOptions popt;
   popt.l1_budget = 0.5;
   StatsPerturber perturber(schema_, popt);
-  StatsPerturbation out = perturber.Perturb(base_, fixed);
+  common::StatusOr<StatsPerturbation> result =
+      perturber.TryPerturb(base_, fixed);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  const StatsPerturbation& out = *result;
   EXPECT_LE(out.l1_spent, popt.l1_budget + 1e-12);
   EXPECT_LE(out.moves, 2);  // 2 * step_size(0.25) == the budget
   EXPECT_GE(out.shifted_cost, out.base_cost);

@@ -43,6 +43,16 @@ class IntegrationTest : public ::testing::Test {
     return advisor::TuningConstraint::Storage(schema_.DataSizeBytes() / 2);
   }
 
+  // u(W) against the no-index Ib. No fault is armed here, so every
+  // evaluation must succeed.
+  double Utility(advisor::IndexAdvisor& advisor, const workload::Workload& w,
+                 const advisor::TuningConstraint& constraint) const {
+    common::StatusOr<double> u =
+        evaluator_.TryIndexUtility(advisor, nullptr, w, constraint, {});
+    EXPECT_TRUE(u.ok()) << u.status().ToString();
+    return std::move(u).value_or(0.0);
+  }
+
   catalog::Schema schema_;
   sql::Vocabulary vocab_;
   engine::WhatIfOptimizer optimizer_;
@@ -73,7 +83,7 @@ TEST_F(IntegrationTest, FullPipelineProducesBoundedValidPerturbations) {
 
   int assessed = 0;
   for (const workload::Workload& w : tests_) {
-    double u = evaluator_.IndexUtility(*victim, nullptr, w, Constraint());
+    double u = Utility(*victim, w, Constraint());
     workload::Workload perturbed = generator.Generate(w);
     ASSERT_EQ(perturbed.size(), w.size());
     for (int i = 0; i < w.size(); ++i) {
@@ -88,9 +98,7 @@ TEST_F(IntegrationTest, FullPipelineProducesBoundedValidPerturbations) {
       EXPECT_EQ(pq.tables, original.tables);
     }
     if (u > 0.1) {
-      double u_prime =
-          evaluator_.IndexUtility(*victim, nullptr, perturbed, Constraint());
-      (void)u_prime;  // IUDR well-defined
+      (void)Utility(*victim, perturbed, Constraint());  // IUDR well-defined
       ++assessed;
     }
   }
@@ -136,13 +144,17 @@ TEST_F(IntegrationTest, LearningAdvisorVulnerableToColumnDrift) {
   // The paper's headline finding at miniature scale: a frozen-action-space
   // learner loses far more utility than an adaptive heuristic when columns
   // drift. Uses random column-consistent perturbations (no RL needed).
-  advisor::AdvisorSuite::SuiteOptions so;
-  so.rl_episodes = 250;
-  so.max_actions = 64;
-  advisor::AdvisorSuite suite(optimizer_, 0x17e, so);
+  advisor::RegistryOptions registry;
+  registry.seed = 0x17e;
+  registry.rl_episodes = 250;
+  registry.max_actions = 64;
+  std::unique_ptr<advisor::LearningAdvisor> learner =
+      *advisor::MakeLearningAdvisor("DRLindex", optimizer_, registry);
   advisor::TuningConstraint count =
       advisor::TuningConstraint::IndexCount(4, schema_.DataSizeBytes() / 2);
-  suite.TrainLearners(training_, Constraint(), count);
+  learner->Train(training_, count);
+  std::unique_ptr<advisor::IndexAdvisor> heuristic =
+      *advisor::MakeAdvisor("Extend", optimizer_, registry);
 
   common::Rng rng(0x5ee);
   auto random_perturb = [&](const workload::Workload& w) {
@@ -157,20 +169,18 @@ TEST_F(IntegrationTest, LearningAdvisorVulnerableToColumnDrift) {
     return out;
   };
 
-  advisor::IndexAdvisor* learner = suite.advisor("DRLindex");
-  advisor::IndexAdvisor* heuristic = suite.advisor("Extend");
   double learner_drop = 0.0, heuristic_drop = 0.0;
   int n = 0;
   for (const workload::Workload& w : tests_) {
-    double ul = evaluator_.IndexUtility(*learner, nullptr, w, count);
-    double uh = evaluator_.IndexUtility(*heuristic, nullptr, w, Constraint());
+    double ul = Utility(*learner, w, count);
+    double uh = Utility(*heuristic, w, Constraint());
     if (ul <= 0.1 || uh <= 0.1) continue;
     for (int a = 0; a < 3; ++a) {
       workload::Workload wp = random_perturb(w);
       learner_drop += advisor::RobustnessEvaluator::Iudr(
-          ul, evaluator_.IndexUtility(*learner, nullptr, wp, count));
+          ul, Utility(*learner, wp, count));
       heuristic_drop += advisor::RobustnessEvaluator::Iudr(
-          uh, evaluator_.IndexUtility(*heuristic, nullptr, wp, Constraint()));
+          uh, Utility(*heuristic, wp, Constraint()));
       ++n;
     }
   }

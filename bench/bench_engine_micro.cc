@@ -8,7 +8,6 @@
 #include <cstdio>
 
 #include "catalog/datasets.h"
-#include "common/thread_pool.h"
 #include "engine/what_if.h"
 #include "gbdt/features.h"
 #include "gbdt/utility_model.h"
@@ -113,13 +112,12 @@ void BM_ReferenceTreeRandomDecode(benchmark::State& state) {
 }
 BENCHMARK(BM_ReferenceTreeRandomDecode);
 
-// Workload-costing section: the parallel candidate-benefit sweep that every
-// advisor greedy round funnels through, measured cold-cache under an
-// explicit 1-thread pool vs a 4-thread pool (and the TRAP_THREADS-sized
-// global pool). Costs must be bit-identical across thread counts.
+// Workload-costing section: the candidate-benefit sweep that every advisor
+// greedy round funnels through, costed cold and then warm on the calling
+// thread. Both passes must return bit-identical costs.
 void WorkloadCostingSection(const bench::BenchOptions& opt) {
   Fixture& f = fixture();
-  bench::PrintHeader("Workload costing — serial vs parallel sweep");
+  bench::PrintHeader("Workload costing — cold vs warm sweep");
 
   workload::Workload w;
   for (const sql::Query& q : f.queries) {
@@ -134,52 +132,39 @@ void WorkloadCostingSection(const bench::BenchOptions& opt) {
     configs.push_back(cfg);
   }
 
-  auto timed_sweep = [&](common::ThreadPool* pool) {
-    f.optimizer.ClearCache();
-    f.optimizer.ResetCounters();
-    common::EvalContext ctx;
-    ctx.pool = pool;
+  auto timed_sweep = [&] {
     auto start = std::chrono::steady_clock::now();
-    std::vector<double> costs = f.optimizer.WorkloadCosts(w, configs, ctx);
+    std::vector<double> costs = f.optimizer.WorkloadCosts(w, configs);
     double seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
             .count();
     return std::make_pair(seconds, std::move(costs));
   };
 
-  common::ThreadPool serial_pool(1);
-  common::ThreadPool quad_pool(4);
-  auto [serial_sec, serial_costs] = timed_sweep(&serial_pool);
-  int64_t serial_misses = f.optimizer.num_cache_misses();
-  auto [quad_sec, quad_costs] = timed_sweep(&quad_pool);
-  int64_t quad_misses = f.optimizer.num_cache_misses();
-  auto [global_sec, global_costs] = timed_sweep(nullptr);
+  f.optimizer.ClearCache();
+  f.optimizer.ResetCounters();
+  auto [cold_sec, cold_costs] = timed_sweep();
+  const int64_t misses = f.optimizer.num_cache_misses();
+  auto [warm_sec, warm_costs] = timed_sweep();
 
-  bool identical = serial_costs == quad_costs && serial_costs == global_costs;
-  double speedup = quad_sec > 0.0 ? serial_sec / quad_sec : 0.0;
+  const bool identical = cold_costs == warm_costs;
   std::printf("pairs costed:        %zu (%zu queries x %zu configs)\n",
               w.queries.size() * configs.size(), w.queries.size(),
               configs.size());
-  std::printf("1 thread:            %.4f s\n", serial_sec);
-  std::printf("4 threads:           %.4f s  (speedup %.2fx)\n", quad_sec,
-              speedup);
-  std::printf("global pool (%d):     %.4f s\n",
-              common::GlobalPool().num_threads(), global_sec);
-  std::printf("costs bit-identical: %s; misses %lld vs %lld\n",
-              identical ? "yes" : "NO — BUG",
-              static_cast<long long>(serial_misses),
-              static_cast<long long>(quad_misses));
+  std::printf("cold cache:          %.4f s  (%lld misses)\n", cold_sec,
+              static_cast<long long>(misses));
+  std::printf("warm cache:          %.4f s\n", warm_sec);
+  std::printf("costs bit-identical: %s\n", identical ? "yes" : "NO — BUG");
 
   bench::BenchReport report("engine_micro");
-  report.RecordPhase("workload_cost_serial", serial_sec);
-  report.RecordPhase("workload_cost_4_threads", quad_sec);
-  report.RecordPhase("workload_cost_global_pool", global_sec);
+  report.RecordPhase("workload_cost_cold", cold_sec);
+  report.RecordPhase("workload_cost_warm", warm_sec);
   report.RecordMetric("costs_identical", identical ? 1.0 : 0.0);
   report.RecordMetric("what_if_pairs",
                       static_cast<double>(w.queries.size() * configs.size()));
-  // The gate metrics (whatif_pairs_per_sec, speedup_4_vs_1) come from the
-  // shared median-of-N probe so every BENCH_*.json reports the same
-  // quantity; the one-shot sweep above is for the human-readable printout.
+  // The gate metric (whatif_pairs_per_sec) comes from the shared
+  // median-of-N probe so every BENCH_*.json reports the same quantity; the
+  // one-shot sweeps above are for the human-readable printout.
   bench::RecordWhatIfThroughput(&report, opt);
   report.Write();
 }

@@ -104,20 +104,21 @@ BenchOptions ParseBenchOptions(int* argc, char** argv);
 double MedianSeconds(const BenchOptions& opt, const std::function<void()>& fn);
 
 // Cold-cache what-if throughput probe shared by every bench that writes a
-// BENCH_*.json: one fixed TPC-H 64-query x per-column candidate sweep under
-// explicit 1- and 4-thread pools, median-of-N timed. Records
-// `whatif_pairs_per_sec` (single-thread) and `speedup_4_vs_1` into
-// `report`, so every report carries comparable engine-throughput numbers
-// for scripts/check.sh's perf gate. The probe's workload is fixed (it does
-// not depend on the calling bench's dataset or TRAP_THREADS), so the
-// recorded numbers are comparable across benches and the metric deltas it
-// adds to the global registry stay deterministic.
+// BENCH_*.json: one fixed TPC-H 64-query x per-column candidate sweep,
+// median-of-N timed. Records `whatif_pairs_per_sec` (the sweep on the
+// calling thread, gated by scripts/perf_gate.py) and the report-only
+// `concurrent_callers_4_vs_1` (four disjoint quarter-sweeps on one shared
+// optimizer from a 4-lane pool, over the same from a 1-lane pool) into
+// `report`. The probe's workload is fixed (it does not depend on the
+// calling bench's dataset or TRAP_THREADS), so the recorded numbers are
+// comparable across benches and the metric deltas it adds to the global
+// registry stay deterministic.
 void RecordWhatIfThroughput(BenchReport* report, const BenchOptions& opt = {});
 
 // Per-phase wall-clock + thread-count recorder. Benches time their phases
 // through this and write a BENCH_<name>.json next to the binary's working
 // directory so successive runs capture the perf trajectory (threads used,
-// seconds per phase, derived metrics such as parallel speedup).
+// seconds per phase, derived metrics such as what-if throughput).
 class BenchReport {
  public:
   explicit BenchReport(std::string bench_name);

@@ -12,7 +12,8 @@
 #      and the full test suite -- which includes the lint_src entry, so
 #      trap_lint runs over src/ tests/ bench/ examples/ tools/ here.
 #   2. The same suite under TSan (TRAP_SANITIZE=thread) at TRAP_THREADS=4,
-#      vetting the parallel what-if paths.
+#      vetting concurrent callers on shared state: the what-if caches and
+#      counters, snapshot publishes, metrics and trace sinks.
 #   3. The same suite under ASan+UBSan (TRAP_SANITIZE=address,undefined)
 #      with sanitizer recovery disabled, so any UB aborts the run.
 #   4. A smoke-fuzz stage per build flavor: trap_fuzz sweeps all eleven oracle
@@ -51,8 +52,8 @@
 #      bench_engine_micro's shared what-if throughput probe, compared
 #      against bench/baselines/engine_micro_baseline.json by
 #      scripts/perf_gate.py. Single-thread whatif_pairs_per_sec must stay
-#      inside the baseline's tolerance band; speedup_4_vs_1 is enforced
-#      only on runners with >= 4 cores.
+#      inside the baseline's tolerance band; concurrent_callers_4_vs_1 is
+#      printed, not gated.
 #   8. An advisor-registry audit: outside src/advisor/ nothing may
 #      construct a concrete advisor directly -- every construction goes
 #      through advisor::MakeAdvisor / MakeLearningAdvisor.
@@ -220,8 +221,8 @@ drift_digest_stage() {
 # Replays the canonical 4-connection serve session (mixed methods, a
 # mid-session snapshot publish, a reset) across thread counts and requires
 # the session digest -- a fold over every response payload -- to be
-# bit-identical: the server executes admitted requests serially, so intra-
-# request parallelism must never leak into response bytes. The plain flavor
+# bit-identical: the server executes admitted requests serially on one
+# thread, so the pool size must never leak into response bytes. The plain flavor
 # also writes BENCH_serve.json with a serve_requests_per_sec counter.
 serve_digest_stage() {
   local dir="$1"

@@ -2,21 +2,19 @@
 """Throughput ratchet for the batched what-if hot path.
 
 Compares a freshly written BENCH_*.json (argv[1]) against a committed
-baseline (argv[2], see bench/baselines/). Two gates:
+baseline (argv[2], see bench/baselines/). One gate:
 
   * whatif_pairs_per_sec -- single-thread cold-sweep throughput of the
     shared bench probe. Must stay above baseline * tolerance; the band
     absorbs run-to-run noise, the committed number only ever ratchets up.
-  * speedup_4_vs_1 -- 4-thread over 1-thread wall-clock ratio of the same
-    sweep. Enforced as-is, but only on runners with >= 4 CPUs: on a 1- or
-    2-core box the 4-thread pool just timeslices and the ratio measures the
-    scheduler, not the scheduling work this gate protects.
 
-Exits nonzero with a diagnostic when a gate fails.
+concurrent_callers_4_vs_1 (four quarter-sweeps from 4 lanes over 1 lane on
+one shared optimizer) is printed when present but never gated.
+
+Exits nonzero with a diagnostic when the gate fails.
 """
 
 import json
-import os
 import sys
 
 
@@ -33,32 +31,22 @@ def main() -> int:
     measured = report["metrics"]
     floors = baseline["metrics"]
     tolerance = float(baseline.get("tolerance", 0.8))
-    failures = []
 
     pps = float(measured["whatif_pairs_per_sec"])
     pps_floor = float(floors["whatif_pairs_per_sec"]) * tolerance
     print(f"    whatif_pairs_per_sec: {pps:,.0f}"
           f" (floor {pps_floor:,.0f} = {floors['whatif_pairs_per_sec']:,.0f}"
           f" x {tolerance})")
+    if "concurrent_callers_4_vs_1" in measured:
+        print(f"    concurrent_callers_4_vs_1:"
+              f" {float(measured['concurrent_callers_4_vs_1']):.2f}"
+              f" (report only)")
+
     if pps < pps_floor:
-        failures.append(
-            f"whatif_pairs_per_sec {pps:,.0f} below floor {pps_floor:,.0f}")
-
-    cores = os.cpu_count() or 1
-    if cores >= 4:
-        speedup = float(measured["speedup_4_vs_1"])
-        speedup_floor = float(floors["speedup_4_vs_1"])
-        print(f"    speedup_4_vs_1: {speedup:.2f} (floor {speedup_floor:.2f})")
-        if speedup < speedup_floor:
-            failures.append(
-                f"speedup_4_vs_1 {speedup:.2f} below floor {speedup_floor:.2f}")
-    else:
-        print(f"    speedup_4_vs_1: {float(measured['speedup_4_vs_1']):.2f}"
-              f" (gate skipped: {cores} core(s) < 4)")
-
-    for failure in failures:
-        print(f"error: perf gate: {failure}", file=sys.stderr)
-    return 1 if failures else 0
+        print(f"error: perf gate: whatif_pairs_per_sec {pps:,.0f} below"
+              f" floor {pps_floor:,.0f}", file=sys.stderr)
+        return 1
+    return 0
 
 
 if __name__ == "__main__":

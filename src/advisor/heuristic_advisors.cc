@@ -6,7 +6,6 @@
 #include <set>
 
 #include "advisor/candidates.h"
-#include "common/thread_pool.h"
 #include "obs/obs.h"
 
 namespace trap::advisor {
@@ -245,10 +244,9 @@ class Db2Advisor : public IndexAdvisor {
       c.Add(i);
       return c.Fingerprint();
     };
-    // Per-query planning is independent; fan it out and merge the benefit
-    // attributions serially in query order (deterministic accumulation).
-    // Statuses are pre-filled kCancelled so fast-drained iterations stay
-    // accounted for; the first error in query order wins.
+    // Plan every query, then merge the benefit attributions in query order.
+    // Statuses are pre-filled kCancelled so queries skipped once ctx.cancel
+    // trips stay accounted for; the first error in query order wins.
     struct QueryShare {
       double improvement = 0.0;
       std::set<uint64_t> used;
@@ -257,28 +255,28 @@ class Db2Advisor : public IndexAdvisor {
     std::vector<Status> statuses(
         w.queries.size(),
         Status::Cancelled("skipped: evaluation cancelled"));
-    common::ParallelFor(
-        w.queries.size(),
-        [&](size_t qi) {
-          const workload::WorkloadQuery& wq = w.queries[qi];
-          StatusOr<double> base =
-              optimizer_->TryQueryCost(wq.query, IndexConfig(), ctx);
-          if (!base.ok()) {
-            statuses[qi] = base.status();
-            return;
-          }
-          std::unique_ptr<engine::PlanNode> plan =
-              optimizer_->Plan(wq.query, all, ctx);
-          shares[qi].improvement =
-              std::max(0.0, *base - plan->cost) * wq.weight;
-          std::vector<const engine::PlanNode*> nodes;
-          engine::CollectNodes(*plan, &nodes);
-          for (const engine::PlanNode* n : nodes) {
-            if (n->index != nullptr) shares[qi].used.insert(fp(*n->index));
-          }
-          statuses[qi] = Status::Ok();
-        },
-        ctx.cancel);
+    for (size_t qi = 0; qi < w.queries.size(); ++qi) {
+      if (ctx.cancel != nullptr &&
+          (ctx.cancel->cancelled() || ctx.cancel->expired())) {
+        break;
+      }
+      const workload::WorkloadQuery& wq = w.queries[qi];
+      StatusOr<double> base =
+          optimizer_->TryQueryCost(wq.query, IndexConfig(), ctx);
+      if (!base.ok()) {
+        statuses[qi] = base.status();
+        continue;
+      }
+      std::unique_ptr<engine::PlanNode> plan =
+          optimizer_->Plan(wq.query, all, ctx);
+      shares[qi].improvement = std::max(0.0, *base - plan->cost) * wq.weight;
+      std::vector<const engine::PlanNode*> nodes;
+      engine::CollectNodes(*plan, &nodes);
+      for (const engine::PlanNode* n : nodes) {
+        if (n->index != nullptr) shares[qi].used.insert(fp(*n->index));
+      }
+      statuses[qi] = Status::Ok();
+    }
     for (const Status& s : statuses) TRAP_RETURN_IF_ERROR(s);
     for (const QueryShare& share : shares) {
       if (share.used.empty()) continue;

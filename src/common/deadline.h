@@ -16,8 +16,6 @@ class Snapshot;
 
 namespace trap::common {
 
-class ThreadPool;
-
 // Cooperative cancellation + deadline for bounded evaluation.
 //
 // Deadlines are expressed as a *step budget*, not wall-clock time: every
@@ -27,7 +25,7 @@ class ThreadPool;
 // and on every thread count, keeping results bit-identical -- and the
 // module stays compatible with the no-wall-clock lint rule.
 //
-// A CancelToken is shared by the caller and the workers; all members are
+// A CancelToken may be shared by concurrent callers; all members are
 // thread-safe. The zero-argument constructor means "unbounded".
 class CancelToken {
  public:
@@ -74,17 +72,13 @@ class CancelToken {
 
 // Per-call evaluation context threaded through the what-if engine, advisor
 // recommend loops and the TRAP agent's perturbation search -- the single
-// carrier for cancellation, parallelism and observability (there are no
-// separate (ctx, pool) parameter pairs). Copyable; the default-constructed
-// context is unbounded, fault-transparent, runs batched work on the global
-// pool and records no trace.
+// carrier for cancellation and observability. Evaluation runs serially on
+// the calling thread, so the context carries no pool. Copyable; the
+// default-constructed context is unbounded, fault-transparent and records
+// no trace.
 struct EvalContext {
   // Not owned; nullptr means unbounded and non-cancellable.
   CancelToken* cancel = nullptr;
-
-  // Pool for batched fan-out (what-if sweeps). Not owned; nullptr means
-  // the TRAP_THREADS-sized global pool.
-  ThreadPool* pool = nullptr;
 
   // Optional observability sink (see obs/obs.h). Not owned; nullptr
   // disables tracing. Metrics always flow to the global MetricRegistry.

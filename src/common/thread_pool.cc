@@ -1,6 +1,5 @@
 #include "common/thread_pool.h"
 
-#include <algorithm>
 #include <cerrno>
 #include <cstdlib>
 #include <string>
@@ -66,26 +65,18 @@ ThreadPool::~ThreadPool() {
 
 bool ThreadPool::InParallelLoop() { return t_in_parallel_loop; }
 
-size_t ThreadPool::GrainFor(size_t n, int lanes) {
-  if (lanes < 1) lanes = 1;
-  // ~4 chunks per lane keeps the tail balanced without shrinking chunks so
-  // far that cursor traffic and boundary false sharing come back.
-  size_t grain = n / (static_cast<size_t>(lanes) * 4);
-  return std::clamp<size_t>(grain, 1, 64);
-}
-
 void ThreadPool::RunBatch(Batch& batch) {
   bool was_in_loop = t_in_parallel_loop;
   t_in_parallel_loop = true;
   const size_t n = batch.n;
-  const size_t grain = batch.grain;
-  for (size_t begin = batch.next.fetch_add(grain, std::memory_order_relaxed);
-       begin < n;
-       begin = batch.next.fetch_add(grain, std::memory_order_relaxed)) {
-    const size_t end = std::min(begin + grain, n);
-    batch.fn(batch.ctx, begin, end, &batch.error);
-    if (batch.remaining.fetch_sub(end - begin, std::memory_order_acq_rel) ==
-        end - begin) {
+  for (size_t i = batch.next.fetch_add(1, std::memory_order_relaxed); i < n;
+       i = batch.next.fetch_add(1, std::memory_order_relaxed)) {
+    try {
+      (*batch.fn)(i);
+    } catch (...) {
+      batch.error.Capture();
+    }
+    if (batch.remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
       std::lock_guard<std::mutex> lock(mu_);
       done_ = true;
       done_cv_.notify_one();
@@ -117,15 +108,22 @@ void ThreadPool::WorkerLoop(const std::stop_token& stop) {
   }
 }
 
-void ThreadPool::Dispatch(size_t n, size_t grain, ChunkFn fn, void* ctx) {
-  // Inline paths: a pool without workers, a loop that fits in one grain, or
-  // a nested call (re-entering the pool while a batch is in flight could
-  // deadlock). No locks are taken and no workers are woken.
-  if (workers_.empty() || n <= grain || t_in_parallel_loop) {
+void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
+  if (n == 0) return;
+  // Inline path: a pool without workers, or a nested call (re-entering the
+  // pool while a batch is in flight could deadlock). No locks are taken and
+  // no workers are woken.
+  if (workers_.empty() || t_in_parallel_loop) {
     ErrorSlot error;
     bool was_in_loop = t_in_parallel_loop;
     t_in_parallel_loop = true;
-    fn(ctx, 0, n, &error);
+    for (size_t i = 0; i < n; ++i) {
+      try {
+        fn(i);
+      } catch (...) {
+        error.Capture();
+      }
+    }
     t_in_parallel_loop = was_in_loop;
     error.Rethrow();
     return;
@@ -133,9 +131,7 @@ void ThreadPool::Dispatch(size_t n, size_t grain, ChunkFn fn, void* ctx) {
 
   std::lock_guard<std::mutex> submit(submit_mu_);
   batch_.n = n;
-  batch_.grain = grain;
-  batch_.fn = fn;
-  batch_.ctx = ctx;
+  batch_.fn = &fn;
   batch_.next.store(0, std::memory_order_relaxed);
   batch_.remaining.store(n, std::memory_order_relaxed);
   batch_.error.error = nullptr;
@@ -160,15 +156,6 @@ void ThreadPool::Dispatch(size_t n, size_t grain, ChunkFn fn, void* ctx) {
   if (error) std::rethrow_exception(error);
 }
 
-void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
-  ParallelForGrained(n, GrainFor(n, num_threads()), fn, nullptr);
-}
-
-void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn,
-                             const CancelToken* cancel) {
-  ParallelForGrained(n, GrainFor(n, num_threads()), fn, cancel);
-}
-
 ThreadPool& GlobalPool() {
   static ThreadPool* pool = new ThreadPool(ThreadsFromEnvironment());
   return *pool;
@@ -176,11 +163,6 @@ ThreadPool& GlobalPool() {
 
 void ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
   GlobalPool().ParallelFor(n, fn);
-}
-
-void ParallelFor(size_t n, const std::function<void(size_t)>& fn,
-                 const CancelToken* cancel) {
-  GlobalPool().ParallelFor(n, fn, cancel);
 }
 
 }  // namespace trap::common

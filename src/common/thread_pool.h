@@ -11,17 +11,15 @@
 #include <thread>
 #include <vector>
 
-#include "common/deadline.h"
-
 namespace trap::common {
 
-// Fixed-size thread pool driving data-parallel loops. There is no work
-// stealing and no futures: the single primitive is a parallel-for, which
-// partitions [0, n) across the pool's workers plus the calling thread via a
-// shared atomic cursor and blocks until every iteration has run. The cursor
-// is claimed in *grains* of consecutive iterations, so neighbouring items
-// (which usually write neighbouring output slots) stay on one thread --
-// cache-friendly and far fewer atomic operations than per-item claims.
+// Fixed-size thread pool for coarse-grained independent work: whole
+// reference-advisor assessments, concurrent callers in tests. There is no
+// work stealing and no futures: the single primitive is a parallel-for,
+// which hands out [0, n) one iteration at a time across the pool's workers
+// plus the calling thread via a shared atomic cursor and blocks until every
+// iteration has run. The library's what-if, true-cost and advisor loops do
+// not use it: they run serially on their caller (DESIGN.md §3a).
 //
 // Threading contract:
 //   * The loop body must be safe to invoke concurrently from multiple
@@ -37,12 +35,6 @@ namespace trap::common {
 //     the calling thread once the loop has drained; remaining iterations
 //     still run (the library itself is exception-free, but tests and user
 //     callbacks may throw).
-//
-// Steady-state dispatch performs no heap allocation: the batch control
-// block is a reusable member (generation-counted, so workers from a
-// previous batch can never claim into the next one), and the templated
-// ParallelForGrained erases the loop body to a plain function pointer plus
-// a stack context instead of wrapping it in a std::function.
 class ThreadPool {
  public:
   // Spawns `num_threads - 1` workers; the caller participates in every
@@ -57,56 +49,9 @@ class ThreadPool {
   int num_threads() const { return static_cast<int>(workers_.size()) + 1; }
 
   // Runs fn(0), ..., fn(n-1) across the pool. Blocks until done. Zero items
-  // is a no-op. Grain is chosen automatically (GrainFor).
+  // is a no-op. A pool without workers, or a nested call, runs the loop
+  // inline on the calling thread without touching the pool's locks.
   void ParallelFor(size_t n, const std::function<void(size_t)>& fn);
-
-  // Cancel-aware variant: once `cancel` reports cancelled or expired, the
-  // remaining unclaimed iterations fast-drain -- they are claimed but fn is
-  // not invoked for them. Callers must pre-fill per-item result slots with a
-  // kCancelled Status (or equivalent) so skipped items stay accounted for.
-  // `cancel == nullptr` behaves exactly like the plain overload.
-  void ParallelFor(size_t n, const std::function<void(size_t)>& fn,
-                   const CancelToken* cancel);
-
-  // The hot-path primitive: runs body(0), ..., body(n-1), claiming `grain`
-  // consecutive iterations per cursor fetch. `body` is any callable taking
-  // a size_t; it is invoked through a function pointer, never copied, and
-  // never heap-allocated. When the whole loop fits in one grain (n <=
-  // grain), when the pool has no workers, or when called from inside
-  // another batch, the loop runs inline on the calling thread without
-  // touching the pool's locks or waking workers.
-  template <typename Body>
-  void ParallelForGrained(size_t n, size_t grain, const Body& body,
-                          const CancelToken* cancel = nullptr) {
-    if (n == 0) return;
-    if (grain == 0) grain = 1;
-    struct Ctx {
-      const Body* body;
-      const CancelToken* cancel;
-    };
-    Ctx ctx{&body, cancel};
-    ChunkFn run = [](void* raw, size_t begin, size_t end,
-                     ErrorSlot* err) noexcept {
-      Ctx& c = *static_cast<Ctx*>(raw);
-      for (size_t i = begin; i < end; ++i) {
-        if (c.cancel != nullptr &&
-            (c.cancel->cancelled() || c.cancel->expired())) {
-          continue;  // fast-drain: claimed but skipped, slots stay pre-filled
-        }
-        try {
-          (*c.body)(i);
-        } catch (...) {
-          err->Capture();
-        }
-      }
-    };
-    Dispatch(n, grain, run, &ctx);
-  }
-
-  // Suggested grain for a loop of `n` items on `lanes` execution lanes:
-  // enough chunks that lanes stay busy (~4 per lane), large enough that a
-  // chunk's output slots span whole cache lines. Always in [1, 64].
-  static size_t GrainFor(size_t n, int lanes);
 
   // True while the current thread is executing iterations of some batch
   // (either as a pool worker or as the submitting caller).
@@ -121,25 +66,17 @@ class ThreadPool {
     void Rethrow();
   };
 
-  // Type-erased chunk runner: invokes the loop body for [begin, end),
-  // capturing any exception into `err`. Must not throw.
-  using ChunkFn = void (*)(void* ctx, size_t begin, size_t end,
-                           ErrorSlot* err) noexcept;
-
   // Reusable control block of the (single) in-flight batch. The atomics sit
   // on their own cache lines so cursor claims do not false-share with the
   // read-only descriptor fields or with each other.
   struct Batch {
     size_t n = 0;
-    size_t grain = 1;
-    ChunkFn fn = nullptr;
-    void* ctx = nullptr;
+    const std::function<void(size_t)>* fn = nullptr;
     alignas(64) std::atomic<size_t> next{0};       // next unclaimed iteration
     alignas(64) std::atomic<size_t> remaining{0};  // iterations not finished
     ErrorSlot error;
   };
 
-  void Dispatch(size_t n, size_t grain, ChunkFn fn, void* ctx);
   void RunBatch(Batch& batch);
   void WorkerLoop(const std::stop_token& stop);
 
@@ -162,8 +99,6 @@ ThreadPool& GlobalPool();
 
 // Convenience: GlobalPool().ParallelFor(n, fn).
 void ParallelFor(size_t n, const std::function<void(size_t)>& fn);
-void ParallelFor(size_t n, const std::function<void(size_t)>& fn,
-                 const CancelToken* cancel);
 
 }  // namespace trap::common
 

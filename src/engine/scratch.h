@@ -19,9 +19,8 @@ struct QueryShape;
 // each lease bumps a generation counter and reuses the capacity grown by
 // earlier batches, so the steady-state batch path performs zero heap
 // allocations once the high-water mark is reached. Nothing here is shared
-// between threads: every buffer belongs to exactly one lease at a time
-// (see ScratchLease), and all cross-thread writes in a batch go to the
-// pre-sized unique_costs/unique_statuses slots, folded serially afterwards.
+// between threads: a batch runs on its calling thread, and every buffer
+// belongs to exactly one lease at a time (see ScratchLease).
 struct BatchScratch {
   // One evaluated (query, config) pair after in-batch deduplication.
   struct UniquePair {
@@ -52,7 +51,7 @@ struct BatchScratch {
   // fill of slot_vals with kEmptySlot, not a rehash.
   std::vector<uint64_t> slot_keys;
   std::vector<uint32_t> slot_vals;
-  std::vector<double> unique_costs;  // parallel output slots
+  std::vector<double> unique_costs;  // per-unique-pair output slots
   std::vector<common::Status> unique_statuses;
 
   // Bumped on every lease; lets tests observe that repeated batches reuse
@@ -62,10 +61,8 @@ struct BatchScratch {
 };
 
 // Leases the calling thread's BatchScratch for the duration of one batched
-// call. Reentrant use (a batch issued from inside another batch on the same
-// thread, e.g. an advisor called from evaluation code that is itself inside
-// a ParallelFor) falls back to a freshly allocated scratch — correct but
-// cold, which is fine: nested batches degrade to serial execution anyway.
+// call. Reentrant use (a batch issued while the same thread already holds
+// its lease) falls back to a freshly allocated scratch — correct but cold.
 class ScratchLease {
  public:
   ScratchLease();

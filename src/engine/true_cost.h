@@ -1,10 +1,6 @@
 #ifndef TRAP_ENGINE_TRUE_COST_H_
 #define TRAP_ENGINE_TRUE_COST_H_
 
-#include <cstddef>
-#include <vector>
-
-#include "common/thread_pool.h"
 #include "engine/cost_model.h"
 
 namespace trap::engine {
@@ -46,22 +42,16 @@ class TrueCostModel {
 };
 
 // Weighted "actual runtime" cost of a workload under `config` via the
-// true-cost oracle. `WorkloadT` is any type with a `queries` vector of
-// {query, weight} entries (workload::Workload; templated like
-// WhatIfOptimizer's batch APIs so the engine layer stays free of an upward
-// dependency on workload/). Per-query costs land in pre-sized slots and are
-// folded in query order, so the sum is bit-identical for any TRAP_THREADS
-// setting.
+// true-cost oracle, summed in query order. `WorkloadT` is any type with a
+// `queries` vector of {query, weight} entries (workload::Workload; templated
+// like WhatIfOptimizer's batch APIs so the engine layer stays free of an
+// upward dependency on workload/).
 template <typename WorkloadT>
 double ActualCost(const WorkloadT& w, const TrueCostModel& truth,
                   const IndexConfig& config) {
-  std::vector<double> costs(w.queries.size());
-  common::ParallelFor(w.queries.size(), [&](size_t i) {
-    costs[i] = truth.QueryCost(w.queries[i].query, config);
-  });
   double total = 0.0;
-  for (size_t i = 0; i < w.queries.size(); ++i) {
-    total += w.queries[i].weight * costs[i];
+  for (const auto& wq : w.queries) {
+    total += wq.weight * truth.QueryCost(wq.query, config);
   }
   return total;
 }

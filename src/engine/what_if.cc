@@ -269,7 +269,7 @@ common::Status WhatIfOptimizer::BatchCostCore(
   // occurrence (the "primary") is dispatched; duplicates copy its result at
   // fold time. Candidate sweeps routinely repeat configurations, and the
   // memo cache would serve the duplicates anyway — deduplicating first
-  // avoids even the cache lookups and keeps the parallel loop dense.
+  // avoids even the cache lookups.
   sc.uniques.clear();
   sc.item_to_unique.resize(items);
   // Re-arm the flat probe table: grow to the next power of two holding the
@@ -322,29 +322,26 @@ common::Status WhatIfOptimizer::BatchCostCore(
     Metrics().dup_pairs->Add(static_cast<int64_t>(dup_pairs));
   }
 
-  // Evaluate the unique set in parallel, in cache-friendly grains, writing
-  // into pre-sized slots (neighbouring slots are claimed by one thread, so
-  // output writes do not false-share across threads).
+  // Evaluate the unique set on the calling thread into pre-sized slots.
+  // Statuses are pre-filled kCancelled, so items skipped once ctx.cancel
+  // trips stay accounted for.
   sc.unique_costs.assign(sc.uniques.size(), 0.0);
   sc.unique_statuses.assign(
       sc.uniques.size(),
       common::Status::Cancelled("skipped: evaluation cancelled"));
-  common::ThreadPool& pool =
-      ctx.pool != nullptr ? *ctx.pool : common::GlobalPool();
-  const size_t grain =
-      common::ThreadPool::GrainFor(sc.uniques.size(), pool.num_threads());
-  pool.ParallelForGrained(
-      sc.uniques.size(), grain,
-      [&](size_t u) {
-        const BatchScratch::UniquePair p = sc.uniques[u];
-        sc.unique_statuses[u] = CachedCostStatus(
-            *epoch, *sc.query_ptrs[p.qi], sc.query_fps[p.qi], sc.shapes[p.qi],
-            sc.config_fps[p.ci], configs[p.ci], ctx, &sc.unique_costs[u]);
-      },
-      ctx.cancel);
+  for (size_t u = 0; u < sc.uniques.size(); ++u) {
+    if (ctx.cancel != nullptr &&
+        (ctx.cancel->cancelled() || ctx.cancel->expired())) {
+      break;
+    }
+    const BatchScratch::UniquePair p = sc.uniques[u];
+    sc.unique_statuses[u] = CachedCostStatus(
+        *epoch, *sc.query_ptrs[p.qi], sc.query_fps[p.qi], sc.shapes[p.qi],
+        sc.config_fps[p.ci], configs[p.ci], ctx, &sc.unique_costs[u]);
+  }
 
-  // Serial fold in input order: bit-identical totals and first-error
-  // selection for any thread count.
+  // Fold in input order: totals and the first error match an undeduplicated
+  // per-item loop bit for bit.
   for (size_t c = 0; c < nc; ++c) {
     double total = 0.0;
     for (size_t i = 0; i < nq; ++i) {

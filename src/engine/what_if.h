@@ -15,7 +15,6 @@
 #include "common/deadline.h"
 #include "common/rng.h"
 #include "common/status.h"
-#include "common/thread_pool.h"
 #include "engine/cost_model.h"
 #include "engine/query_shape.h"
 #include "engine/scratch.h"
@@ -39,9 +38,9 @@ namespace trap::engine {
 //     CostModel's allocation-free cost kernel; only access-path and probe
 //     selection run per (query, config) pair.
 //   * Batched entry points fingerprint each query and configuration once,
-//     deduplicate identical (query_fp, config_fp) items before dispatch,
-//     and fan only the unique set out over the pool in cache-friendly
-//     grains (ThreadPool::ParallelForGrained).
+//     deduplicate identical (query_fp, config_fp) items, and cost only the
+//     unique set, serially on the calling thread. Fanning batches out over
+//     a thread pool measured slower than one thread (DESIGN.md §3a).
 //   * All per-batch bookkeeping lives in a per-thread scratch arena
 //     (engine/scratch.h), so a steady-state batch performs no heap
 //     allocation outside the memo caches themselves.
@@ -50,16 +49,16 @@ namespace trap::engine {
 // caches are sharded N ways with a per-shard mutex (shard picked from the
 // key's high bits, since HashCombine mixes well there; shards are
 // cache-line aligned so neighbouring shard locks do not false-share), and
-// the call/miss counters are atomic. Batched results are bit-identical for
-// any TRAP_THREADS setting: per-item costs are written into pre-sized slots
-// and reduced serially in input order.
+// the call/miss counters are atomic. Concurrent callers sharing one
+// optimizer get bit-identical results: each batch folds its per-item costs
+// in input order, and a cache entry holds the same value whichever caller
+// filled it.
 //
 // Error handling: the Try* entry points are the *canonical* fallible core
-// -- they honor the EvalContext (step budget, cancellation, pool choice,
-// trace sink) and surface injected faults and internal inconsistencies as
+// -- they honor the EvalContext (step budget, cancellation, trace sink) and surface injected faults and internal inconsistencies as
 // Statuses. Batched Try* calls aggregate per-item Statuses by picking the
 // first error in *input order*, so the returned Status is bit-identical
-// across thread counts. Deduplicated items keep the accounting of the
+// across runs. Deduplicated items keep the accounting of the
 // pre-dedup path: every item still charges one step and counts one call,
 // and duplicates inherit their primary's Status (fault draws key on the
 // (query_fp, config_fp) pair, so a duplicate would have drawn the same
@@ -126,8 +125,8 @@ class WhatIfOptimizer {
                                  const IndexConfig& config,
                                  const common::EvalContext& ctx = {}) const;
 
-  // Batched: weighted workload cost, with per-query what-if calls evaluated
-  // in parallel on ctx.pool (global pool when null). `WorkloadT` is any
+  // Batched: weighted workload cost, one what-if call per query, folded in
+  // query order. `WorkloadT` is any
   // type with a `queries` container of {query, weight} items
   // (workload::Workload; templated to keep the engine layer free of an
   // upward dependency). Shim over TryWorkloadCost: degrades errors to
@@ -160,7 +159,7 @@ class WhatIfOptimizer {
   }
 
   // Batched candidate-benefit sweep: weighted workload cost under each of
-  // `configs`, all unique (query, config) pairs evaluated in parallel.
+  // `configs`, each unique (query, config) pair evaluated once.
   // Entry k of the result corresponds to configs[k]. Shim over
   // TryWorkloadCosts: degrades errors to +infinity.
   template <typename WorkloadT>
@@ -194,8 +193,8 @@ class WhatIfOptimizer {
     return totals;
   }
 
-  // Batched: cost of one query under each of `configs` (parallel,
-  // order-preserving) — the inner loop of per-query greedy searches.
+  // Batched: cost of one query under each of `configs` (order-preserving)
+  // — the inner loop of per-query greedy searches.
   // Shim over TryQueryCosts: degrades errors to +infinity per entry.
   std::vector<double> QueryCosts(const sql::Query& q,
                                  const std::vector<IndexConfig>& configs,
@@ -240,8 +239,8 @@ class WhatIfOptimizer {
     return num_calls_.load(std::memory_order_relaxed);
   }
   // Misses are counted once per cache entry actually inserted, so the count
-  // is deterministic across thread counts even when two threads race to
-  // fill the same entry.
+  // is deterministic even when two concurrent callers race to fill the same
+  // entry.
   int64_t num_cache_misses() const {
     return num_misses_.load(std::memory_order_relaxed);
   }
@@ -328,8 +327,8 @@ class WhatIfOptimizer {
   // The shared batched core behind TryWorkloadCost / TryWorkloadCosts /
   // TryQueryCosts: fingerprints queries (sc.query_ptrs, size nq) and
   // configs once, dedups identical (query_fp, config_fp) items, evaluates
-  // the unique set in parallel grains, and folds totals[0..nc) serially in
-  // input order (weights from sc.weights when `weighted`).
+  // the unique set on the calling thread, and folds totals[0..nc) in input
+  // order (weights from sc.weights when `weighted`).
   common::Status BatchCostCore(BatchScratch& sc, size_t nq,
                                const IndexConfig* configs, size_t nc,
                                bool weighted, BatchKind kind,

@@ -104,8 +104,7 @@ common::Status Server::Run() {
       DrainConnection(conn_of_fd[k - 1], &shutdown);
     }
     // Execution phase: serve the admitted queue serially, in admission
-    // order. Intra-request parallelism (the engine's batched fan-out) is
-    // the only concurrency, so responses are bit-identical across
+    // order, on this thread, so responses are bit-identical across
     // TRAP_THREADS settings.
     for (Admitted& admitted : queue_) {
       const common::rpc::Response resp =

@@ -31,10 +31,10 @@ struct ServerOptions {
 // frame first, so a client built against a different protocol fails its
 // very first read instead of misparsing.
 //
-// Concurrency model: one thread, serial execution in admission order --
-// parallelism lives *inside* a request (the engine's batched what-if fan
-// -out over the global pool), not across requests, so a session's
-// responses are bit-identical for every TRAP_THREADS value. Each request
+// Concurrency model: one thread, serial execution in admission order; each
+// request also evaluates on that thread (the engine's what-if batches are
+// serial), so a session's responses are bit-identical for every
+// TRAP_THREADS value. Each request
 // pins SnapshotManager::Current() at the moment its frame is decoded
 // (admission time): a snapshot_stats publish only governs requests admitted
 // after it, and requests already admitted keep their pinned epoch.

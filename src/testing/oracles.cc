@@ -68,8 +68,9 @@ std::optional<std::string> CheckMonotone(OracleEnv& env, const Reproducer& r) {
   return std::nullopt;
 }
 
-// (c): batched costs on 1/4/8-thread pools are bit-identical to a serial
-// per-query fold through a fresh optimizer.
+// (c): batched costs issued concurrently from every lane of a 1/4/8-thread
+// pool, all sharing one fresh optimizer, are bit-identical to a serial
+// per-query fold through another fresh optimizer.
 std::optional<std::string> CheckParallelDeterminism(OracleEnv& env,
                                                     const Reproducer& r) {
   const catalog::Schema& schema = *env.schema;
@@ -91,24 +92,30 @@ std::optional<std::string> CheckParallelDeterminism(OracleEnv& env,
 
   common::ThreadPool* pools[] = {&env.pool1, &env.pool4, &env.pool8};
   for (common::ThreadPool* pool : pools) {
-    engine::WhatIfOptimizer fresh(schema);
-    common::EvalContext ctx;
-    ctx.pool = pool;
-    std::vector<double> got = fresh.WorkloadCosts(r.workload, configs, ctx);
-    for (size_t c = 0; c < configs.size(); ++c) {
-      if (got[c] != want[c]) {
-        return common::StrFormat(
-            "config %zu: WorkloadCosts on a %d-thread pool returned %.17g, "
-            "serial fold returned %.17g (must be bit-identical)",
-            c, pool->num_threads(), got[c], want[c]);
+    engine::WhatIfOptimizer shared(schema);
+    const size_t lanes = static_cast<size_t>(pool->num_threads());
+    std::vector<std::vector<double>> got(lanes);
+    std::vector<double> scalar(lanes);
+    pool->ParallelFor(lanes, [&](size_t lane) {
+      got[lane] = shared.WorkloadCosts(r.workload, configs);
+      scalar[lane] = shared.WorkloadCost(r.workload, configs.back());
+    });
+    for (size_t lane = 0; lane < lanes; ++lane) {
+      for (size_t c = 0; c < configs.size(); ++c) {
+        if (got[lane][c] != want[c]) {
+          return common::StrFormat(
+              "config %zu: WorkloadCosts from lane %zu of %zu concurrent "
+              "callers returned %.17g, serial fold returned %.17g (must be "
+              "bit-identical)",
+              c, lane, lanes, got[lane][c], want[c]);
+        }
       }
-    }
-    double scalar = fresh.WorkloadCost(r.workload, configs.back(), ctx);
-    if (scalar != want.back()) {
-      return common::StrFormat(
-          "WorkloadCost on a %d-thread pool returned %.17g, serial fold "
-          "returned %.17g",
-          pool->num_threads(), scalar, want.back());
+      if (scalar[lane] != want.back()) {
+        return common::StrFormat(
+            "WorkloadCost from lane %zu of %zu concurrent callers returned "
+            "%.17g, serial fold returned %.17g",
+            lane, lanes, scalar[lane], want.back());
+      }
     }
   }
   return std::nullopt;
@@ -317,18 +324,16 @@ std::optional<std::string> CheckAdvisorContract(OracleEnv& env,
 int DriftEpisodes(const Reproducer& r) { return std::clamp(r.epsilon, 1, 4); }
 
 // Runs one drift replay over the reproducer's workload: a heuristic advisor
-// re-advising through `optimizer` (which the loop flips between statistics
-// epochs) on `pool`.
+// re-advising through `optimizer`, which the loop costs under each
+// episode's statistics snapshot.
 common::StatusOr<drift::ReplayResult> RunDriftLoop(
-    OracleEnv& env, const Reproducer& r, engine::WhatIfOptimizer& optimizer,
-    common::ThreadPool* pool) {
+    OracleEnv& env, const Reproducer& r, engine::WhatIfOptimizer& optimizer) {
   std::unique_ptr<advisor::IndexAdvisor> adv =
       MakeAdvisorById(r.advisor, optimizer);
   advisor::TuningConstraint constraint;
   constraint.storage_budget_bytes = r.storage_budget;
   constraint.max_indexes = r.max_indexes;
   common::EvalContext ctx;
-  ctx.pool = pool;
   engine::IndexConfig initial = adv->TryRecommend(r.workload, constraint, ctx)
                                     .value_or(engine::IndexConfig{});
   drift::EpisodeStream stream(env.vocab, r.workload, drift::DriftSpec{},
@@ -344,46 +349,51 @@ common::StatusOr<drift::ReplayResult> RunDriftLoop(
   return loop.TryRun(stream, std::move(initial), readvise, ctx);
 }
 
-// (g): the drift replay is bit-identical across 1/4/8-thread pools — same
+// (g): the drift replay is bit-identical when 1, 4 or 8 lanes of a pool run
+// it concurrently, each pool's lanes sharing one fresh optimizer — same
 // episode fingerprints, same stale/fresh costs, same regret series.
 std::optional<std::string> CheckEpisodeDeterminism(OracleEnv& env,
                                                    const Reproducer& r) {
   common::ThreadPool* pools[] = {&env.pool1, &env.pool4, &env.pool8};
   std::optional<drift::ReplayResult> want;
-  int want_threads = 0;
   for (common::ThreadPool* pool : pools) {
-    engine::WhatIfOptimizer fresh(*env.schema);
-    common::StatusOr<drift::ReplayResult> got =
-        RunDriftLoop(env, r, fresh, pool);
-    if (!got.ok()) {
-      return common::StrFormat("drift replay failed on a %d-thread pool: %s",
-                               pool->num_threads(),
-                               got.status().ToString().c_str());
-    }
-    if (!want.has_value()) {
-      want = *std::move(got);
-      want_threads = pool->num_threads();
-      continue;
-    }
-    if (got->series_fp != want->series_fp) {
-      return common::StrFormat(
-          "regret series digest 0x%016llx on a %d-thread pool, 0x%016llx on "
-          "a %d-thread pool (must be bit-identical)",
-          static_cast<unsigned long long>(got->series_fp),
-          pool->num_threads(),
-          static_cast<unsigned long long>(want->series_fp), want_threads);
-    }
-    for (size_t e = 0; e < want->episodes.size(); ++e) {
-      const drift::EpisodeResult& a = want->episodes[e];
-      const drift::EpisodeResult& b = got->episodes[e];
-      if (a.episode_fp != b.episode_fp || a.stale_cost != b.stale_cost ||
-          a.fresh_cost != b.fresh_cost || a.regret != b.regret) {
+    engine::WhatIfOptimizer shared(*env.schema);
+    const size_t lanes = static_cast<size_t>(pool->num_threads());
+    std::vector<std::optional<common::StatusOr<drift::ReplayResult>>> runs(
+        lanes);
+    pool->ParallelFor(lanes, [&](size_t lane) {
+      runs[lane].emplace(RunDriftLoop(env, r, shared));
+    });
+    for (size_t lane = 0; lane < lanes; ++lane) {
+      const common::StatusOr<drift::ReplayResult>& got = *runs[lane];
+      if (!got.ok()) {
         return common::StrFormat(
-            "episode %zu diverged between %d- and %d-thread pools: "
-            "stale %.17g vs %.17g, fresh %.17g vs %.17g, regret %.17g vs "
-            "%.17g",
-            e, want_threads, pool->num_threads(), a.stale_cost, b.stale_cost,
-            a.fresh_cost, b.fresh_cost, a.regret, b.regret);
+            "drift replay failed in lane %zu of %zu concurrent callers: %s",
+            lane, lanes, got.status().ToString().c_str());
+      }
+      if (!want.has_value()) {
+        want = *got;
+        continue;
+      }
+      if (got->series_fp != want->series_fp) {
+        return common::StrFormat(
+            "regret series digest 0x%016llx in lane %zu of %zu concurrent "
+            "callers, 0x%016llx serially (must be bit-identical)",
+            static_cast<unsigned long long>(got->series_fp), lane, lanes,
+            static_cast<unsigned long long>(want->series_fp));
+      }
+      for (size_t e = 0; e < want->episodes.size(); ++e) {
+        const drift::EpisodeResult& a = want->episodes[e];
+        const drift::EpisodeResult& b = got->episodes[e];
+        if (a.episode_fp != b.episode_fp || a.stale_cost != b.stale_cost ||
+            a.fresh_cost != b.fresh_cost || a.regret != b.regret) {
+          return common::StrFormat(
+              "episode %zu diverged between the serial run and lane %zu of "
+              "%zu concurrent callers: stale %.17g vs %.17g, fresh %.17g vs "
+              "%.17g, regret %.17g vs %.17g",
+              e, lane, lanes, a.stale_cost, b.stale_cost, a.fresh_cost,
+              b.fresh_cost, a.regret, b.regret);
+        }
       }
     }
   }
@@ -397,7 +407,7 @@ std::optional<std::string> CheckRegretSanity(OracleEnv& env,
                                              const Reproducer& r) {
   engine::WhatIfOptimizer fresh(*env.schema);
   common::StatusOr<drift::ReplayResult> got =
-      RunDriftLoop(env, r, fresh, nullptr);
+      RunDriftLoop(env, r, fresh);
   if (!got.ok()) {
     return common::StrFormat("drift replay failed: %s",
                              got.status().ToString().c_str());

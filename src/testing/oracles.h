@@ -26,9 +26,10 @@ using PerturbationConstraint = ::trap::trap::PerturbationConstraint;
 //   add-index-monotone     adding one index never increases QueryCost;
 //   superset-monotone      cost under a configuration superset is never
 //                          above the subset's cost;
-//   parallel-determinism   WorkloadCost(s) on pools of 1, 4 and 8 threads
-//                          are bit-identical (differential: parallel vs the
-//                          serial fold);
+//   parallel-determinism   WorkloadCost(s) issued concurrently from 1, 4
+//                          and 8 lanes sharing one optimizer are
+//                          bit-identical in every lane (differential:
+//                          concurrent callers vs the serial fold);
 //   cache-coherence        a cache-warm shared optimizer, a freshly built
 //                          optimizer, and a repeated call all agree exactly
 //                          (catches fingerprint collisions / stale entries);
@@ -40,9 +41,10 @@ using PerturbationConstraint = ::trap::trap::PerturbationConstraint;
 //   advisor-contract       advisor recommendations respect the storage and
 //                          index-count budgets and contain only well-formed
 //                          candidate indexes over workload columns;
-//   episode-determinism    a drift ReplayLoop on pools of 1, 4 and 8
-//                          threads yields bit-identical episode
-//                          fingerprints, costs, and regret series;
+//   episode-determinism    a drift ReplayLoop run concurrently from 1, 4
+//                          and 8 lanes sharing one optimizer yields
+//                          bit-identical episode fingerprints, costs, and
+//                          regret series in every lane;
 //   regret-sanity          per-episode regret is finite and >= 0, and the
 //                          loop's reported stale/fresh costs match an
 //                          independent recomputation on a fresh optimizer
@@ -85,8 +87,8 @@ std::vector<OracleId> AllOracles();
 
 // Long-lived oracle environment: the vocabulary, a shared what-if optimizer
 // whose cache warms across cases (deliberately — cache-coherence compares it
-// against fresh optimizers), and fixed-size pools for the determinism
-// oracle.
+// against fresh optimizers), and fixed-size pools whose lanes act as
+// concurrent callers for the determinism oracles.
 struct OracleEnv {
   explicit OracleEnv(const catalog::Schema& schema_in);
 

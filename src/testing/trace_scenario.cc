@@ -46,12 +46,11 @@ common::Status RunTraceScenario(const TraceScenarioOptions& options,
   obs_sink.trace = sink;
   common::EvalContext ctx;
   ctx.obs = &obs_sink;
-  ctx.pool = options.pool;
   obs::TraceSpan scenario(ctx, "scenario", options.seed);
   const common::EvalContext& sctx = scenario.ctx();
 
   // Phase 1: the batched candidate sweep every advisor round funnels
-  // through, on the global (TRAP_THREADS-sized) pool.
+  // through.
   {
     obs::TraceSpan phase(sctx, "scenario.whatif_sweep", 1);
     std::vector<engine::IndexConfig> configs;
@@ -61,10 +60,22 @@ common::Status RunTraceScenario(const TraceScenarioOptions& options,
       cfg.Add(engine::Index{{schema->ColumnFromGlobalIndex(g)}});
       configs.push_back(cfg);
     }
-    TRAP_ASSIGN_OR_RETURN(
-        std::vector<double> costs,
-        optimizer.TryWorkloadCosts(w, configs, phase.ctx()));
-    phase.AddArg("configs", static_cast<int64_t>(costs.size()));
+    if (options.pool == nullptr) {
+      TRAP_ASSIGN_OR_RETURN(
+          std::vector<double> costs,
+          optimizer.TryWorkloadCosts(w, configs, phase.ctx()));
+      phase.AddArg("configs", static_cast<int64_t>(costs.size()));
+    } else {
+      std::vector<common::Status> statuses(configs.size());
+      options.pool->ParallelFor(configs.size(), [&](size_t c) {
+        statuses[c] =
+            optimizer.TryWorkloadCost(w, configs[c], phase.ctx()).status();
+      });
+      for (const common::Status& status : statuses) {
+        TRAP_RETURN_IF_ERROR(status);
+      }
+      phase.AddArg("configs", static_cast<int64_t>(configs.size()));
+    }
   }
 
   // Phase 2: one recommendation through the fault-tolerant retry runtime.

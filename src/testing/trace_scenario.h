@@ -11,11 +11,11 @@
 namespace trap::proptest {
 
 // A small, fully deterministic end-to-end evaluation used to exercise the
-// observability layer: a batched what-if sweep over the global thread pool,
-// one advisor recommendation through the retry runtime, and one random
-// perturber pass. The same options produce bit-identical metric and trace
-// digests for every TRAP_THREADS value — the invariant obs_test and
-// check.sh assert, and the workload trap_trace replays for humans.
+// observability layer: a batched what-if sweep, one advisor recommendation
+// through the retry runtime, and one random perturber pass. The same
+// options produce bit-identical metric and trace digests on every run and
+// for every TRAP_THREADS value — the invariant obs_test and check.sh
+// assert, and the workload trap_trace replays for humans.
 struct TraceScenarioOptions {
   std::string schema = "tpch";     // tpch | tpcds | transaction
   std::string advisor = "Extend";  // any advisor::AdvisorTable() row name
@@ -24,9 +24,11 @@ struct TraceScenarioOptions {
   int workload_size = 4;           // queries per workload
   int sweep_columns = 8;           // single-column configs in the sweep
 
-  // Thread pool for batched fan-out. Not owned; nullptr means the
-  // TRAP_THREADS-sized global pool. obs_test runs the scenario with pools
-  // of several sizes and asserts the digests match.
+  // Concurrent callers for the sweep. Not owned. nullptr costs the whole
+  // sweep as one batch on the calling thread; a pool splits it into one
+  // batch per config, issued from the pool's lanes against the shared
+  // optimizer. obs_test runs the split sweep on pools of several sizes and
+  // asserts the digests match.
   common::ThreadPool* pool = nullptr;
 };
 

@@ -250,64 +250,49 @@ TEST(ThreadPoolTest, ConcurrentReductionIntoSlotsIsDeterministic) {
   EXPECT_EQ(serial, parallel);  // bit-identical, not just approximately
 }
 
-TEST(ThreadPoolTest, GrainForClampsToSaneChunkSizes) {
-  // ~4 chunks per lane, clamped to [1, 64].
-  EXPECT_EQ(ThreadPool::GrainFor(0, 4), 1u);
-  EXPECT_EQ(ThreadPool::GrainFor(8, 4), 1u);
-  EXPECT_EQ(ThreadPool::GrainFor(64, 4), 4u);
-  EXPECT_EQ(ThreadPool::GrainFor(100000, 4), 64u);
-  EXPECT_EQ(ThreadPool::GrainFor(100, 1), 25u);
-}
-
-TEST(ThreadPoolTest, ParallelForGrainedRunsEveryIterationOnce) {
-  ThreadPool pool(4);
-  for (size_t grain : {1u, 3u, 7u, 64u, 1000u}) {
-    std::vector<int> hits(257, 0);
-    pool.ParallelForGrained(hits.size(), grain,
-                            [&](size_t i) { ++hits[i]; });
-    for (size_t i = 0; i < hits.size(); ++i) {
-      ASSERT_EQ(hits[i], 1) << "grain=" << grain << " i=" << i;
-    }
-  }
-}
-
-TEST(ThreadPoolTest, SmallBatchRunsInlineWithoutWakingWorkers) {
-  // n <= grain takes the inline fast path: every iteration runs on the
-  // submitting thread (no worker handoff, no closure allocation).
-  ThreadPool pool(4);
+TEST(ThreadPoolTest, SerialPoolRunsInlineOnCallingThread) {
+  // A pool without workers runs every iteration on the submitting thread,
+  // inside a parallel loop as far as nested calls are concerned.
+  ThreadPool pool(1);
   const std::thread::id self = std::this_thread::get_id();
   std::vector<std::thread::id> ran(8);
-  pool.ParallelForGrained(ran.size(), /*grain=*/8, [&](size_t i) {
+  pool.ParallelFor(ran.size(), [&](size_t i) {
     ran[i] = std::this_thread::get_id();
     EXPECT_TRUE(ThreadPool::InParallelLoop());
   });
   for (const std::thread::id& id : ran) EXPECT_EQ(id, self);
-  // Same for the n == 1 fast path of the ungrained entry point.
-  std::thread::id one;
-  pool.ParallelFor(1, [&](size_t) { one = std::this_thread::get_id(); });
-  EXPECT_EQ(one, self);
+  EXPECT_FALSE(ThreadPool::InParallelLoop());
 }
 
-TEST(ThreadPoolTest, ParallelForGrainedCancelSkipsRemainingWork) {
-  ThreadPool pool(2);
-  CancelToken cancel;
-  cancel.Cancel();
-  std::atomic<int> calls{0};
-  pool.ParallelForGrained(1000, 8, [&](size_t) { ++calls; }, &cancel);
-  EXPECT_EQ(calls.load(), 0);  // pre-cancelled: fast drain, no body runs
+TEST(ThreadPoolTest, ParallelForGrainedRunsEveryIterationOnce) {
+  // Workers claim one iteration at a time; whatever the loop size and pool
+  // width, each index runs exactly once.
+  for (int threads : {1, 4}) {
+    ThreadPool pool(threads);
+    for (size_t n : {1u, 3u, 7u, 64u, 257u, 1000u}) {
+      std::vector<int> hits(n, 0);
+      pool.ParallelFor(n, [&](size_t i) { ++hits[i]; });
+      for (size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(hits[i], 1) << "threads=" << threads << " n=" << n
+                              << " i=" << i;
+      }
+    }
+  }
 }
 
 TEST(ThreadPoolTest, ParallelForGrainedPropagatesException) {
+  // A single throwing iteration deep in the batch surfaces on the caller,
+  // and the pool runs the next batch in full.
   ThreadPool pool(4);
-  EXPECT_THROW(pool.ParallelForGrained(100, 4,
-                                       [](size_t i) {
-                                         if (i == 57) {
-                                           throw std::runtime_error("boom");
-                                         }
-                                       }),
+  EXPECT_THROW(pool.ParallelFor(100,
+                                [](size_t i) {
+                                  if (i == 57) {
+                                    throw std::runtime_error("boom");
+                                  }
+                                }),
                std::runtime_error);
   std::atomic<int> ok{0};
-  pool.ParallelForGrained(100, 4, [&](size_t) { ++ok; });
+  pool.ParallelFor(100, [&](size_t) { ++ok; });
   EXPECT_EQ(ok.load(), 100);
 }
 

@@ -374,10 +374,21 @@ struct MiniWorkload {
   std::vector<Item> queries;
 };
 
+// Calls `fn` once from each lane of a `lanes`-thread pool, concurrently,
+// and returns the results in lane order.
+template <typename Fn>
+auto FromConcurrentLanes(int lanes, const Fn& fn) {
+  std::vector<decltype(fn())> results(static_cast<size_t>(lanes));
+  common::ThreadPool pool(lanes);
+  pool.ParallelFor(results.size(), [&](size_t lane) { results[lane] = fn(); });
+  return results;
+}
+
 TEST_F(EngineTest, SerialAndParallelWorkloadCostBitIdentical) {
-  // The TRAP_THREADS=4 scenario via an explicit 4-thread pool: batched
-  // costing must match the serial per-query sum exactly, and the
-  // insertion-based miss counter must not depend on the thread count.
+  // 1, 4 and 8 concurrent callers sharing one optimizer: every caller's
+  // batched cost must match the serial per-query sum exactly, and the
+  // insertion-based miss counter must not depend on how many callers raced
+  // to fill the cache.
   MiniWorkload w;
   for (int i = 0; i < 12; ++i) {
     sql::Query q = LineitemQuery(i % 2 == 0 ? CmpOp::kEq : CmpOp::kLt);
@@ -393,20 +404,20 @@ TEST_F(EngineTest, SerialAndParallelWorkloadCostBitIdentical) {
     serial_total += wq.weight * serial_opt.QueryCost(wq.query, config);
   }
 
-  common::ThreadPool pool(4);
-  common::EvalContext pool_ctx;
-  pool_ctx.pool = &pool;
-  WhatIfOptimizer parallel_opt(schema_);
-  double parallel_total = parallel_opt.WorkloadCost(w, config, pool_ctx);
+  for (int lanes : {1, 4, 8}) {
+    WhatIfOptimizer shared(schema_);
+    for (double total : FromConcurrentLanes(
+             lanes, [&] { return shared.WorkloadCost(w, config); })) {
+      EXPECT_EQ(total, serial_total) << "lanes=" << lanes;  // bit-identical
+    }
+    EXPECT_EQ(shared.num_calls(), lanes * serial_opt.num_calls());
+    EXPECT_EQ(shared.num_cache_misses(), serial_opt.num_cache_misses());
 
-  EXPECT_EQ(serial_total, parallel_total);  // bit-identical
-  EXPECT_EQ(parallel_opt.num_calls(), serial_opt.num_calls());
-  EXPECT_EQ(parallel_opt.num_cache_misses(), serial_opt.num_cache_misses());
-
-  // Re-costing the same workload is all cache hits on both sides.
-  (void)parallel_opt.WorkloadCost(w, config, pool_ctx);
-  EXPECT_EQ(parallel_opt.num_calls(), 2 * serial_opt.num_calls());
-  EXPECT_EQ(parallel_opt.num_cache_misses(), serial_opt.num_cache_misses());
+    // Re-costing the same workload is all cache hits.
+    (void)shared.WorkloadCost(w, config);
+    EXPECT_EQ(shared.num_calls(), (lanes + 1) * serial_opt.num_calls());
+    EXPECT_EQ(shared.num_cache_misses(), serial_opt.num_cache_misses());
+  }
 }
 
 TEST_F(EngineTest, BatchedConfigSweepMatchesSerial) {
@@ -425,19 +436,21 @@ TEST_F(EngineTest, BatchedConfigSweepMatchesSerial) {
   two.Add(Index{{Col("lineitem", "l_quantity")}});
   configs.push_back(two);
 
-  common::ThreadPool pool(4);
-  common::EvalContext pool_ctx;
-  pool_ctx.pool = &pool;
-  WhatIfOptimizer opt(schema_);
-  std::vector<double> swept = opt.WorkloadCosts(w, configs, pool_ctx);
-  ASSERT_EQ(swept.size(), configs.size());
   WhatIfOptimizer ref(schema_);
-  for (size_t c = 0; c < configs.size(); ++c) {
+  std::vector<double> want;
+  for (const IndexConfig& config : configs) {
     double expected = 0.0;
     for (const auto& wq : w.queries) {
-      expected += wq.weight * ref.QueryCost(wq.query, configs[c]);
+      expected += wq.weight * ref.QueryCost(wq.query, config);
     }
-    EXPECT_EQ(swept[c], expected);
+    want.push_back(expected);
+  }
+  for (int lanes : {1, 4, 8}) {
+    WhatIfOptimizer shared(schema_);
+    for (const std::vector<double>& swept : FromConcurrentLanes(
+             lanes, [&] { return shared.WorkloadCosts(w, configs); })) {
+      EXPECT_EQ(swept, want) << "lanes=" << lanes;
+    }
   }
 }
 
@@ -571,36 +584,31 @@ TEST_F(EngineTest, BatchDedupMatchesSerialAndKeepsAccounting) {
   configs[1].Add(Index{{Col("lineitem", "l_shipdate")}});
   configs.push_back(configs[1]);
 
-  common::ThreadPool pool(4);
-  common::EvalContext ctx;
-  ctx.pool = &pool;
-  WhatIfOptimizer opt(schema_);
-  std::vector<double> swept = opt.WorkloadCosts(w, configs, ctx);
-  ASSERT_EQ(swept.size(), configs.size());
-  // Pre-dedup accounting: every (query, config) item charges one call...
-  EXPECT_EQ(opt.num_calls(),
-            static_cast<int64_t>(w.queries.size() * configs.size()));
-  // ...but only the distinct pairs were ever evaluated or cached.
-  EXPECT_EQ(opt.num_cache_misses(), 5 * 2);
-  EXPECT_EQ(opt.cache_size(), 10u);
-
   WhatIfOptimizer ref(schema_);
-  for (size_t c = 0; c < configs.size(); ++c) {
+  std::vector<double> want;
+  for (const IndexConfig& config : configs) {
     double expected = 0.0;
     for (const auto& wq : w.queries) {
-      expected += wq.weight * ref.QueryCost(wq.query, configs[c]);
+      expected += wq.weight * ref.QueryCost(wq.query, config);
     }
-    EXPECT_EQ(swept[c], expected);
+    want.push_back(expected);
   }
 
-  // A 1-thread pool folds the same batch to the same bits.
-  common::ThreadPool serial_pool(1);
-  common::EvalContext serial_ctx;
-  serial_ctx.pool = &serial_pool;
-  WhatIfOptimizer serial_opt(schema_);
-  EXPECT_EQ(serial_opt.WorkloadCosts(w, configs, serial_ctx), swept);
-  EXPECT_EQ(serial_opt.num_calls(), opt.num_calls());
-  EXPECT_EQ(serial_opt.num_cache_misses(), opt.num_cache_misses());
+  // 1, 4 and 8 concurrent callers on one optimizer fold the batch to the
+  // same bits as the serial reference.
+  const int64_t items = static_cast<int64_t>(w.queries.size() * configs.size());
+  for (int lanes : {1, 4, 8}) {
+    WhatIfOptimizer shared(schema_);
+    for (const std::vector<double>& swept : FromConcurrentLanes(
+             lanes, [&] { return shared.WorkloadCosts(w, configs); })) {
+      EXPECT_EQ(swept, want) << "lanes=" << lanes;
+    }
+    // Pre-dedup accounting: every (query, config) item charges one call...
+    EXPECT_EQ(shared.num_calls(), lanes * items);
+    // ...but only the distinct pairs were ever evaluated or cached.
+    EXPECT_EQ(shared.num_cache_misses(), 5 * 2);
+    EXPECT_EQ(shared.cache_size(), 10u);
+  }
 }
 
 TEST_F(EngineTest, TrueCostDivergesButCorrelates) {
@@ -872,7 +880,6 @@ TEST_F(EngineTest, SnapshotPublishDuringConcurrentBatchedCostsIsAtomic) {
     // request does at admission.
     const std::shared_ptr<const catalog::Snapshot> pinned = manager.Current();
     common::EvalContext ctx;
-    ctx.pool = &pool;
     ctx.snapshot = pinned.get();
     got[i] = opt.WorkloadCosts(w, configs, ctx);
   });
@@ -900,11 +907,7 @@ TEST_F(EngineTest, ClearCacheDuringConcurrentWorkloadCostsIsSafe) {
       opt.ClearCache();
       return;
     }
-    // Nested ParallelFor degrades to serial inside the pool; concurrency
-    // comes from the other outer iterations.
-    common::EvalContext ctx;
-    ctx.pool = &pool;
-    got[i] = opt.WorkloadCosts(w, configs, ctx);
+    got[i] = opt.WorkloadCosts(w, configs);
   });
   for (size_t i = 0; i < kRounds; ++i) {
     if (i % 8 == 0) continue;

@@ -362,19 +362,17 @@ TEST(FaultSiteTest, TryIndexUtilityRecordsFailuresAndKeepsRunning) {
 // Determinism of the whole trajectory
 // ---------------------------------------------------------------------------
 
-std::vector<advisor::FailureRecord> RunTrajectory(common::ThreadPool* pool) {
+// Runs three advisors through the retry runtime and returns the failure
+// records. Each call builds its own FaultEnv: cost_error draws happen only on
+// cache misses, so a cache shared between concurrent callers would make
+// fault fates depend on which caller filled an entry first. The caller arms
+// the fault registry, which is process-global.
+std::vector<advisor::FailureRecord> RunTrajectory() {
   FaultEnv env;
-  ScopedFaultSpec scoped(
-      "engine.whatif.cost_error@p=0.02,advisor.recommend.fail@p=0.3", 21);
-  engine::TrueCostModel truth(env.schema);
-  advisor::RobustnessEvaluator evaluator(env.optimizer, truth);
   std::vector<advisor::FailureRecord> failures;
   for (const char* name : {"Extend", "AutoAdmin", "Drop"}) {
     std::unique_ptr<advisor::IndexAdvisor> adv =
-        name == std::string("Extend")  ? *advisor::MakeAdvisor("Extend", env.optimizer)
-        : name == std::string("AutoAdmin")
-            ? *advisor::MakeAdvisor("AutoAdmin", env.optimizer)
-            : *advisor::MakeAdvisor("Drop", env.optimizer);
+        *advisor::MakeAdvisor(name, env.optimizer);
     common::CancelToken token(200000);
     EvalContext ctx;
     ctx.cancel = &token;
@@ -385,7 +383,6 @@ std::vector<advisor::FailureRecord> RunTrajectory(common::ThreadPool* pool) {
       failures.push_back(advisor::MakeFailureRecord(name, outcome));
     }
   }
-  (void)pool;
   return failures;
 }
 
@@ -403,17 +400,20 @@ bool SameRecords(const std::vector<advisor::FailureRecord>& a,
 }
 
 TEST(FaultDeterminismTest, FailureRecordsIdenticalAcrossRunsAndThreadCounts) {
-  std::vector<advisor::FailureRecord> serial_run = RunTrajectory(nullptr);
-  std::vector<advisor::FailureRecord> repeat = RunTrajectory(nullptr);
+  ScopedFaultSpec scoped(
+      "engine.whatif.cost_error@p=0.02,advisor.recommend.fail@p=0.3", 21);
+  std::vector<advisor::FailureRecord> serial_run = RunTrajectory();
+  std::vector<advisor::FailureRecord> repeat = RunTrajectory();
   EXPECT_TRUE(SameRecords(serial_run, repeat));
   // The draws are keyed on fingerprints, not schedules, so the records do
-  // not depend on the pool the what-if sweeps run on.
-  common::ThreadPool pool1(1);
-  common::ThreadPool pool8(8);
-  std::vector<advisor::FailureRecord> t1 = RunTrajectory(&pool1);
-  std::vector<advisor::FailureRecord> t8 = RunTrajectory(&pool8);
-  EXPECT_TRUE(SameRecords(serial_run, t1));
-  EXPECT_TRUE(SameRecords(serial_run, t8));
+  // not depend on how many trajectories run at once.
+  common::ThreadPool pool(8);
+  std::vector<std::vector<advisor::FailureRecord>> lanes(8);
+  pool.ParallelFor(lanes.size(),
+                   [&](size_t lane) { lanes[lane] = RunTrajectory(); });
+  for (size_t lane = 0; lane < lanes.size(); ++lane) {
+    EXPECT_TRUE(SameRecords(serial_run, lanes[lane])) << "lane " << lane;
+  }
 }
 
 TEST(FaultDeterminismTest, CampaignDigestStableAcrossRuns) {

@@ -378,6 +378,39 @@ TEST(RuleTest, HeapOnHotPathClean) {
   EXPECT_FALSE(HasRule(f, "nolint-reason"));
 }
 
+// --- serial-evaluation ---------------------------------------------------
+
+TEST(RuleTest, SerialEvaluationViolation) {
+  EXPECT_TRUE(HasRule(
+      LintSnippet("src/engine/true_cost.h",
+                  "common::ParallelFor(n, [&](size_t i) {});\n"),
+      "serial-evaluation"));
+  EXPECT_TRUE(HasRule(
+      LintSnippet("src/advisor/heuristic_advisors.cc",
+                  "common::GlobalPool().ParallelFor(n, fn);\n"),
+      "serial-evaluation"));
+  EXPECT_TRUE(HasRule(
+      LintSnippet("src/engine/what_if.cc", "common::ThreadPool pool(4);\n"),
+      "serial-evaluation"));
+}
+
+TEST(RuleTest, SerialEvaluationClean) {
+  // Coarse-grained fan-out above the evaluation layer is the sanctioned
+  // place for the pool.
+  EXPECT_FALSE(HasRule(
+      LintSnippet("bench/harness.cc",
+                  "common::ParallelFor(2, [&](size_t i) {});\n"),
+      "serial-evaluation"));
+  EXPECT_FALSE(HasRule(
+      LintSnippet("src/testing/oracles.cc",
+                  "pool->ParallelFor(lanes, [&](size_t lane) {});\n"),
+      "serial-evaluation"));
+  EXPECT_FALSE(HasRule(
+      LintSnippet("src/engine/what_if.cc",
+                  "for (size_t u = 0; u < n; ++u) Cost(u);\n"),
+      "serial-evaluation"));
+}
+
 // --- metric-name-style ---------------------------------------------------
 
 TEST(RuleTest, MetricNameStyleViolation) {

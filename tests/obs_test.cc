@@ -206,8 +206,8 @@ ScenarioDigests RunWithPool(common::ThreadPool* pool) {
                          sink.Digest()};
 }
 
-// The ISSUE.md acceptance invariant: the same scenario produces
-// bit-identical metric and trace digests for every thread count.
+// The same scenario produces bit-identical metric and trace digests whether
+// its per-config sweep batches come from 1, 4 or 8 concurrent callers.
 TEST(ObsDeterminismTest, DigestsIdenticalAcrossPoolSizes) {
   common::ThreadPool serial(1);
   const ScenarioDigests baseline = RunWithPool(&serial);

@@ -327,10 +327,28 @@ void CheckHeapOnHotPath(const SourceFile& f, std::vector<Finding>* out) {
     } else if (t.text == "function" && IsStdQualified(f, i)) {
       Add(f, "no-heap-on-hot-path", t.line,
           "'std::function' type-erases with a per-capture heap allocation; "
-          "use a template parameter or a function pointer + context "
-          "(ThreadPool::ParallelForGrained)",
+          "use a template parameter or a function pointer + context",
           out);
     }
+  }
+}
+
+void CheckSerialEvaluation(const SourceFile& f, std::vector<Finding>* out) {
+  // What-if costing, true cost and the advisors' per-query loops run on
+  // their caller: fanning them out over the pool measured slower than one
+  // thread (DESIGN.md section 3a). Parallelism belongs to whole units of
+  // work above this layer.
+  if (!StartsWith(f.path, "src/engine/") &&
+      !StartsWith(f.path, "src/advisor/")) {
+    return;
+  }
+  for (const Token& t : f.tokens) {
+    if (t.kind != TokKind::kIdentifier) continue;
+    if (t.text != "ParallelFor" && t.text != "ThreadPool") continue;
+    Add(f, "serial-evaluation", t.line,
+        "'" + t.text + "' in the what-if/advisor layer; evaluation runs on "
+        "the calling thread -- run whole assessments concurrently instead",
+        out);
   }
 }
 
@@ -604,6 +622,7 @@ std::vector<Finding> Lint(const SourceFile& f) {
   CheckHeaderHygiene(f, &raw);
   CheckFloatAccumulation(f, &raw);
   CheckHeapOnHotPath(f, &raw);
+  CheckSerialEvaluation(f, &raw);
   CheckAbortInLibrary(f, &raw);
   CheckMetricNameStyle(f, &raw);
   CheckNondeterministicIteration(f, {}, &raw);

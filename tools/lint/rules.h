@@ -53,6 +53,10 @@ struct Finding {
 //                           (plan construction, one-time static init,
 //                           once-per-query shape builds) carry audited
 //                           suppression markers.
+//   serial-evaluation       ParallelFor / ThreadPool in src/engine/ and
+//                           src/advisor/ -- what-if costing, true cost and
+//                           advisor loops run on their caller; fanning
+//                           them out measured slower than one thread.
 //   no-abort-in-library     abort()/exit()/_Exit()/quick_exit() and
 //                           TRAP_CHECK/TRAP_CHECK_MSG on the
 //                           Status-converted evaluation paths (what-if
@@ -83,6 +87,7 @@ void CheckBannedFunctions(const SourceFile& f, std::vector<Finding>* out);
 void CheckHeaderHygiene(const SourceFile& f, std::vector<Finding>* out);
 void CheckFloatAccumulation(const SourceFile& f, std::vector<Finding>* out);
 void CheckHeapOnHotPath(const SourceFile& f, std::vector<Finding>* out);
+void CheckSerialEvaluation(const SourceFile& f, std::vector<Finding>* out);
 void CheckAbortInLibrary(const SourceFile& f, std::vector<Finding>* out);
 void CheckMetricNameStyle(const SourceFile& f, std::vector<Finding>* out);
 // Names declared in `f` whose type iterates in hash (or pointer-address)

@@ -49,7 +49,7 @@ Fixture& fixture() {
   return *f;
 }
 
-void BM_WhatIfCostCached(benchmark::State& state) {
+void BM_WhatIfQueryCost(benchmark::State& state) {
   Fixture& f = fixture();
   size_t i = 0;
   for (auto _ : state) {
@@ -57,7 +57,7 @@ void BM_WhatIfCostCached(benchmark::State& state) {
         f.optimizer.QueryCost(f.queries[i++ % f.queries.size()], f.config));
   }
 }
-BENCHMARK(BM_WhatIfCostCached);
+BENCHMARK(BM_WhatIfQueryCost);
 
 void BM_PlanConstruction(benchmark::State& state) {
   Fixture& f = fixture();
@@ -113,11 +113,12 @@ void BM_ReferenceTreeRandomDecode(benchmark::State& state) {
 BENCHMARK(BM_ReferenceTreeRandomDecode);
 
 // Workload-costing section: the candidate-benefit sweep that every advisor
-// greedy round funnels through, costed cold and then warm on the calling
-// thread. Both passes must return bit-identical costs.
+// greedy round funnels through, costed twice on the calling thread. Costs
+// are not cached, so the second sweep is timed (the first also compiles the
+// query shapes) and both must return bit-identical costs.
 void WorkloadCostingSection(const bench::BenchOptions& opt) {
   Fixture& f = fixture();
-  bench::PrintHeader("Workload costing — cold vs warm sweep");
+  bench::PrintHeader("Workload costing — candidate sweep");
 
   workload::Workload w;
   for (const sql::Query& q : f.queries) {
@@ -132,39 +133,28 @@ void WorkloadCostingSection(const bench::BenchOptions& opt) {
     configs.push_back(cfg);
   }
 
-  auto timed_sweep = [&] {
-    auto start = std::chrono::steady_clock::now();
-    std::vector<double> costs = f.optimizer.WorkloadCosts(w, configs);
-    double seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-            .count();
-    return std::make_pair(seconds, std::move(costs));
-  };
+  const std::vector<double> first_costs = f.optimizer.WorkloadCosts(w, configs);
+  auto start = std::chrono::steady_clock::now();
+  const std::vector<double> costs = f.optimizer.WorkloadCosts(w, configs);
+  const double sweep_sec =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
+          .count();
 
-  f.optimizer.ClearCache();
-  f.optimizer.ResetCounters();
-  auto [cold_sec, cold_costs] = timed_sweep();
-  const int64_t misses = f.optimizer.num_cache_misses();
-  auto [warm_sec, warm_costs] = timed_sweep();
-
-  const bool identical = cold_costs == warm_costs;
+  const bool identical = first_costs == costs;
   std::printf("pairs costed:        %zu (%zu queries x %zu configs)\n",
               w.queries.size() * configs.size(), w.queries.size(),
               configs.size());
-  std::printf("cold cache:          %.4f s  (%lld misses)\n", cold_sec,
-              static_cast<long long>(misses));
-  std::printf("warm cache:          %.4f s\n", warm_sec);
+  std::printf("sweep:               %.4f s\n", sweep_sec);
   std::printf("costs bit-identical: %s\n", identical ? "yes" : "NO — BUG");
 
   bench::BenchReport report("engine_micro");
-  report.RecordPhase("workload_cost_cold", cold_sec);
-  report.RecordPhase("workload_cost_warm", warm_sec);
+  report.RecordPhase("workload_cost", sweep_sec);
   report.RecordMetric("costs_identical", identical ? 1.0 : 0.0);
   report.RecordMetric("what_if_pairs",
                       static_cast<double>(w.queries.size() * configs.size()));
   // The gate metric (whatif_pairs_per_sec) comes from the shared
   // median-of-N probe so every BENCH_*.json reports the same quantity; the
-  // one-shot sweeps above are for the human-readable printout.
+  // one-shot sweep above is for the human-readable printout.
   bench::RecordWhatIfThroughput(&report, opt);
   report.Write();
 }

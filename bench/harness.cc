@@ -221,7 +221,8 @@ double MedianSeconds(const BenchOptions& opt, const std::function<void()>& fn) {
 void RecordWhatIfThroughput(BenchReport* report, const BenchOptions& opt) {
   // Fixed probe, independent of the calling bench: TPC-H, 64 generated
   // queries, one single-column candidate per schema column — the shape of
-  // an advisor's first greedy round, costed cold.
+  // an advisor's first greedy round. Costs are never cached, so every
+  // repeat runs the full kernel sweep.
   const catalog::Schema schema = catalog::MakeTpcH();
   sql::Vocabulary vocab(schema, 8);
   workload::QueryGenerator gen(vocab, workload::GeneratorOptions{}, /*seed=*/3);
@@ -240,10 +241,8 @@ void RecordWhatIfThroughput(BenchReport* report, const BenchOptions& opt) {
   const double pairs =
       static_cast<double>(w.queries.size() * configs.size());
   double sink = 0.0;
-  const double t1 = MedianSeconds(opt, [&] {
-    optimizer.ClearCache();  // cold cost cache every repeat
-    sink += optimizer.WorkloadCosts(w, configs)[0];
-  });
+  const double t1 = MedianSeconds(
+      opt, [&] { sink += optimizer.WorkloadCosts(w, configs)[0]; });
   // Report-only: the same sweep as four disjoint quarter-sweeps issued by
   // concurrent callers on the shared optimizer, 4 lanes over 1.
   std::vector<std::vector<engine::IndexConfig>> quarters(4);
@@ -252,7 +251,6 @@ void RecordWhatIfThroughput(BenchReport* report, const BenchOptions& opt) {
   }
   std::vector<double> quarter_sinks(quarters.size(), 0.0);
   auto quarter_sweeps = [&](common::ThreadPool& pool) {
-    optimizer.ClearCache();
     pool.ParallelFor(quarters.size(), [&](size_t q) {
       quarter_sinks[q] += optimizer.WorkloadCosts(w, quarters[q])[0];
     });
@@ -319,7 +317,7 @@ std::string BenchReport::Write() const {
   // check.sh compares across TRAP_THREADS values — bit-identical schedules
   // must produce bit-identical digests.
   const std::vector<obs::MetricSample> samples =
-      obs::GlobalSnapshotWithDerived();
+      obs::MetricRegistry::Global().Snapshot();
   out << "\n  },\n  \"obs_metrics\": {";
   for (size_t i = 0; i < samples.size(); ++i) {
     out << (i == 0 ? "\n" : ",\n");

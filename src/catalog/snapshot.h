@@ -21,7 +21,7 @@ namespace trap::catalog {
 // The snapshot deliberately does not materialize the shifted schema; the
 // engine's StatsEpochRegistry does that once per distinct epoch and caches
 // the result, keyed by epoch(). epoch() is the overlay content fingerprint
-// (0 = the unshifted base), which the what-if cache already folds into its
+// (0 = the unshifted base), which the what-if shape cache folds into its
 // keys so cross-epoch estimates never alias.
 class Snapshot {
  public:

@@ -32,8 +32,8 @@ ColumnStats StatsOf(const Column& column);
 // to -- episodes see shifted statistics while every other consumer of the
 // shared catalog keeps reading the frozen base -- and two overlays with the
 // same content always produce the same Fingerprint(), which the what-if
-// engine mixes into its cache keys as the *stats epoch* so an estimate
-// computed under one distribution can never answer a probe made under
+// engine mixes into its shape-cache keys as the *stats epoch* so a shape
+// compiled under one distribution can never cost a probe made under
 // another.
 //
 // Appended tables are indexed after the base schema's tables, in insertion

@@ -11,25 +11,34 @@ namespace trap::common {
 
 namespace {
 
+// One row per site, in enum order. `draw_tag` salts the site's draws and is
+// fixed once a site exists, so deleting a site (5 was cache.shard.poison)
+// never reshuffles the fault fates of the others.
 struct SiteNameEntry {
   FaultSite site;
   const char* name;
+  std::uint64_t draw_tag;
 };
 
 constexpr SiteNameEntry kSiteNames[] = {
-    {FaultSite::kWhatIfCostError, "engine.whatif.cost_error"},
-    {FaultSite::kWhatIfTimeout, "engine.whatif.timeout"},
-    {FaultSite::kAdvisorRecommendFail, "advisor.recommend.fail"},
-    {FaultSite::kAdvisorRecommendHang, "advisor.recommend.hang"},
-    {FaultSite::kCacheShardPoison, "cache.shard.poison"},
-    {FaultSite::kPerturberInvalidTree, "perturber.invalid_tree"},
-    {FaultSite::kWhatIfInvertBenefit, "engine.whatif.invert_benefit"},
-    {FaultSite::kCampaignWorkerCrash, "worker.crash"},
-    {FaultSite::kCampaignWorkerHang, "worker.hang"},
-    {FaultSite::kCampaignWorkerGarbageFrame, "worker.garbage_frame"},
+    {FaultSite::kWhatIfCostError, "engine.whatif.cost_error", 1},
+    {FaultSite::kWhatIfTimeout, "engine.whatif.timeout", 2},
+    {FaultSite::kAdvisorRecommendFail, "advisor.recommend.fail", 3},
+    {FaultSite::kAdvisorRecommendHang, "advisor.recommend.hang", 4},
+    {FaultSite::kPerturberInvalidTree, "perturber.invalid_tree", 6},
+    {FaultSite::kWhatIfInvertBenefit, "engine.whatif.invert_benefit", 7},
+    {FaultSite::kCampaignWorkerCrash, "worker.crash", 8},
+    {FaultSite::kCampaignWorkerHang, "worker.hang", 9},
+    {FaultSite::kCampaignWorkerGarbageFrame, "worker.garbage_frame", 10},
 };
 static_assert(sizeof(kSiteNames) / sizeof(kSiteNames[0]) ==
               static_cast<size_t>(kNumFaultSites));
+static_assert([] {
+  for (int i = 0; i < kNumFaultSites; ++i) {
+    if (static_cast<int>(kSiteNames[i].site) != i) return false;
+  }
+  return true;
+}());
 
 }  // namespace
 
@@ -272,7 +281,8 @@ bool FaultRegistry::ShouldFire(FaultSite site, std::uint64_t key) {
   if (p < 1.0) {
     std::uint64_t seed = d.seed.load(std::memory_order_relaxed);
     std::uint64_t h = HashCombine(
-        seed, HashCombine(static_cast<std::uint64_t>(site) + 1, key));
+        seed,
+        HashCombine(kSiteNames[static_cast<int>(site)].draw_tag, key));
     if (HashToUnit(h) >= p) return false;
   }
   // Trigger-count cap: an atomic countdown. Which concurrent draws win the

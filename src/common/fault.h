@@ -49,9 +49,6 @@ enum class FaultSite : int {
   // The advisor's recommend entry point consumes the caller's entire step
   // budget (a simulated hang, surfaced as kDeadlineExceeded).
   kAdvisorRecommendHang,
-  // A what-if cache shard stores a corrupted cost. The always-on entry
-  // checksum detects the corruption on hit and recomputes (self-healing).
-  kCacheShardPoison,
   // The perturber emits an invalid perturbed tree for the drawn query; the
   // generator degrades that query to its unperturbed original.
   kPerturberInvalidTree,

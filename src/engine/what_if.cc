@@ -1,7 +1,6 @@
 #include "engine/what_if.h"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 
 #include "common/fault.h"
@@ -16,10 +15,7 @@ namespace {
 // Hot-path metric handles, resolved once (registry pointers are stable).
 struct WhatIfMetrics {
   obs::Counter* calls;
-  obs::Counter* misses;
   obs::Counter* shape_misses;
-  obs::Counter* collisions;
-  obs::Counter* poison_heals;
   obs::Counter* batches;
   obs::Counter* dup_configs;
   obs::Counter* dup_pairs;
@@ -29,15 +25,9 @@ struct WhatIfMetrics {
 const WhatIfMetrics& Metrics() {
   static const WhatIfMetrics* m = [] {
     obs::MetricRegistry& r = obs::MetricRegistry::Global();
-    // Collision detections and checksum heals depend on which of two racing
-    // threads fills an entry first, so they are best-effort; everything
-    // else counts logical work.
     return new WhatIfMetrics{  // NOLINT(no-heap-on-hot-path): one-time static init
         r.counter("trap.whatif.calls"),
-        r.counter("trap.whatif.cache.misses"),
         r.counter("trap.whatif.shape.misses"),
-        r.counter("trap.whatif.cache.collisions", /*deterministic=*/false),
-        r.counter("trap.whatif.cache.poison_heals", /*deterministic=*/false),
         r.counter("trap.whatif.batch.count"),
         r.counter("trap.whatif.batch.dup_configs"),
         r.counter("trap.whatif.batch.dup_pairs"),
@@ -47,18 +37,31 @@ const WhatIfMetrics& Metrics() {
   return *m;
 }
 
+// Tallies one entry point's what-if calls locally and publishes them with a
+// single atomic add on every exit (early error returns included), so the
+// per-item path does no shared read-modify-write.
+class CallTally {
+ public:
+  explicit CallTally(std::atomic<int64_t>* total) : total_(total) {}
+  ~CallTally() {
+    if (count == 0) return;
+    total_->fetch_add(count, std::memory_order_relaxed);
+    Metrics().calls->Add(count);
+  }
+  CallTally(const CallTally&) = delete;
+  CallTally& operator=(const CallTally&) = delete;
+
+  int64_t count = 0;
+
+ private:
+  std::atomic<int64_t>* total_;
+};
+
 }  // namespace
 
 WhatIfOptimizer::WhatIfOptimizer(const catalog::Schema& schema,
                                  CostParams params)
     : epochs_(schema, params) {}
-
-uint64_t WhatIfOptimizer::EntryChecksum(uint64_t query_fp, uint64_t config_fp,
-                                        uint64_t epoch_fp, double cost) {
-  return common::HashCombine(
-      common::HashCombine(common::HashCombine(query_fp, config_fp), epoch_fp),
-      std::bit_cast<uint64_t>(cost));
-}
 
 const QueryShape* WhatIfOptimizer::ResolveShape(const StatsEpoch& epoch,
                                                 uint64_t query_fp,
@@ -99,60 +102,26 @@ const QueryShape* WhatIfOptimizer::ResolveShape(const StatsEpoch& epoch,
   return nullptr;
 }
 
-common::Status WhatIfOptimizer::CachedCostStatus(
+common::Status WhatIfOptimizer::CostStatus(
     const StatsEpoch& epoch, const sql::Query& q, uint64_t query_fp,
     const QueryShape* shape, uint64_t config_fp, const IndexConfig& config,
-    const common::EvalContext& ctx, double* out) const {
+    const common::EvalContext& ctx, int64_t* calls, double* out) const {
   TRAP_RETURN_IF_ERROR(ctx.CheckContinue());
-  num_calls_.fetch_add(1, std::memory_order_relaxed);
-  Metrics().calls->Add();
-  const uint64_t pair_key = common::HashCombine(query_fp, config_fp);
+  ++*calls;
   // Fault draws key on the logical work item + the context's salt, so the
   // same (query, config) pair draws identically on every run, thread count,
   // and stats epoch (drift must not reshuffle fault fates), while retry
   // attempts (which re-salt) redraw.
-  const uint64_t draw_key = common::HashCombine(pair_key, ctx.fault_salt);
-  // The memo key additionally carries the stats epoch: an estimate computed
-  // under one data distribution must never answer a probe made under
-  // another (the ClearCache() staleness hazard the drift overlay exposed).
-  const uint64_t key = common::HashCombine(pair_key, epoch.fingerprint);
+  const uint64_t draw_key = common::HashCombine(
+      common::HashCombine(query_fp, config_fp), ctx.fault_salt);
   if (common::FaultShouldFire(common::FaultSite::kWhatIfTimeout, draw_key)) {
     obs::CountFaultFire(
         common::FaultSiteName(common::FaultSite::kWhatIfTimeout));
     return common::Status::DeadlineExceeded(
         "injected fault: engine.whatif.timeout");
   }
-  CacheShard& shard = shards_[key >> 60];  // high bits: 64 - log2(16)
-  {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.map.find(key);
-    if (it != shard.map.end()) {
-      if (it->second.query_fp == query_fp &&
-          it->second.config_fp == config_fp &&
-          it->second.epoch_fp == epoch.fingerprint) {
-        if (it->second.checksum == EntryChecksum(query_fp, config_fp,
-                                                 epoch.fingerprint,
-                                                 it->second.cost)) {
-          *out = it->second.cost;
-          return common::Status::Ok();
-        }
-        // Corrupted entry (cache.shard.poison): fall through, recompute,
-        // and repair below. The caller always gets the true cost.
-        num_integrity_recoveries_.fetch_add(1, std::memory_order_relaxed);
-        Metrics().poison_heals->Add();
-      } else {
-        // 64-bit collision: fall through and recompute; the recomputed pair
-        // takes the slot (collisions are ~never, correctness is what
-        // matters — neither pair is ever answered from the other's entry).
-        num_collisions_.fetch_add(1, std::memory_order_relaxed);
-        Metrics().collisions->Add();
-      }
-    }
-  }
-  // A miss costs the configuration against the precompiled shape (resolved
-  // on demand for unbatched calls, so cache hits never touch the shape
-  // cache). The shape-free fallback only runs on a verified fingerprint
-  // collision.
+  // Unbatched calls resolve the shape here; the shape-free fallback only
+  // runs on a verified fingerprint collision.
   if (shape == nullptr) shape = ResolveShape(epoch, query_fp, q);
   double cost = shape != nullptr ? epoch.model.QueryCost(*shape, config)
                                  : epoch.model.QueryCost(q, config);
@@ -161,35 +130,11 @@ common::Status WhatIfOptimizer::CachedCostStatus(
         common::FaultSiteName(common::FaultSite::kWhatIfCostError));
     cost = std::numeric_limits<double>::quiet_NaN();
   }
-  // Validate before caching or returning: a mis-costed plan must surface as
-  // an error, never as a silently wrong (or poisonous NaN) estimate.
+  // A mis-costed plan must surface as an error, never as a silently wrong
+  // (or poisonous NaN) estimate.
   if (!std::isfinite(cost) || cost < 0.0) {
     return common::Status::Internal("what-if cost model produced an invalid "
                                     "cost estimate");
-  }
-  {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    CacheEntry entry{query_fp, config_fp, epoch.fingerprint, cost,
-                     EntryChecksum(query_fp, config_fp, epoch.fingerprint,
-                                   cost)};
-    if (common::FaultShouldFire(common::FaultSite::kCacheShardPoison,
-                                draw_key)) {
-      // Corrupt the stored cost but not the checksum: the next hit detects
-      // the mismatch and self-heals instead of serving the bad value.
-      // Fire count is best-effort: racing threads may both reach here.
-      obs::CountFaultFire(
-          common::FaultSiteName(common::FaultSite::kCacheShardPoison),
-          /*deterministic=*/false);
-      entry.cost = -(cost + 1.0);
-    }
-    auto [it, inserted] = shard.map.insert_or_assign(key, entry);
-    (void)it;
-    // Count the miss only on actual insertion so two threads racing to fill
-    // the same entry (both computing the identical value) report one miss.
-    if (inserted) {
-      num_misses_.fetch_add(1, std::memory_order_relaxed);
-      Metrics().misses->Add();
-    }
   }
   *out = cost;
   return common::Status::Ok();
@@ -198,8 +143,8 @@ common::Status WhatIfOptimizer::CachedCostStatus(
 void WhatIfOptimizer::RecordBatchMetrics(
     size_t items, const std::vector<uint64_t>& config_fps,
     std::vector<uint64_t>* sort_scratch, obs::TraceSpan* span) {
-  // Duplicate configurations in a candidate sweep measure how much work the
-  // per-entry memo absorbs within a single batch.
+  // Duplicate configurations in a candidate sweep measure how much work
+  // in-batch deduplication absorbs.
   std::vector<uint64_t>& fps = *sort_scratch;
   fps.assign(config_fps.begin(), config_fps.end());
   std::sort(fps.begin(), fps.end());
@@ -266,10 +211,8 @@ common::Status WhatIfOptimizer::BatchCostCore(
   }
 
   // Collapse identical (query_fp, config_fp) items: only the first
-  // occurrence (the "primary") is dispatched; duplicates copy its result at
-  // fold time. Candidate sweeps routinely repeat configurations, and the
-  // memo cache would serve the duplicates anyway — deduplicating first
-  // avoids even the cache lookups.
+  // occurrence (the "primary") is costed; duplicates copy its result at
+  // fold time. Candidate sweeps routinely repeat configurations.
   sc.uniques.clear();
   sc.item_to_unique.resize(items);
   // Re-arm the flat probe table: grow to the next power of two holding the
@@ -329,15 +272,17 @@ common::Status WhatIfOptimizer::BatchCostCore(
   sc.unique_statuses.assign(
       sc.uniques.size(),
       common::Status::Cancelled("skipped: evaluation cancelled"));
+  CallTally calls(&num_calls_);
   for (size_t u = 0; u < sc.uniques.size(); ++u) {
     if (ctx.cancel != nullptr &&
         (ctx.cancel->cancelled() || ctx.cancel->expired())) {
       break;
     }
     const BatchScratch::UniquePair p = sc.uniques[u];
-    sc.unique_statuses[u] = CachedCostStatus(
+    sc.unique_statuses[u] = CostStatus(
         *epoch, *sc.query_ptrs[p.qi], sc.query_fps[p.qi], sc.shapes[p.qi],
-        sc.config_fps[p.ci], configs[p.ci], ctx, &sc.unique_costs[u]);
+        sc.config_fps[p.ci], configs[p.ci], ctx, &calls.count,
+        &sc.unique_costs[u]);
   }
 
   // Fold in input order: totals and the first error match an undeduplicated
@@ -353,8 +298,7 @@ common::Status WhatIfOptimizer::BatchCostCore(
         // (fault draws key on the (query_fp, config_fp) pair, so this item
         // would have drawn the same fate).
         TRAP_RETURN_IF_ERROR(ctx.CheckContinue());
-        num_calls_.fetch_add(1, std::memory_order_relaxed);
-        Metrics().calls->Add();
+        ++calls.count;
       }
       TRAP_RETURN_IF_ERROR(sc.unique_statuses[u]);
       total += (weighted ? sc.weights[i] : 1.0) * sc.unique_costs[u];
@@ -368,10 +312,11 @@ common::StatusOr<double> WhatIfOptimizer::TryQueryCost(
     const sql::Query& q, const IndexConfig& config,
     const common::EvalContext& ctx) const {
   const std::shared_ptr<const StatsEpoch> epoch = epochs_.Resolve(ctx.snapshot);
+  CallTally calls(&num_calls_);
   double cost = 0.0;
-  TRAP_RETURN_IF_ERROR(CachedCostStatus(*epoch, q, sql::Fingerprint(q),
-                                        /*shape=*/nullptr, config.Fingerprint(),
-                                        config, ctx, &cost));
+  TRAP_RETURN_IF_ERROR(CostStatus(*epoch, q, sql::Fingerprint(q),
+                                  /*shape=*/nullptr, config.Fingerprint(),
+                                  config, ctx, &calls.count, &cost));
   return cost;
 }
 
@@ -405,27 +350,11 @@ std::unique_ptr<PlanNode> WhatIfOptimizer::Plan(
 
 size_t WhatIfOptimizer::cache_size() const {
   size_t total = 0;
-  for (const CacheShard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    total += shard.map.size();
-  }
-  return total;
-}
-
-size_t WhatIfOptimizer::shape_cache_size() const {
-  size_t total = 0;
   for (const ShapeShard& shard : shape_shards_) {
     std::lock_guard<std::mutex> lock(shard.mu);
     total += shard.map.size();
   }
   return total;
-}
-
-void WhatIfOptimizer::ClearCache() {
-  for (CacheShard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    shard.map.clear();
-  }
 }
 
 }  // namespace trap::engine

@@ -25,34 +25,37 @@ namespace trap::engine {
 
 // Hypothetical-index ("what-if") interface: the only channel through which
 // index advisors and TRAP interact with the database engine, mirroring the
-// what-if calls of the paper's PostgreSQL setup. Costs are memoized on
-// (query fingerprint, configuration fingerprint), since advisors probe the
-// same query under many configurations.
+// what-if calls of the paper's PostgreSQL setup.
 //
 // Hot-path structure (the assessment loop is bounded by what-if throughput;
 // the paper's Table 4 counts optimizer invocations for exactly this reason):
 //   * Query shapes — everything about a query that does not depend on the
 //     index configuration (filter selectivities, join order, cardinalities,
 //     referenced columns, sort/aggregate constants) — are precompiled once
-//     per query fingerprint into a second sharded cache and fed to
+//     per (stats epoch, query) into a sharded shape cache and fed to
 //     CostModel's allocation-free cost kernel; only access-path and probe
 //     selection run per (query, config) pair.
+//   * Costs are not memoized. Every what-if call runs the shape kernel,
+//     which is cheaper than a lookup in a per-pair memo large enough to
+//     matter (DESIGN.md §3f), and keeps the optimizer's memory at one
+//     shape per distinct query.
 //   * Batched entry points fingerprint each query and configuration once,
 //     deduplicate identical (query_fp, config_fp) items, and cost only the
 //     unique set, serially on the calling thread. Fanning batches out over
 //     a thread pool measured slower than one thread (DESIGN.md §3a).
 //   * All per-batch bookkeeping lives in a per-thread scratch arena
 //     (engine/scratch.h), so a steady-state batch performs no heap
-//     allocation outside the memo caches themselves.
+//     allocation outside the shape cache.
 //
-// Thread safety: every const method is safe to call concurrently. Both memo
-// caches are sharded N ways with a per-shard mutex (shard picked from the
-// key's high bits, since HashCombine mixes well there; shards are
-// cache-line aligned so neighbouring shard locks do not false-share), and
-// the call/miss counters are atomic. Concurrent callers sharing one
-// optimizer get bit-identical results: each batch folds its per-item costs
-// in input order, and a cache entry holds the same value whichever caller
-// filled it.
+// Thread safety: every const method is safe to call concurrently. The shape
+// cache is the only shared mutable state besides the call counter. It is
+// sharded N ways with a per-shard mutex (shard picked from the key's high
+// bits, since HashCombine mixes well there; shards are cache-line aligned so
+// neighbouring shard locks do not false-share). A call tallies its what-if
+// calls locally and publishes them with one atomic add on exit, so no
+// per-item shared read-modify-write remains. Concurrent callers sharing one
+// optimizer get bit-identical results: a cost is a pure function of (query,
+// config, epoch), and each batch folds its per-item costs in input order.
 //
 // Error handling: the Try* entry points are the *canonical* fallible core
 // -- they honor the EvalContext (step budget, cancellation, trace sink) and surface injected faults and internal inconsistencies as
@@ -68,12 +71,10 @@ namespace trap::engine {
 // answer that can never be mistaken for a real estimate (real costs are
 // finite and non-negative).
 //
-// Observability: calls, per-entry cache misses, shape-cache misses, batch
-// sizes, duplicate configurations and deduplicated pairs per batch feed the
-// global obs::MetricRegistry under trap.whatif.*; checksum heals and
-// fingerprint collisions are recorded best-effort (see obs/metrics.h on
-// determinism). With a trace sink in the context, each batched call records
-// a whatif.batch span.
+// Observability: calls, shape-cache misses, batch sizes, duplicate
+// configurations and deduplicated pairs per batch feed the global
+// obs::MetricRegistry under trap.whatif.*. With a trace sink in the
+// context, each batched call records a whatif.batch span.
 //
 // Statistics epochs: every evaluation reads its catalog state from the
 // immutable catalog::Snapshot on ctx.snapshot (nullptr = the base epoch;
@@ -81,24 +82,19 @@ namespace trap::engine {
 // per-column statistics or grow the schema mid-run without mutating any
 // shared state). The optimizer holds no "active" epoch at all -- two
 // concurrent calls under different snapshots each resolve, and cost
-// against, their own epoch. Both memo caches mix the epoch fingerprint
-// into their keys and store it in their entries, so an estimate computed
-// under one data distribution can never answer a probe made under another.
+// against, their own epoch. The shape cache mixes the epoch fingerprint
+// into its keys and stores it in its entries, so a shape compiled under one
+// data distribution can never cost a probe made under another.
 // Fault draws deliberately do NOT key on the epoch: a (query, config) work
 // item draws the same fate under every distribution, keeping fault
 // campaigns comparable across drift. Each batched call resolves its epoch
 // once at entry, so however the caller swaps snapshots between calls, one
 // batch is never split across epochs.
 //
-// Cache integrity: every cost-cache entry carries a checksum over
-// (query_fp, config_fp, epoch_fp, cost). A hit whose entry fails the
-// checksum (e.g. the cache.shard.poison fault site corrupted it at insert)
-// is detected, recomputed, and repaired in place -- the caller always
-// receives the true cost, and num_integrity_recoveries() counts the
-// self-healing events. Shape-cache entries store the full query plus their
-// epoch fingerprint and are verified against both on every hit, so a 64-bit
-// fingerprint collision is answered by fresh computation, never by another
-// query's (or another distribution's) shape.
+// Cache integrity: shape-cache entries store the full query plus their
+// epoch fingerprint and are verified against both on every hit, so a
+// 64-bit fingerprint collision is answered by shape-free computation, never
+// by another query's (or another distribution's) shape.
 class WhatIfOptimizer {
  public:
   explicit WhatIfOptimizer(const catalog::Schema& schema,
@@ -232,63 +228,17 @@ class WhatIfOptimizer {
   static constexpr double kInfiniteCost =
       std::numeric_limits<double>::infinity();
 
-  // Number of what-if calls answered (including cache hits and batch
-  // duplicates) — the paper's efficiency discussions count optimizer
-  // invocations.
+  // Number of what-if calls answered (including batch duplicates) — the
+  // paper's efficiency discussions count optimizer invocations.
   int64_t num_calls() const {
     return num_calls_.load(std::memory_order_relaxed);
   }
-  // Misses are counted once per cache entry actually inserted, so the count
-  // is deterministic even when two concurrent callers race to fill the same
-  // entry.
-  int64_t num_cache_misses() const {
-    return num_misses_.load(std::memory_order_relaxed);
-  }
-  // Detected 64-bit fingerprint collisions (answered by recomputation, never
-  // from the colliding entry).
-  int64_t num_collisions() const {
-    return num_collisions_.load(std::memory_order_relaxed);
-  }
-  // Cache hits whose entry failed its integrity checksum and was recomputed
-  // and repaired (see cache.shard.poison in common/fault.h).
-  int64_t num_integrity_recoveries() const {
-    return num_integrity_recoveries_.load(std::memory_order_relaxed);
-  }
-  void ResetCounters() {
-    num_calls_.store(0, std::memory_order_relaxed);
-    num_misses_.store(0, std::memory_order_relaxed);
-    num_collisions_.store(0, std::memory_order_relaxed);
-    num_integrity_recoveries_.store(0, std::memory_order_relaxed);
-  }
 
+  // Number of precompiled query shapes held: one per distinct (stats epoch,
+  // query) seen; costs themselves are never cached.
   size_t cache_size() const;
-  // Clears memoized *costs* (across every stats epoch). Precompiled query
-  // shapes are pure functions of (stats epoch, query) and their cache keys
-  // carry the epoch, so they can never go stale — they are retained.
-  void ClearCache();
-
-  // Number of precompiled query shapes held (one per distinct query seen).
-  size_t shape_cache_size() const;
 
  private:
-  // Every component of the memo key is stored so a HashCombine collision is
-  // detected (and answered by recomputation) instead of silently returning
-  // another pair's — or another stats epoch's — cost; `checksum` covers
-  // (query_fp, config_fp, epoch_fp, cost) so a corrupted entry is detected
-  // on hit and repaired.
-  struct CacheEntry {
-    uint64_t query_fp = 0;
-    uint64_t config_fp = 0;
-    uint64_t epoch_fp = 0;
-    double cost = 0.0;
-    uint64_t checksum = 0;
-  };
-  // Cache-line aligned: a shard's mutex must not false-share with its
-  // neighbours when different threads hit different shards.
-  struct alignas(64) CacheShard {
-    mutable std::mutex mu;
-    std::unordered_map<uint64_t, CacheEntry> map;
-  };
   // Shape entries record the epoch they were compiled under; a hit must
   // match both the stored query and the probing epoch.
   struct ShapeEntry {
@@ -305,9 +255,6 @@ class WhatIfOptimizer {
   // span-key derivation (kept bit-compatible with the pre-batched-core
   // code so golden trace digests are unchanged).
   enum class BatchKind { kWorkloadCost, kWorkloadCosts, kQueryCosts };
-
-  static uint64_t EntryChecksum(uint64_t query_fp, uint64_t config_fp,
-                                uint64_t epoch_fp, double cost);
 
   // Records batch size / duplicate-config metrics for a batched call of
   // `items` what-if items over `config_fps`, and annotates `span`.
@@ -335,25 +282,21 @@ class WhatIfOptimizer {
                                const common::EvalContext& ctx,
                                double* totals) const;
 
-  // The fallible memoized core: charges one step against ctx, consults the
-  // engine.whatif.* fault sites, validates computed costs (finite,
-  // non-negative) and cache-entry checksums. On success writes the cost to
-  // *out; errors are never cached. `shape` is the prefetched shape for `q`;
-  // nullptr means resolve on demand (and cost shape-free if resolution
-  // reports a fingerprint collision).
-  common::Status CachedCostStatus(const StatsEpoch& epoch, const sql::Query& q,
-                                  uint64_t query_fp, const QueryShape* shape,
-                                  uint64_t config_fp, const IndexConfig& config,
-                                  const common::EvalContext& ctx,
-                                  double* out) const;
+  // The fallible per-pair core: charges one step against ctx, counts one
+  // call into *calls once the step is granted, consults the engine.whatif.*
+  // fault sites, costs the pair and validates the cost (finite,
+  // non-negative). On success writes the cost to *out. `shape` is the
+  // prefetched shape for `q`; nullptr means resolve on demand (and cost
+  // shape-free if resolution reports a fingerprint collision).
+  common::Status CostStatus(const StatsEpoch& epoch, const sql::Query& q,
+                            uint64_t query_fp, const QueryShape* shape,
+                            uint64_t config_fp, const IndexConfig& config,
+                            const common::EvalContext& ctx, int64_t* calls,
+                            double* out) const;
 
   StatsEpochRegistry epochs_;
-  mutable std::array<CacheShard, kNumShards> shards_;
   mutable std::array<ShapeShard, kNumShards> shape_shards_;
   mutable std::atomic<int64_t> num_calls_{0};
-  mutable std::atomic<int64_t> num_misses_{0};
-  mutable std::atomic<int64_t> num_collisions_{0};
-  mutable std::atomic<int64_t> num_integrity_recoveries_{0};
 };
 
 }  // namespace trap::engine

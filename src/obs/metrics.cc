@@ -140,27 +140,7 @@ uint64_t MetricRegistry::Digest(const std::vector<MetricSample>& snapshot) {
 }
 
 std::vector<MetricSample> GlobalSnapshotWithDerived() {
-  std::vector<MetricSample> samples = MetricRegistry::Global().Snapshot();
-  int64_t calls = 0;
-  int64_t misses = 0;
-  bool have_calls = false;
-  bool have_misses = false;
-  for (const MetricSample& s : samples) {
-    if (s.name == "trap.whatif.calls") {
-      calls = s.value;
-      have_calls = true;
-    } else if (s.name == "trap.whatif.cache.misses") {
-      misses = s.value;
-      have_misses = true;
-    }
-  }
-  if (have_calls && have_misses) {
-    MetricSample hits{"trap.whatif.cache.hits", calls - misses, true};
-    auto pos = samples.begin();
-    while (pos != samples.end() && pos->name < hits.name) ++pos;
-    samples.insert(pos, hits);
-  }
-  return samples;
+  return MetricRegistry::Global().Snapshot();
 }
 
 }  // namespace trap::obs

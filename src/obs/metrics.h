@@ -133,10 +133,9 @@ class MetricRegistry {
   std::map<std::string, Entry, std::less<>> entries_;
 };
 
-// Global().Snapshot() plus derived samples that are only deterministic in
-// combination: `trap.whatif.cache.hits` = calls - misses (a find-time hit
-// count would depend on which of two racing threads filled the entry; the
-// difference of the two deterministic totals is not).
+// Same as Global().Snapshot(); no metric is derived any more. Kept only
+// because the frozen end-to-end benchmark (perfbench/) calls it -- new code
+// calls MetricRegistry::Global().Snapshot().
 std::vector<MetricSample> GlobalSnapshotWithDerived();
 
 }  // namespace trap::obs

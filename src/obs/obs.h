@@ -52,13 +52,11 @@ class TraceSpan {
 
 // Counts a fault-site fire under `trap.fault.<site name>`. Site names
 // already use dotted lower-case segments (see common::FaultSiteName), so
-// they embed directly into the metric name. `deterministic` is false for
-// sites whose fire count depends on physical scheduling (cache.shard.poison
-// draws once per racing insert).
-inline void CountFaultFire(std::string_view site_name,
-                           bool deterministic = true) {
+// they embed directly into the metric name. Draws key on the logical work
+// item, so every fire count is deterministic.
+inline void CountFaultFire(std::string_view site_name) {
   MetricRegistry::Global()
-      .counter("trap.fault." + std::string(site_name), deterministic)
+      .counter("trap.fault." + std::string(site_name))
       ->Add();
 }
 

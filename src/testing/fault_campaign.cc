@@ -27,7 +27,7 @@ using common::FaultSite;
 constexpr FaultSite kSweptSites[] = {
     FaultSite::kWhatIfCostError,      FaultSite::kWhatIfTimeout,
     FaultSite::kAdvisorRecommendFail, FaultSite::kAdvisorRecommendHang,
-    FaultSite::kCacheShardPoison,     FaultSite::kPerturberInvalidTree,
+    FaultSite::kPerturberInvalidTree,
 };
 
 constexpr const char* kAdvisors[] = {"Extend", "AutoAdmin", "Drop"};
@@ -71,7 +71,7 @@ bool CodeMatchesSite(FaultSite site, common::StatusCode code) {
       return code == common::StatusCode::kResourceExhausted ||
              code == common::StatusCode::kFaultInjected;
     default:
-      return false;  // poison / invalid_tree self-heal; they never error
+      return false;  // invalid_tree degrades per query; it never errors
   }
 }
 
@@ -274,8 +274,8 @@ CampaignCase CampaignEnv::RunCase(const CampaignCaseSpec& spec) const {
     return c;
   }
 
-  // Fresh optimizer (fresh cost cache) per cell so cache state never leaks
-  // across sweep cells.
+  // Fresh optimizer (fresh shape cache and call counter) per cell so no
+  // engine state leaks across sweep cells.
   engine::WhatIfOptimizer optimizer(env.schema);
   std::unique_ptr<advisor::IndexAdvisor> adv =
       MakeAdvisorByName(spec.advisor, optimizer);
@@ -291,8 +291,7 @@ CampaignCase CampaignEnv::RunCase(const CampaignCaseSpec& spec) const {
         env.baseline.find({spec.advisor, spec.workload_index});
     const std::uint64_t expected =
         baseline_it != env.baseline.end() ? baseline_it->second : 0;
-    if (c.triggers > 0 && c.attempts == 1 &&
-        *site != FaultSite::kCacheShardPoison) {
+    if (c.triggers > 0 && c.attempts == 1) {
       c.note = "fault fired but succeeded without retry";
     } else if (c.config_fp != expected) {
       c.note = "silent wrong answer: recommendation differs from "

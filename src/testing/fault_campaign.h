@@ -64,9 +64,10 @@ struct CampaignCase {
 
 // Per-case hash folded (by XOR) into the campaign digest. Covers only the
 // deterministic fields (site, probability, advisor, workload, code,
-// attempts, config_fp). Trigger counts are excluded: cache-level sites fire
-// per *computation*, and how many computations a warm cache elides is
-// scheduling-dependent. case_index is excluded as derivable from the rest.
+// attempts, config_fp). Trigger counts are excluded: they count draws, which
+// change whenever the engine does more or less work for the same outcome,
+// and the digest pins outcomes. case_index is excluded as derivable from the
+// rest.
 std::uint64_t CampaignCaseHash(const CampaignCase& c);
 
 // A contiguous [begin, end) slice of the enumeration order.

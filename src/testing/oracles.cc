@@ -121,7 +121,9 @@ std::optional<std::string> CheckParallelDeterminism(OracleEnv& env,
   return std::nullopt;
 }
 
-// (d): warm shared optimizer == fresh optimizer == repeated call.
+// (d): warm shared optimizer == fresh optimizer == repeated call. Costs are
+// not cached, so this checks the shape cache: a shape served for the wrong
+// query or epoch would show up as a warm/fresh mismatch.
 std::optional<std::string> CheckCacheCoherence(OracleEnv& env,
                                                const Reproducer& r) {
   engine::WhatIfOptimizer fresh(*env.schema);
@@ -136,7 +138,7 @@ std::optional<std::string> CheckCacheCoherence(OracleEnv& env,
       if (warm != cold) {
         return common::StrFormat(
             "query %zu: cache-warm optimizer returned %.17g but a fresh one "
-            "returned %.17g (stale or colliding cache entry)",
+            "returned %.17g (stale or colliding shape-cache entry)",
             i, warm, cold);
       }
       if (warm != again) {

@@ -30,9 +30,10 @@ using PerturbationConstraint = ::trap::trap::PerturbationConstraint;
 //                          and 8 lanes sharing one optimizer are
 //                          bit-identical in every lane (differential:
 //                          concurrent callers vs the serial fold);
-//   cache-coherence        a cache-warm shared optimizer, a freshly built
-//                          optimizer, and a repeated call all agree exactly
-//                          (catches fingerprint collisions / stale entries);
+//   cache-coherence        a shared optimizer with a warm shape cache, a
+//                          freshly built optimizer, and a repeated call all
+//                          agree exactly (catches shape-fingerprint
+//                          collisions / stale shapes);
 //   perturbation-budget    random Reference-Tree walks stay within the
 //                          declared constraint: valid SQL, token edit
 //                          distance <= epsilon, immutable join graph, and
@@ -86,9 +87,9 @@ std::optional<OracleId> OracleFromName(std::string_view name);
 std::vector<OracleId> AllOracles();
 
 // Long-lived oracle environment: the vocabulary, a shared what-if optimizer
-// whose cache warms across cases (deliberately — cache-coherence compares it
-// against fresh optimizers), and fixed-size pools whose lanes act as
-// concurrent callers for the determinism oracles.
+// whose shape cache warms across cases (deliberately — cache-coherence
+// compares it against fresh optimizers), and fixed-size pools whose lanes
+// act as concurrent callers for the determinism oracles.
 struct OracleEnv {
   explicit OracleEnv(const catalog::Schema& schema_in);
 

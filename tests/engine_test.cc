@@ -7,6 +7,7 @@
 #include "catalog/datasets.h"
 #include "catalog/snapshot.h"
 #include "catalog/stats_overlay.h"
+#include "common/deadline.h"
 #include "common/thread_pool.h"
 #include "engine/cost_model.h"
 #include "engine/index.h"
@@ -354,14 +355,17 @@ TEST_F(EngineTest, PlanHeightsAreConsistent) {
 }
 
 TEST_F(EngineTest, WhatIfCachesRepeatedCalls) {
+  // Costs are not memoized: every repeat is recomputed from the cached
+  // query shape, returns the bit-identical cost and counts one call.
   WhatIfOptimizer optimizer(schema_);
   Query q = LineitemQuery();
   IndexConfig none;
-  double c1 = optimizer.QueryCost(q, none);
-  double c2 = optimizer.QueryCost(q, none);
-  EXPECT_EQ(c1, c2);
-  EXPECT_EQ(optimizer.num_calls(), 2);
-  EXPECT_EQ(optimizer.num_cache_misses(), 1);
+  const double c1 = optimizer.QueryCost(q, none);
+  for (int64_t calls = 2; calls <= 4; ++calls) {
+    EXPECT_EQ(optimizer.QueryCost(q, none), c1);
+    EXPECT_EQ(optimizer.num_calls(), calls);
+  }
+  EXPECT_EQ(optimizer.cache_size(), 1u);
 }
 
 // Minimal stand-in for workload::Workload (the workload layer sits above
@@ -386,9 +390,8 @@ auto FromConcurrentLanes(int lanes, const Fn& fn) {
 
 TEST_F(EngineTest, SerialAndParallelWorkloadCostBitIdentical) {
   // 1, 4 and 8 concurrent callers sharing one optimizer: every caller's
-  // batched cost must match the serial per-query sum exactly, and the
-  // insertion-based miss counter must not depend on how many callers raced
-  // to fill the cache.
+  // batched cost must match the serial per-query sum exactly, and every
+  // caller's calls are counted.
   MiniWorkload w;
   for (int i = 0; i < 12; ++i) {
     sql::Query q = LineitemQuery(i % 2 == 0 ? CmpOp::kEq : CmpOp::kLt);
@@ -411,12 +414,10 @@ TEST_F(EngineTest, SerialAndParallelWorkloadCostBitIdentical) {
       EXPECT_EQ(total, serial_total) << "lanes=" << lanes;  // bit-identical
     }
     EXPECT_EQ(shared.num_calls(), lanes * serial_opt.num_calls());
-    EXPECT_EQ(shared.num_cache_misses(), serial_opt.num_cache_misses());
 
-    // Re-costing the same workload is all cache hits.
-    (void)shared.WorkloadCost(w, config);
+    // Re-costing the same workload gives the same total and counts again.
+    EXPECT_EQ(shared.WorkloadCost(w, config), serial_total);
     EXPECT_EQ(shared.num_calls(), (lanes + 1) * serial_opt.num_calls());
-    EXPECT_EQ(shared.num_cache_misses(), serial_opt.num_cache_misses());
   }
 }
 
@@ -455,23 +456,27 @@ TEST_F(EngineTest, BatchedConfigSweepMatchesSerial) {
 }
 
 TEST_F(EngineTest, CacheSizeAndClear) {
+  // The optimizer caches one shape per distinct query and no costs, so an
+  // N-config sweep leaves cache_size() at the query count, not N x queries.
   WhatIfOptimizer opt(schema_);
   EXPECT_EQ(opt.cache_size(), 0u);
-  Query q = LineitemQuery();
-  IndexConfig none;
-  IndexConfig with;
-  with.Add(Index{{Col("lineitem", "l_shipdate")}});
-  (void)opt.QueryCost(q, none);
-  (void)opt.QueryCost(q, with);
-  EXPECT_EQ(opt.cache_size(), 2u);
-  EXPECT_EQ(opt.num_cache_misses(), 2);
-  opt.ClearCache();
-  EXPECT_EQ(opt.cache_size(), 0u);
-  // Same answer after the clear, recomputed (a fresh miss).
-  double before = opt.QueryCost(q, none);
-  EXPECT_EQ(opt.num_cache_misses(), 3);
-  EXPECT_EQ(before, opt.QueryCost(q, none));
-  EXPECT_EQ(opt.num_collisions(), 0);
+  MiniWorkload w;
+  for (int i = 0; i < 5; ++i) {
+    sql::Query q = LineitemQuery(CmpOp::kLt);
+    q.filters[0].value = Value::Int(30 + 40 * i);
+    w.queries.push_back({q, 1.0});
+  }
+  std::vector<IndexConfig> configs(4);
+  configs[1].Add(Index{{Col("lineitem", "l_shipdate")}});
+  configs[2].Add(Index{{Col("lineitem", "l_quantity")}});
+  configs[3].Add(Index{{Col("lineitem", "l_orderkey")}});
+  const std::vector<double> first = opt.WorkloadCosts(w, configs);
+  EXPECT_EQ(opt.cache_size(), w.queries.size());
+  EXPECT_EQ(opt.num_calls(),
+            static_cast<int64_t>(w.queries.size() * configs.size()));
+  // A repeat sweep compiles nothing new and returns the same totals.
+  EXPECT_EQ(opt.WorkloadCosts(w, configs), first);
+  EXPECT_EQ(opt.cache_size(), w.queries.size());
 }
 
 TEST_F(EngineTest, ScratchArenaReusedAcrossRepeatedBatches) {
@@ -513,14 +518,9 @@ TEST_F(EngineTest, ShapeCacheCoherentWithFreshComputation) {
   with.Add(Index{{Col("lineitem", "l_shipdate")}});
   double first_none = warm.QueryCost(q, none);
   double first_with = warm.QueryCost(q, with);
-  EXPECT_EQ(warm.shape_cache_size(), 1u);  // one shape serves both configs
-  // ClearCache drops cost entries but retains shapes: a shape is a pure
-  // function of (schema, query), so it can never go stale.
-  warm.ClearCache();
-  EXPECT_EQ(warm.cache_size(), 0u);
-  EXPECT_EQ(warm.shape_cache_size(), 1u);
-  // Costs recomputed through the retained shape match a fresh optimizer —
-  // and the raw kernel with no caching at all — bit for bit.
+  EXPECT_EQ(warm.cache_size(), 1u);  // one shape serves both configs
+  // Costs recomputed through the cached shape match a fresh optimizer —
+  // and the raw kernel with no shape at all — bit for bit.
   WhatIfOptimizer fresh(schema_);
   EXPECT_EQ(warm.QueryCost(q, none), fresh.QueryCost(q, none));
   EXPECT_EQ(warm.QueryCost(q, with), fresh.QueryCost(q, with));
@@ -603,11 +603,35 @@ TEST_F(EngineTest, BatchDedupMatchesSerialAndKeepsAccounting) {
              lanes, [&] { return shared.WorkloadCosts(w, configs); })) {
       EXPECT_EQ(swept, want) << "lanes=" << lanes;
     }
-    // Pre-dedup accounting: every (query, config) item charges one call...
+    // Pre-dedup accounting: every (query, config) item charges one call,
+    // and one shape is compiled per distinct query.
     EXPECT_EQ(shared.num_calls(), lanes * items);
-    // ...but only the distinct pairs were ever evaluated or cached.
-    EXPECT_EQ(shared.num_cache_misses(), 5 * 2);
-    EXPECT_EQ(shared.cache_size(), 10u);
+    EXPECT_EQ(shared.cache_size(), 5u);
+  }
+}
+
+// A batch that runs out of step budget returns early with an error; the
+// calls granted a step before that are still counted, in the unique-pair
+// loop and in the fold that accounts for deduplicated items alike.
+TEST_F(EngineTest, ExpiredBudgetStillCountsGrantedCalls) {
+  MiniWorkload w;
+  for (int i = 0; i < 6; ++i) {
+    sql::Query q = LineitemQuery(CmpOp::kLt);
+    q.filters[0].value = Value::Int(25 + 30 * i);
+    w.queries.push_back({q, 1.0});
+    w.queries.push_back({q, 2.0});  // a duplicate pair, charged at fold time
+  }
+  IndexConfig config;
+  config.Add(Index{{Col("lineitem", "l_shipdate")}});
+  // 6 unique pairs, 12 items: a budget of 4 expires in the unique loop, a
+  // budget of 8 in the fold.
+  for (uint64_t budget : {4u, 8u}) {
+    WhatIfOptimizer opt(schema_);
+    common::CancelToken token(budget);
+    common::EvalContext ctx;
+    ctx.cancel = &token;
+    EXPECT_FALSE(opt.TryWorkloadCost(w, config, ctx).ok()) << budget;
+    EXPECT_EQ(opt.num_calls(), static_cast<int64_t>(budget)) << budget;
   }
 }
 
@@ -749,45 +773,10 @@ TEST(SelectivityEdgeCases, ZeroNdvColumnCostsFinite) {
   EXPECT_LE(indexed, cost);
 }
 
-// Hammers ClearCache against concurrent QueryCost / WorkloadCosts callers.
-// The cache contract: clearing may only ever cause recomputation, never a
-// wrong or torn value, because the cost model itself is immutable. Run under
-// TSan by scripts/check.sh.
-TEST_F(EngineTest, ClearCacheDuringConcurrentCostsIsSafe) {
-  WhatIfOptimizer opt(schema_);
-  WhatIfOptimizer ref(schema_);
-  Query q_eq = LineitemQuery(CmpOp::kEq);
-  Query q_lt = LineitemQuery(CmpOp::kLt);
-  IndexConfig none;
-  IndexConfig with;
-  with.Add(Index{{Col("lineitem", "l_shipdate")}});
-  const Query* queries[] = {&q_eq, &q_lt};
-  const IndexConfig* configs[] = {&none, &with};
-  double want[2][2];
-  for (int qi = 0; qi < 2; ++qi) {
-    for (int ci = 0; ci < 2; ++ci) {
-      want[qi][ci] = ref.QueryCost(*queries[qi], *configs[ci]);
-    }
-  }
-  common::ThreadPool pool(8);
-  constexpr size_t kIters = 4096;
-  std::vector<double> got(kIters, -1.0);
-  pool.ParallelFor(kIters, [&](size_t i) {
-    if (i % 16 == 0) {
-      opt.ClearCache();
-      return;
-    }
-    got[i] = opt.QueryCost(*queries[i % 2], *configs[(i / 2) % 2]);
-  });
-  for (size_t i = 0; i < kIters; ++i) {
-    if (i % 16 == 0) continue;
-    ASSERT_EQ(got[i], want[i % 2][(i / 2) % 2]) << "iteration " << i;
-  }
-}
-
-// Statistics epochs: a snapshot on the context re-keys every cache, a null
-// (or base) snapshot reads baseline costs bit-exactly, and a warm cache
-// never leaks entries across epochs. The optimizer itself is never mutated.
+// Statistics epochs: a snapshot on the context re-keys the shape cache, a
+// null (or base) snapshot reads baseline costs bit-exactly, and a warm shape
+// cache never leaks shapes across epochs. The optimizer itself is never
+// mutated.
 TEST_F(EngineTest, SnapshotOnContextRekeysCachesAndPreservesBaseline) {
   WhatIfOptimizer opt(schema_);
   Query q = LineitemQuery(CmpOp::kEq);
@@ -811,8 +800,8 @@ TEST_F(EngineTest, SnapshotOnContextRekeysCachesAndPreservesBaseline) {
 
   // Fewer distinct values -> the equality predicate matches more rows ->
   // the indexed plan gets pricier. The exact value must match a fresh
-  // optimizer that never saw the base epoch: a warm cache entry keyed
-  // without the epoch would surface the stale base cost here.
+  // optimizer that never saw the base epoch: a warm shape keyed without
+  // the epoch would surface the stale base cost here.
   const double shifted = opt.QueryCost(q, with, shifted_ctx);
   EXPECT_NE(shifted, base);
   WhatIfOptimizer fresh(schema_);
@@ -828,7 +817,7 @@ TEST_F(EngineTest, SnapshotOnContextRekeysCachesAndPreservesBaseline) {
   EXPECT_EQ(opt.QueryCost(q, with, base_ctx), base);
 
   // A snapshot rebuilt from the same overlay content lands in the same
-  // epoch and is served from the retained epoch's warm cache.
+  // epoch and is costed from the retained epoch's warm shapes.
   const catalog::Snapshot again(schema_, overlay);
   EXPECT_EQ(again.epoch(), shifted_snapshot.epoch());
   common::EvalContext again_ctx;
@@ -887,31 +876,6 @@ TEST_F(EngineTest, SnapshotPublishDuringConcurrentBatchedCostsIsAtomic) {
     if (i % 8 == 0) continue;
     EXPECT_TRUE(got[i] == want_base || got[i] == want_shift)
         << "round " << i << " returned a torn epoch mix";
-  }
-}
-
-TEST_F(EngineTest, ClearCacheDuringConcurrentWorkloadCostsIsSafe) {
-  WhatIfOptimizer opt(schema_);
-  WhatIfOptimizer ref(schema_);
-  workload::Workload w;
-  w.queries.push_back(workload::WorkloadQuery{LineitemQuery(CmpOp::kEq), 1.0});
-  w.queries.push_back(workload::WorkloadQuery{LineitemQuery(CmpOp::kLt), 2.0});
-  std::vector<IndexConfig> configs(2);
-  configs[1].Add(Index{{Col("lineitem", "l_shipdate")}});
-  std::vector<double> want = ref.WorkloadCosts(w, configs);
-  common::ThreadPool pool(8);
-  constexpr size_t kRounds = 256;
-  std::vector<std::vector<double>> got(kRounds);
-  pool.ParallelFor(kRounds, [&](size_t i) {
-    if (i % 8 == 0) {
-      opt.ClearCache();
-      return;
-    }
-    got[i] = opt.WorkloadCosts(w, configs);
-  });
-  for (size_t i = 0; i < kRounds; ++i) {
-    if (i % 8 == 0) continue;
-    ASSERT_EQ(got[i], want) << "round " << i;
   }
 }
 

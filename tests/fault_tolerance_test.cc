@@ -297,19 +297,6 @@ TEST(FaultSiteTest, FailureRecordNamesTheInjectedSite) {
   EXPECT_EQ(record.code, StatusCode::kResourceExhausted);
 }
 
-TEST(FaultSiteTest, CachePoisonSelfHealsToCorrectCosts) {
-  FaultEnv env;
-  engine::IndexConfig config;
-  double clean = env.optimizer.WorkloadCost(env.w, config);
-  engine::WhatIfOptimizer poisoned(env.schema);
-  ScopedFaultSpec scoped("cache.shard.poison@p=1", 7);
-  double first = poisoned.WorkloadCost(env.w, config);
-  double second = poisoned.WorkloadCost(env.w, config);  // served from cache
-  EXPECT_DOUBLE_EQ(first, clean);
-  EXPECT_DOUBLE_EQ(second, clean);
-  EXPECT_GT(poisoned.num_integrity_recoveries(), 0);
-}
-
 TEST(FaultSiteTest, LegacyRecommendDegradesToEmptyInsteadOfAborting) {
   FaultEnv env;
   ScopedFaultSpec scoped("advisor.recommend.fail@p=1", 7);

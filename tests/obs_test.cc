@@ -25,7 +25,7 @@ namespace {
 
 TEST(MetricNameTest, ValidNames) {
   EXPECT_TRUE(IsValidMetricName("trap.whatif.calls"));
-  EXPECT_TRUE(IsValidMetricName("trap.whatif.cache.misses"));
+  EXPECT_TRUE(IsValidMetricName("trap.whatif.shape.misses"));
   EXPECT_TRUE(IsValidMetricName("trap.advisor.db_advis.rounds"));
 }
 
@@ -202,8 +202,9 @@ ScenarioDigests RunWithPool(common::ThreadPool* pool) {
   TraceSink sink;
   common::Status status = proptest::RunTraceScenario(options, &sink);
   EXPECT_TRUE(status.ok()) << status.ToString();
-  return ScenarioDigests{MetricRegistry::Digest(GlobalSnapshotWithDerived()),
-                         sink.Digest()};
+  return ScenarioDigests{
+      MetricRegistry::Digest(MetricRegistry::Global().Snapshot()),
+      sink.Digest()};
 }
 
 // The same scenario produces bit-identical metric and trace digests whether

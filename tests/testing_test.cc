@@ -241,15 +241,14 @@ TEST_F(ProptestTest, FaultNamesRoundTrip) {
 // oracles must still hold on every case where evaluation succeeds: fault
 // draws are keyed on the logical work item, so whenever no error-producing
 // site fires the costs are the true costs on every thread count and on warm
-// and cold caches alike, and cache poison self-heals before a value is ever
-// served. Cases where cost_error or timeout fired are skipped — there the
-// legacy batched wrappers deliberately degrade the whole result to +infinity
-// while a per-query fold degrades only the firing pair, so the comparison is
-// between two differently-degraded answers, not evidence of nondeterminism.
+// and cold shape caches alike. Cases where cost_error or timeout fired are
+// skipped — there the legacy batched wrappers deliberately degrade the whole
+// result to +infinity while a per-query fold degrades only the firing pair,
+// so the comparison is between two differently-degraded answers, not
+// evidence of nondeterminism.
 TEST_F(ProptestTest, DeterminismOraclesHoldUnderLowProbabilityFaults) {
   common::ScopedFaultSpec faults(
-      "engine.whatif.cost_error@p=0.02,engine.whatif.timeout@p=0.02,"
-      "cache.shard.poison@p=0.10",
+      "engine.whatif.cost_error@p=0.02,engine.whatif.timeout@p=0.02",
       /*seed=*/17);
   const common::FaultRegistry& reg = common::FaultRegistry::Global();
   OracleEnv env(schema_);
@@ -276,8 +275,7 @@ TEST_F(ProptestTest, DeterminismOraclesHoldUnderLowProbabilityFaults) {
     }
   }
   // The sweep exercised both regimes: some cases ran fault-free and were
-  // checked, some drew an error-site fault, and poison fired somewhere (its
-  // self-healing keeps those cases in the checked set).
+  // checked, and some drew an error-site fault.
   EXPECT_GT(checked, 0);
   EXPECT_GT(degraded, 0);
   EXPECT_GT(reg.total_hits(), 0);

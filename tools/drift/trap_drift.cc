@@ -330,7 +330,7 @@ int main(int argc, char** argv) {
   std::printf("metrics digest: 0x%016llx\n",
               static_cast<unsigned long long>(
                   trap::obs::MetricRegistry::Digest(
-                      trap::obs::GlobalSnapshotWithDerived())));
+                      trap::obs::MetricRegistry::Global().Snapshot())));
   std::printf("trace digest:   0x%016llx\n",
               static_cast<unsigned long long>(sink.Digest()));
   return 0;

@@ -1,15 +1,19 @@
 // Microbenchmarks (google-benchmark) of the substrate hot paths: what-if
 // costing, plan construction, learned-utility prediction, reference-tree
-// decoding. These bound the throughput of every experiment harness.
+// decoding, and the two set-up training layers (DQN training, GBDT fitting).
+// These bound the throughput of every experiment harness. Report-only.
 
 #include <benchmark/benchmark.h>
 
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 
+#include "advisor/registry.h"
 #include "catalog/datasets.h"
 #include "engine/what_if.h"
 #include "gbdt/features.h"
+#include "gbdt/gbdt.h"
 #include "gbdt/utility_model.h"
 #include "harness.h"
 #include "trap/reference_tree.h"
@@ -111,6 +115,53 @@ void BM_ReferenceTreeRandomDecode(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ReferenceTreeRandomDecode);
+
+// Learner layer: trains a DQN victim (60 episodes, one batched tape per
+// replay update) on six 6-query workloads under a 4-index budget.
+void BM_DqnTrain(benchmark::State& state) {
+  Fixture& f = fixture();
+  common::Rng rng(11);
+  std::vector<workload::Workload> training;
+  for (int i = 0; i < 6; ++i) {
+    training.push_back(workload::SampleWorkload(f.queries, 6, rng));
+  }
+  advisor::RegistryOptions opt;
+  opt.rl_episodes = 60;
+  opt.max_actions = 24;
+  const advisor::TuningConstraint constraint =
+      advisor::TuningConstraint::IndexCount(4, f.schema.DataSizeBytes() / 2);
+  for (auto _ : state) {
+    auto dqn = *advisor::MakeLearningAdvisor("DQN", f.optimizer, opt);
+    dqn->Train(training, constraint);
+    benchmark::DoNotOptimize(dqn.get());
+  }
+}
+BENCHMARK(BM_DqnTrain)->Unit(benchmark::kMillisecond);
+
+// GBDT layer: fits the utility model's default regressor (200 trees) on the
+// plan features of the fixture's queries under four configurations.
+void BM_GbdtFit(benchmark::State& state) {
+  Fixture& f = fixture();
+  std::vector<engine::IndexConfig> configs(4);
+  configs[1] = f.config;
+  configs[2].Add(f.config.indexes()[0]);
+  configs[3].Add(f.config.indexes()[1]);
+  std::vector<std::vector<double>> x;
+  std::vector<double> y;
+  for (const sql::Query& q : f.queries) {
+    for (const engine::IndexConfig& c : configs) {
+      std::unique_ptr<engine::PlanNode> plan = f.optimizer.Plan(q, c);
+      x.push_back(gbdt::ExtractPlanFeatures(*plan));
+      y.push_back(std::log1p(f.truth.PlanCost(*plan, q, c)));
+    }
+  }
+  for (auto _ : state) {
+    gbdt::GbdtRegressor model;
+    model.Fit(x, y);
+    benchmark::DoNotOptimize(model.num_trees());
+  }
+}
+BENCHMARK(BM_GbdtFit)->Unit(benchmark::kMillisecond);
 
 // Workload-costing section: the candidate-benefit sweep that every advisor
 // greedy round funnels through, costed twice on the calling thread. Costs

@@ -119,7 +119,7 @@ class DqnAdvisorBase : public LearningAdvisor {
     return env.built();
   }
 
-  const ActionSpace& action_space() const { return actions_; }
+  const nn::ParameterStore& weights() const override { return store_; }
 
  private:
   int RandomValid(const std::vector<bool>& valid) {
@@ -131,14 +131,15 @@ class DqnAdvisorBase : public LearningAdvisor {
         rng_.UniformInt(0, static_cast<int64_t>(ids.size()) - 1))];
   }
 
-  nn::Matrix QValues(const nn::Mlp& net, const std::vector<double>& state) {
+  // One inference forward; row r of the result belongs to row r of `states`.
+  static nn::Matrix QValues(const nn::Mlp& net, nn::Matrix states) {
     nn::Graph g;
-    return g.value(net.Forward(g, g.Input(nn::Matrix::RowVector(state))));
+    return g.value(net.Forward(g, g.Input(std::move(states))));
   }
 
   int GreedyAction(const nn::Mlp& net, const std::vector<double>& state,
                    const std::vector<bool>& valid) {
-    nn::Matrix q = QValues(net, state);
+    nn::Matrix q = QValues(net, nn::Matrix::RowVector(state));
     int best = -1;
     for (int j = 0; j < q.cols(); ++j) {
       if (!valid[static_cast<size_t>(j)]) continue;
@@ -150,7 +151,7 @@ class DqnAdvisorBase : public LearningAdvisor {
 
   double BestQ(const nn::Mlp& net, const std::vector<double>& state,
                const std::vector<bool>& valid) {
-    nn::Matrix q = QValues(net, state);
+    nn::Matrix q = QValues(net, nn::Matrix::RowVector(state));
     double best = -1e300;
     for (int j = 0; j < q.cols(); ++j) {
       if (valid[static_cast<size_t>(j)]) best = std::max(best, q.at(0, j));
@@ -158,36 +159,52 @@ class DqnAdvisorBase : public LearningAdvisor {
     return best;
   }
 
+  // One tape per update. Every forward row is computed independently, so
+  // the batched forwards give each sample the values its own tape would.
+  // Row r of the qnet_ input holds sample B-1-r: Backward folds rows into a
+  // weight gradient in ascending row order, which is the order in which
+  // per-sample tapes reached Parameter::grad (last sample first).
   void LearnBatch() {
-    nn::Graph g;
-    nn::Graph::VarId loss = g.Input(nn::Matrix(1, 1));
-    for (int b = 0; b < options_.batch_size; ++b) {
+    const int batch = options_.batch_size;
+    std::vector<const Transition*> samples;
+    nn::Matrix states(batch, encoder_->dim());
+    nn::Matrix next_states(batch, encoder_->dim());
+    for (int b = 0; b < batch; ++b) {
       const Transition& t = replay_[static_cast<size_t>(rng_.UniformInt(
           0, static_cast<int64_t>(replay_.size()) - 1))];
+      samples.push_back(&t);
+      std::copy(t.state.begin(), t.state.end(), &states.at(batch - 1 - b, 0));
+      std::copy(t.next_state.begin(), t.next_state.end(),
+                &next_states.at(b, 0));
+    }
+    nn::Matrix qn = QValues(target_, std::move(next_states));
+    nn::Graph g;
+    nn::Graph::VarId q = qnet_.Forward(g, g.Input(std::move(states)));
+    nn::Graph::VarId loss = g.Input(nn::Matrix(1, 1));
+    for (int b = 0; b < batch; ++b) {
+      const Transition& t = *samples[static_cast<size_t>(b)];
       double target = t.reward;
       if (!t.done) {
         double best_next = -1e300;
         bool any = false;
-        nn::Matrix qn = QValues(target_, t.next_state);
         for (int j = 0; j < qn.cols(); ++j) {
           if (j < static_cast<int>(t.next_valid.size()) &&
               t.next_valid[static_cast<size_t>(j)]) {
-            best_next = std::max(best_next, qn.at(0, j));
+            best_next = std::max(best_next, qn.at(b, j));
             any = true;
           }
         }
         if (any) target += options_.gamma * best_next;
       }
-      nn::Graph::VarId q =
-          qnet_.Forward(g, g.Input(nn::Matrix::RowVector(t.state)));
-      nn::Graph::VarId qa = g.Pick(q, 0, t.action);
+      nn::Graph::VarId qa = g.Pick(q, batch - 1 - b, t.action);
       nn::Matrix tm(1, 1);
       tm.at(0, 0) = target;
       nn::Graph::VarId err = g.Sub(qa, g.Input(tm));
       loss = g.Add(loss, g.Mul(err, err));
     }
-    g.Backward(g.Scale(loss, 1.0 / options_.batch_size));
+    g.Backward(g.Scale(loss, 1.0 / batch));
     opt_->Step();
+    CountLearnerUpdate(batch);
   }
 
   const engine::WhatIfOptimizer* optimizer_;

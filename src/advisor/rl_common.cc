@@ -6,8 +6,15 @@
 #include <set>
 
 #include "gbdt/features.h"
+#include "obs/obs.h"
 
 namespace trap::advisor {
+
+void CountLearnerUpdate(int rows) {
+  obs::MetricRegistry& reg = obs::MetricRegistry::Global();
+  reg.counter("trap.advisor.learner.updates")->Add();
+  reg.counter("trap.advisor.learner.update_rows")->Add(rows);
+}
 
 ActionSpace BuildActionSpace(const std::vector<workload::Workload>& training,
                              const catalog::Schema& schema, bool multi_column,

@@ -5,6 +5,7 @@
 
 #include "advisor/advisor.h"
 #include "advisor/candidates.h"
+#include "nn/layers.h"
 
 namespace trap::advisor {
 
@@ -15,7 +16,13 @@ class LearningAdvisor : public IndexAdvisor {
  public:
   virtual void Train(const std::vector<workload::Workload>& training,
                      const TuningConstraint& constraint) = 0;
+  // The trained policy's weights (for DQN/DRLindex the online Q-network).
+  virtual const nn::ParameterStore& weights() const = 0;
 };
+
+// Counts one gradient update over `rows` samples into
+// trap.advisor.learner.updates and trap.advisor.learner.update_rows.
+void CountLearnerUpdate(int rows);
 
 // State representation granularity, the design axis of Fig. 12:
 //   kFine   — operator/cost statistics from the workload's current plans

@@ -116,21 +116,29 @@ struct SwirlAdvisor::Impl {
         acc += steps[static_cast<size_t>(i)].reward;
         returns[static_cast<size_t>(i)] = acc;
       }
+      // One tape for the episode, rows reversed (row r holds step n-1-r) for
+      // the reason given at DqnAdvisorBase::LearnBatch.
+      const int n = static_cast<int>(steps.size());
+      nn::Matrix states(n, encoder->dim());
+      // Invalid actions are masked with a large negative offset.
+      nn::Matrix mask(n, k + 1);
+      for (int i = 0; i < n; ++i) {
+        const StepRecord& s = steps[static_cast<size_t>(i)];
+        std::copy(s.state.begin(), s.state.end(), &states.at(n - 1 - i, 0));
+        for (int j = 0; j <= k; ++j) {
+          mask.at(n - 1 - i, j) = s.valid[static_cast<size_t>(j)] ? 0.0 : -1e9;
+        }
+      }
       nn::Graph g;
+      nn::Graph::VarId x = g.Input(std::move(states));
+      nn::Graph::VarId logp_all =
+          g.LogSoftmax(g.Add(actor.Forward(g, x), g.Input(std::move(mask))));
+      nn::Graph::VarId values = critic.Forward(g, x);
       nn::Graph::VarId loss = g.Input(nn::Matrix(1, 1));
       for (size_t i = 0; i < steps.size(); ++i) {
-        const StepRecord& s = steps[i];
-        nn::Graph::VarId x = g.Input(nn::Matrix::RowVector(s.state));
-        nn::Graph::VarId logits = actor.Forward(g, x);
-        // Mask invalid actions with a large negative offset.
-        nn::Matrix mask(1, k + 1);
-        for (int j = 0; j <= k; ++j) {
-          mask.at(0, j) = s.valid[static_cast<size_t>(j)] ? 0.0 : -1e9;
-        }
-        nn::Graph::VarId masked = g.Add(logits, g.Input(mask));
-        nn::Graph::VarId logp_all = g.LogSoftmax(masked);
-        nn::Graph::VarId logp = g.Pick(logp_all, 0, s.action);
-        nn::Graph::VarId value = critic.Forward(g, x);
+        const int row = n - 1 - static_cast<int>(i);
+        nn::Graph::VarId logp = g.Pick(logp_all, row, steps[i].action);
+        nn::Graph::VarId value = g.Pick(values, row, 0);
         double advantage = returns[i] - g.value(value).at(0, 0);
         // Actor: -advantage * logp; critic: (value - return)^2.
         loss = g.Add(loss, g.Scale(logp, -advantage));
@@ -141,6 +149,7 @@ struct SwirlAdvisor::Impl {
       }
       g.Backward(g.Sum(loss));
       opt->Step();
+      CountLearnerUpdate(n);
     }
     return env.built();
   }
@@ -153,6 +162,8 @@ SwirlAdvisor::SwirlAdvisor(const engine::WhatIfOptimizer& optimizer,
 SwirlAdvisor::~SwirlAdvisor() = default;
 
 const ActionSpace& SwirlAdvisor::action_space() const { return impl_->actions; }
+
+const nn::ParameterStore& SwirlAdvisor::weights() const { return impl_->store; }
 
 void SwirlAdvisor::Train(const std::vector<workload::Workload>& training,
                          const TuningConstraint& constraint) {

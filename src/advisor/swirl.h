@@ -34,6 +34,7 @@ class SwirlAdvisor : public LearningAdvisor {
 
   void Train(const std::vector<workload::Workload>& training,
              const TuningConstraint& constraint) override;
+  const nn::ParameterStore& weights() const override;
 
   common::StatusOr<engine::IndexConfig> TryRecommend(
       const workload::Workload& w, const TuningConstraint& constraint,

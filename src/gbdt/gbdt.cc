@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <utility>
 
 #include "common/check.h"
+#include "obs/obs.h"
 
 namespace trap::gbdt {
 
@@ -41,37 +43,35 @@ int RegressionTree::Build(const std::vector<std::vector<double>>& x,
   int best_feature = -1;
   double best_threshold = 0.0;
 
-  double total_sq = 0.0;
-  for (int r : rows) {
-    double d = y[static_cast<size_t>(r)] - mean;
-    total_sq += d * d;
-  }
-
-  std::vector<int> sorted = rows;
+  // Each feature sorts (value, row) pairs by value, starting from the
+  // previous feature's order: the comparisons, and so std::sort's
+  // permutation, are those of sorting row ids through x[row][f].
+  std::vector<std::pair<double, int>> sorted;
+  sorted.reserve(rows.size());
+  for (int r : rows) sorted.emplace_back(0.0, r);
   for (int f = 0; f < num_features; ++f) {
-    std::sort(sorted.begin(), sorted.end(), [&](int a, int b) {
-      return x[static_cast<size_t>(a)][static_cast<size_t>(f)] <
-             x[static_cast<size_t>(b)][static_cast<size_t>(f)];
-    });
+    for (auto& [value, row] : sorted) {
+      value = x[static_cast<size_t>(row)][static_cast<size_t>(f)];
+    }
+    std::sort(sorted.begin(), sorted.end(),
+              [](const auto& a, const auto& b) { return a.first < b.first; });
     double left_sum = 0.0;
-    double left_sq = 0.0;
     double right_sum = sum;
     for (size_t i = 0; i + 1 < sorted.size(); ++i) {
-      double yi = y[static_cast<size_t>(sorted[i])];
+      double yi = y[static_cast<size_t>(sorted[i].second)];
       left_sum += yi;
-      left_sq += yi * yi;
       right_sum -= yi;
-      double xa = x[static_cast<size_t>(sorted[i])][static_cast<size_t>(f)];
-      double xb = x[static_cast<size_t>(sorted[i + 1])][static_cast<size_t>(f)];
+      double xa = sorted[i].first;
+      double xb = sorted[i + 1].first;
       if (xa == xb) continue;
       int nl = static_cast<int>(i) + 1;
       int nr = static_cast<int>(sorted.size()) - nl;
       if (nl < options.min_samples_leaf || nr < options.min_samples_leaf) {
         continue;
       }
-      // Variance reduction = total_sq - (left SSE + right SSE); using the
-      // sum-of-squares identity, SSE = sq - sum^2/n per side, and left/right
-      // sq sum to the total, the gain reduces to:
+      // Variance reduction: with SSE = sum of squares - sum^2/n per side,
+      // and the two sides' sums of squares adding up to the node's, the
+      // gain reduces to:
       double gain = left_sum * left_sum / nl + right_sum * right_sum / nr -
                     sum * sum / static_cast<double>(sorted.size());
       if (gain > best_gain) {
@@ -143,8 +143,11 @@ void GbdtRegressor::Fit(const std::vector<std::vector<double>>& x,
       }
     }
     if (static_cast<int>(rows.size()) < 2 * options_.min_samples_leaf) {
-      for (size_t i = 0; i < y.size(); ++i) rows.push_back(static_cast<int>(i));
+      // Too few to split: fit this tree on every row, once each.
+      rows.resize(y.size());
+      std::iota(rows.begin(), rows.end(), 0);
     }
+    obs::MetricRegistry::Global().counter("trap.gbdt.trees")->Add();
     RegressionTree tree;
     tree.Fit(x, residual, rows, tree_options);
     for (size_t i = 0; i < y.size(); ++i) {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <ranges>
 
 namespace trap::nn {
 
@@ -92,13 +93,6 @@ void TanhBackward(double* __restrict dx, const double* __restrict dy,
 void SigmoidBackward(double* __restrict dx, const double* __restrict dy,
                      const double* __restrict y, int n) {
   ForPairs(n, [=](int i) { dx[i] += dy[i] * y[i] * (1.0 - y[i]); });
-}
-
-bool HasZero(const double* v, int n) {
-  for (int j = 0; j < n; ++j) {
-    if (v[j] == 0.0) return true;
-  }
-  return false;
 }
 
 }  // namespace
@@ -439,53 +433,64 @@ void Graph::BackwardNode(VarId id) {
         }
         return;
       }
-      // Two passes over contiguous rows. dA[i, k] sums its terms in
+      // Two passes over contiguous rows, each visiting only the nonzero
+      // dOut entries of the row (ascending). dA[i, k] sums its terms in
       // ascending j and dB[k, j] in ascending i, as the interleaved loop did.
       for (int i = 0; i < rows; ++i) {
         const double* grow = Row(gn, i);
         const double* arow = Row(A, i);
         double* darow = Row(gna, i);
+        const bool dense = std::find(grow, grow + m, 0.0) == grow + m;
+        nz_.clear();
+        for (int j = 0; !dense && j < m; ++j) {
+          if (grow[j] != 0.0) nz_.push_back(j);
+        }
         // Four k at a time: four independent accumulation chains.
-        int k = 0;
-        for (; k + 4 <= inner; k += 4) {
-          const double* b0 = Row(B, k);
-          const double* b1 = b0 + m;
-          const double* b2 = b1 + m;
-          const double* b3 = b2 + m;
-          double s0 = darow[k], s1 = darow[k + 1];
-          double s2 = darow[k + 2], s3 = darow[k + 3];
-          for (int j = 0; j < m; ++j) {
-            const double g = grow[j];
-            if (g == 0.0) continue;
-            s0 += g * b0[j];
-            s1 += g * b1[j];
-            s2 += g * b2[j];
-            s3 += g * b3[j];
+        auto da_pass = [&](const auto& js) {
+          int k = 0;
+          for (; k + 4 <= inner; k += 4) {
+            const double* b0 = Row(B, k);
+            const double* b1 = b0 + m;
+            const double* b2 = b1 + m;
+            const double* b3 = b2 + m;
+            double s0 = darow[k], s1 = darow[k + 1];
+            double s2 = darow[k + 2], s3 = darow[k + 3];
+            for (int j : js) {
+              const double g = grow[j];
+              s0 += g * b0[j];
+              s1 += g * b1[j];
+              s2 += g * b2[j];
+              s3 += g * b3[j];
+            }
+            darow[k] = s0;
+            darow[k + 1] = s1;
+            darow[k + 2] = s2;
+            darow[k + 3] = s3;
           }
-          darow[k] = s0;
-          darow[k + 1] = s1;
-          darow[k + 2] = s2;
-          darow[k + 3] = s3;
-        }
-        for (; k < inner; ++k) {
-          const double* brow = Row(B, k);
-          double acc = darow[k];
-          for (int j = 0; j < m; ++j) {
-            if (grow[j] != 0.0) acc += grow[j] * brow[j];
+          for (; k < inner; ++k) {
+            const double* brow = Row(B, k);
+            double acc = darow[k];
+            for (int j : js) acc += grow[j] * brow[j];
+            darow[k] = acc;
           }
-          darow[k] = acc;
-        }
-        // dB[k, :] += A[i, k] * dOut[i, :], skipping zero dOut entries.
-        const bool dense = !HasZero(grow, m);
-        for (k = 0; k < inner; ++k) {
+        };
+        dense ? da_pass(std::views::iota(0, m)) : da_pass(nz_);
+        // dB[k, :] += A[i, k] * dOut[i, :] over the nonzero dOut entries. A
+        // zero A[i, k] is skipped too when the row of dOut is finite: its
+        // terms are then all +-0, and a gradient buffer, which starts at +0
+        // and is only ever added to, never holds -0, so adding them changes
+        // nothing. An infinite dOut entry makes 0 * inf = NaN, which must
+        // still land.
+        const bool finite = std::all_of(
+            grow, grow + m, [](double g) { return std::isfinite(g); });
+        for (int k = 0; k < inner; ++k) {
+          if (finite && arow[k] == 0.0) continue;
           double* dbrow = Row(gnb, k);
           if (dense) {
             AddScaledTo(dbrow, arow[k], grow, m);
             continue;
           }
-          for (int j = 0; j < m; ++j) {
-            if (grow[j] != 0.0) dbrow[j] += arow[k] * grow[j];
-          }
+          for (int j : nz_) dbrow[j] += arow[k] * grow[j];
         }
       }
       return;

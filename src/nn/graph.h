@@ -138,6 +138,7 @@ class Graph {
   std::vector<int> gather_ids_;  // row ids of every kGather node
   std::vector<Matrix> aux_;      // kLayerNorm: rows x (cols + 1) matrices
                                  // [normalized | inv_std]
+  std::vector<int> nz_;  // MatMul backward: a dOut row's nonzero columns
 };
 
 }  // namespace trap::nn

@@ -28,6 +28,12 @@ std::vector<Parameter*> ParameterStore::parameters() {
   return out;
 }
 
+std::vector<const Parameter*> ParameterStore::parameters() const {
+  std::vector<const Parameter*> out;
+  for (const auto& p : params_) out.push_back(p.get());
+  return out;
+}
+
 int64_t ParameterStore::NumParameters() const {
   int64_t total = 0;
   for (const auto& p : params_) total += p->value.size();

@@ -18,6 +18,7 @@ class ParameterStore {
   Parameter* CreateConst(int rows, int cols, double value);
 
   std::vector<Parameter*> parameters();
+  std::vector<const Parameter*> parameters() const;
   int64_t NumParameters() const;
   void ZeroGrad();
 

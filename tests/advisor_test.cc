@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+
 #include "advisor/candidates.h"
 #include "advisor/registry.h"
 #include "advisor/evaluation.h"
 #include "catalog/datasets.h"
+#include "obs/obs.h"
 #include "workload/generator.h"
 
 namespace trap::advisor {
@@ -252,6 +256,50 @@ TEST_F(AdvisorTest, DqnAdvisorImprovesCost) {
   EXPECT_LE(config.size(), 4);
   EXPECT_LT(Cost(test_workload_, config),
             Cost(test_workload_, IndexConfig()) * 1.0001);
+}
+
+// FNV-1a over the bits of every trained weight, in parameter order.
+uint64_t WeightDigest(const LearningAdvisor& advisor) {
+  uint64_t h = 0xcbf29ce484222325ULL;
+  for (const nn::Parameter* p : advisor.weights().parameters()) {
+    for (int i = 0; i < p->value.size(); ++i) {
+      uint64_t bits = 0;
+      std::memcpy(&bits, p->value.data() + i, sizeof(bits));
+      for (int byte = 0; byte < 8; ++byte) {
+        h = (h ^ ((bits >> (8 * byte)) & 0xff)) * 0x100000001b3ULL;
+      }
+    }
+  }
+  return h;
+}
+
+// The learners' weights after a short training run, pinned before the
+// replay and episode updates moved from per-sample tapes to one batched
+// tape: the batching must not change a single bit. Each update is counted.
+TEST_F(AdvisorTest, LearnerWeightsBitIdenticalToPerSampleTapes) {
+  struct Case {
+    const char* name;
+    TuningConstraint constraint;
+    uint64_t digest;
+  };
+  const Case cases[] = {
+      {"DQN", CountConstraint(4), 0x6de11d545109f8bdULL},
+      {"DRLindex", CountConstraint(3), 0x4856d0719581f626ULL},
+      {"SWIRL", StorageConstraint(), 0xff08eaba08b5a7cdULL},
+  };
+  obs::Counter* updates =
+      obs::MetricRegistry::Global().counter("trap.advisor.learner.updates");
+  for (const Case& c : cases) {
+    RegistryOptions opt;
+    opt.rl_episodes = 60;
+    opt.max_actions = 16;
+    auto advisor = *MakeLearningAdvisor(c.name, optimizer_, opt);
+    const int64_t before = updates->value();
+    advisor->Train(training_, c.constraint);
+    EXPECT_GT(updates->value(), before) << c.name;
+    EXPECT_EQ(WeightDigest(*advisor), c.digest)
+        << c.name << " 0x" << std::hex << WeightDigest(*advisor);
+  }
 }
 
 TEST_F(AdvisorTest, MctsImprovesCostWithinCount) {

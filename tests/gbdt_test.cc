@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <numeric>
 
 #include "catalog/datasets.h"
 #include "gbdt/features.h"
@@ -83,6 +86,177 @@ TEST(GbdtTest, DeterministicForSeed) {
   GbdtRegressor m2;
   m2.Fit(x, y);
   EXPECT_EQ(m1.Predict({0.3}), m2.Predict({0.3}));
+}
+
+// The exact greedy split search as it was before the keyed sort: row ids
+// sorted through x[row][f], the order carried from feature to feature. A
+// test-local copy, so the differential test below pins the rewrite to it.
+class ReferenceTree {
+ public:
+  void Fit(const std::vector<std::vector<double>>& x,
+           const std::vector<double>& y, std::vector<int> rows,
+           const RegressionTree::Options& options) {
+    nodes_.clear();
+    Build(x, y, rows, 0, options);
+  }
+
+  double Predict(const std::vector<double>& x) const {
+    int id = 0;
+    while (nodes_[static_cast<size_t>(id)].feature >= 0) {
+      const Node& n = nodes_[static_cast<size_t>(id)];
+      id = x[static_cast<size_t>(n.feature)] <= n.threshold ? n.left : n.right;
+    }
+    return nodes_[static_cast<size_t>(id)].value;
+  }
+
+  int num_nodes() const { return static_cast<int>(nodes_.size()); }
+
+ private:
+  struct Node {
+    int feature = -1;
+    double threshold = 0.0;
+    double value = 0.0;
+    int left = -1;
+    int right = -1;
+  };
+
+  int Build(const std::vector<std::vector<double>>& x,
+            const std::vector<double>& y, const std::vector<int>& rows,
+            int depth, const RegressionTree::Options& options) {
+    double sum = 0.0;
+    for (int r : rows) sum += y[static_cast<size_t>(r)];
+    const int id = static_cast<int>(nodes_.size());
+    nodes_.push_back(Node{});
+    nodes_.back().value = sum / static_cast<double>(rows.size());
+    if (depth >= options.max_depth ||
+        static_cast<int>(rows.size()) < 2 * options.min_samples_leaf) {
+      return id;
+    }
+    double best_gain = 1e-12;
+    int best_feature = -1;
+    double best_threshold = 0.0;
+    std::vector<int> sorted = rows;
+    for (size_t f = 0; f < x[0].size(); ++f) {
+      std::sort(sorted.begin(), sorted.end(), [&](int a, int b) {
+        return x[static_cast<size_t>(a)][f] < x[static_cast<size_t>(b)][f];
+      });
+      double left_sum = 0.0;
+      double right_sum = sum;
+      for (size_t i = 0; i + 1 < sorted.size(); ++i) {
+        double yi = y[static_cast<size_t>(sorted[i])];
+        left_sum += yi;
+        right_sum -= yi;
+        double xa = x[static_cast<size_t>(sorted[i])][f];
+        double xb = x[static_cast<size_t>(sorted[i + 1])][f];
+        if (xa == xb) continue;
+        int nl = static_cast<int>(i) + 1;
+        int nr = static_cast<int>(sorted.size()) - nl;
+        if (nl < options.min_samples_leaf || nr < options.min_samples_leaf) {
+          continue;
+        }
+        double gain = left_sum * left_sum / nl + right_sum * right_sum / nr -
+                      sum * sum / static_cast<double>(sorted.size());
+        if (gain > best_gain) {
+          best_gain = gain;
+          best_feature = static_cast<int>(f);
+          best_threshold = 0.5 * (xa + xb);
+        }
+      }
+    }
+    if (best_feature < 0) return id;
+    std::vector<int> left_rows, right_rows;
+    for (int r : rows) {
+      if (x[static_cast<size_t>(r)][static_cast<size_t>(best_feature)] <=
+          best_threshold) {
+        left_rows.push_back(r);
+      } else {
+        right_rows.push_back(r);
+      }
+    }
+    if (left_rows.empty() || right_rows.empty()) return id;
+    nodes_[static_cast<size_t>(id)].feature = best_feature;
+    nodes_[static_cast<size_t>(id)].threshold = best_threshold;
+    int left = Build(x, y, left_rows, depth + 1, options);
+    nodes_[static_cast<size_t>(id)].left = left;
+    int right = Build(x, y, right_rows, depth + 1, options);
+    nodes_[static_cast<size_t>(id)].right = right;
+    return id;
+  }
+
+  std::vector<Node> nodes_;
+};
+
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+// Tie-heavy data, compared bit for bit. Rows come in pairs that share a
+// label, and features 0 and 1 flag mirror-image halves of the same pairs,
+// so splits on either feature have the same exact gain: which one wins is
+// decided by the rounding of the prefix sums, that is by the order in
+// which tied rows are added. The other features take values from a
+// five-element set. (A stable sort, for one, fails this test.)
+TEST(RegressionTreeTest, KeyedSortMatchesReferenceSplitSearchBitwise) {
+  const double kLevels[] = {-1.0, 0.0, 0.5, 2.0, 3.0};
+  for (uint64_t seed = 1; seed <= 200; ++seed) {
+    common::Rng rng(seed);
+    const int pairs = 20 + static_cast<int>(rng.UniformInt(0, 80));
+    const int features = 2 + static_cast<int>(rng.UniformInt(0, 3));
+    std::vector<std::vector<double>> x;
+    std::vector<double> y;
+    for (int p = 0; p < pairs; ++p) {
+      const double label = rng.Gaussian();
+      const double flag = rng.Bernoulli(0.5) ? 1.0 : 0.0;
+      x.push_back({flag, 0.0});
+      x.push_back({0.0, flag});
+      for (int f = 2; f < features; ++f) {
+        x[x.size() - 2].push_back(kLevels[rng.UniformInt(0, 4)]);
+        x[x.size() - 1].push_back(kLevels[rng.UniformInt(0, 4)]);
+      }
+      y.push_back(label);
+      y.push_back(label);
+    }
+    const int n = 2 * pairs;
+    std::vector<int> rows(static_cast<size_t>(n));
+    std::iota(rows.begin(), rows.end(), 0);
+    RegressionTree::Options opt;
+    opt.max_depth = 1 + static_cast<int>(rng.UniformInt(0, 6));
+    opt.min_samples_leaf = 1 + static_cast<int>(rng.UniformInt(0, 4));
+    RegressionTree tree;
+    tree.Fit(x, y, rows, opt);
+    ReferenceTree ref;
+    ref.Fit(x, y, rows, opt);
+    ASSERT_EQ(tree.num_nodes(), ref.num_nodes()) << "seed " << seed;
+    for (int r = 0; r < n; ++r) {
+      EXPECT_TRUE(SameBits(tree.Predict(x[static_cast<size_t>(r)]),
+                           ref.Predict(x[static_cast<size_t>(r)])))
+          << "seed " << seed << " row " << r;
+    }
+  }
+}
+
+// When the row sample is too small to split, the tree falls back to every
+// row exactly once, so it fits what subsample = 1.0 fits.
+TEST(GbdtTest, SubsampleFallbackUsesEveryRowOnce) {
+  std::vector<std::vector<double>> x;
+  std::vector<double> y;
+  common::Rng rng(17);
+  for (int i = 0; i < 7; ++i) {
+    x.push_back({static_cast<double>(i)});
+    y.push_back(rng.Gaussian());
+  }
+  GbdtRegressor::Options opt;
+  opt.num_trees = 20;
+  opt.min_samples_leaf = 4;
+  opt.subsample = 1.0;
+  GbdtRegressor full(opt);
+  full.Fit(x, y);
+  opt.subsample = 0.5;
+  GbdtRegressor sampled(opt);
+  sampled.Fit(x, y);
+  for (const std::vector<double>& row : x) {
+    EXPECT_TRUE(SameBits(sampled.Predict(row), full.Predict(row)));
+  }
 }
 
 class PlanFeatureTest : public ::testing::Test {

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstring>
 #include <functional>
+#include <limits>
 #include <ostream>
 #include <string>
 
@@ -366,6 +367,104 @@ TEST(GraphTest, InferenceTapeMatchesTrainingTape) {
   for (int id = 0; id < infer.num_nodes(); ++id) {
     EXPECT_TRUE(SameBits(infer.value(id), train.value(id))) << "node " << id;
     EXPECT_EQ(infer.grad(id).size(), 0) << "node " << id;
+  }
+}
+
+// MatMul's dB pass skips a zero A[i, k] only when row i of dOut is finite:
+// with an infinity in the row, 0 * inf = NaN must still reach dB, exactly as
+// in the reference tape.
+TEST(GraphTest, MatMulZeroSkipKeepsNaNFromInfiniteGradient) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  common::Rng rng(53);
+  ParameterStore fast_store;
+  Parameter* w = fast_store.Create(4, 3, rng);
+  ParameterStore ref_store;
+  Parameter* rw = ref_store.CreateZero(4, 3);
+  ref_store.CopyValuesFrom(fast_store);
+  Matrix a(3, 4);
+  Matrix dout(3, 3);
+  for (int i = 0; i < a.size(); ++i) a.data()[i] = rng.Gaussian();
+  for (int i = 0; i < dout.size(); ++i) dout.data()[i] = rng.Gaussian();
+  a.at(0, 1) = 0.0;  // finite row of dOut: the zero is skipped
+  a.at(1, 2) = 0.0;  // dOut row 1 holds +inf
+  a.at(2, 0) = -0.0;
+  a.at(2, 3) = 0.0;  // dOut row 2 holds -inf and a zero
+  dout.at(1, 0) = kInf;
+  dout.at(2, 1) = -kInf;
+  dout.at(2, 2) = 0.0;
+  // Sum(MatMul(A, W) * G) back-propagates G as dOut.
+  auto build = [&](auto& g, Parameter* p) {
+    return g.Sum(g.Mul(g.MatMul(g.Input(a), g.Param(p)), g.Input(dout)));
+  };
+  Graph g;
+  proptest::ReferenceGraph ref;
+  int loss = build(g, w);
+  ASSERT_EQ(build(ref, rw), loss);
+  g.Backward(loss);
+  ref.Backward(loss);
+  for (int id = 0; id <= loss; ++id) {
+    EXPECT_TRUE(SameBits(g.grad(id), ref.grad(id))) << "node " << id;
+  }
+  EXPECT_TRUE(SameBits(w->grad, rw->grad));
+  EXPECT_TRUE(std::isnan(w->grad.at(2, 0)));  // 0 * inf from row 1
+  EXPECT_TRUE(std::isnan(w->grad.at(0, 1)));  // -0 * -inf from row 2
+}
+
+// A batched update (one forward over all samples, row r holding sample
+// B-1-r, per-sample loss nodes appended in sample order) leaves
+// Parameter::grad bit-identical to one forward per sample on one tape.
+TEST(GraphTest, ReversedRowBatchMatchesPerSampleTapes) {
+  common::Rng rng(59);
+  ParameterStore store;
+  Mlp mlp(&store, {6, 8, 5}, rng);
+  constexpr int kBatch = 7;
+  Matrix states(kBatch, 6);
+  std::vector<double> targets;
+  for (int b = 0; b < kBatch; ++b) {
+    // Sparse rows, as the RL state encodings are.
+    for (int c = 0; c < 6; ++c) {
+      states.at(b, c) = rng.Bernoulli(0.5) ? 0.0 : rng.Gaussian();
+    }
+    targets.push_back(rng.Gaussian());
+  }
+  auto squared_error = [&](Graph& g, Graph::VarId q, int row, int b) {
+    Matrix t(1, 1);
+    t.at(0, 0) = targets[static_cast<size_t>(b)];
+    Graph::VarId err = g.Sub(g.Pick(q, row, b % 5), g.Input(t));
+    return g.Mul(err, err);
+  };
+
+  Graph per_sample;
+  Graph::VarId loss = per_sample.Input(Matrix(1, 1));
+  for (int b = 0; b < kBatch; ++b) {
+    Matrix x(1, 6);
+    for (int c = 0; c < 6; ++c) x.at(0, c) = states.at(b, c);
+    Graph::VarId q = mlp.Forward(per_sample, per_sample.Input(x));
+    loss = per_sample.Add(loss, squared_error(per_sample, q, 0, b));
+  }
+  per_sample.Backward(per_sample.Scale(loss, 1.0 / kBatch));
+  std::vector<Matrix> expected;
+  for (Parameter* p : store.parameters()) {
+    expected.push_back(p->grad);
+    p->grad.Zero();
+  }
+
+  Matrix reversed(kBatch, 6);
+  for (int b = 0; b < kBatch; ++b) {
+    for (int c = 0; c < 6; ++c) {
+      reversed.at(kBatch - 1 - b, c) = states.at(b, c);
+    }
+  }
+  Graph batched;
+  Graph::VarId q = mlp.Forward(batched, batched.Input(reversed));
+  loss = batched.Input(Matrix(1, 1));
+  for (int b = 0; b < kBatch; ++b) {
+    loss = batched.Add(loss, squared_error(batched, q, kBatch - 1 - b, b));
+  }
+  batched.Backward(batched.Scale(loss, 1.0 / kBatch));
+  std::vector<Parameter*> params = store.parameters();
+  for (size_t i = 0; i < params.size(); ++i) {
+    EXPECT_TRUE(SameBits(params[i]->grad, expected[i])) << "parameter " << i;
   }
 }
 

@@ -1,7 +1,8 @@
 // Microbenchmarks (google-benchmark) of the substrate hot paths: what-if
 // costing, plan construction, learned-utility prediction, reference-tree
-// decoding, and the two set-up training layers (DQN training, GBDT fitting).
-// These bound the throughput of every experiment harness. Report-only.
+// decoding, the two set-up training layers (DQN training, GBDT fitting) and
+// the TRAP agent's RL update and generation. These bound the throughput of
+// every experiment harness. Report-only.
 
 #include <benchmark/benchmark.h>
 
@@ -16,7 +17,9 @@
 #include "gbdt/gbdt.h"
 #include "gbdt/utility_model.h"
 #include "harness.h"
+#include "nn/adam.h"
 #include "trap/reference_tree.h"
+#include "trap/training.h"
 #include "workload/generator.h"
 
 namespace {
@@ -162,6 +165,72 @@ void BM_GbdtFit(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_GbdtFit)->Unit(benchmark::kMillisecond);
+
+// The TRAP agent of the assessment benchmark (Bi-GRU encoder, attention
+// decoder, 32-wide) and a 5-query workload from the fixture's queries.
+struct AgentFixture {
+  AgentFixture() : agent(fixture().vocab, Options()) {
+    for (int i = 0; i < 5; ++i) {
+      const sql::Query& q = fixture().queries[static_cast<size_t>(i)];
+      w.queries.push_back(workload::WorkloadQuery{q, 1.0});
+    }
+  }
+  static tc::AgentOptions Options() {
+    tc::AgentOptions options;
+    options.embed_dim = 32;
+    options.hidden_dim = 32;
+    return options;
+  }
+  tc::TrapAgent agent;
+  workload::Workload w;
+};
+
+constexpr tc::PerturbationConstraint kBenchConstraint =
+    tc::PerturbationConstraint::kSharedTable;
+
+// nn layer under RL: one policy-gradient step -- the 5 queries' sampled
+// episodes on one tape, Backward, and an Adam step.
+void BM_TrapRlUpdate(benchmark::State& state) {
+  AgentFixture f;
+  const sql::Vocabulary& vocab = fixture().vocab;
+  nn::Adam adam(f.agent.store().parameters(), 1e-3);
+  adam.set_max_grad_norm(5.0);
+  common::Rng rng(17);
+  for (auto _ : state) {
+    nn::Graph g;
+    nn::Graph::VarId logp = g.Input(nn::Matrix(1, 1));
+    for (const workload::WorkloadQuery& wq : f.w.queries) {
+      tc::TrapAgent::EpisodeResult r = f.agent.RunEpisode(
+          &g, tc::ReferenceTree(wq.query, vocab, kBenchConstraint, 5),
+          tc::TrapAgent::Mode::kSample, &rng);
+      logp = g.Add(logp, r.log_prob_var);
+    }
+    g.Backward(g.Scale(logp, -0.1));
+    adam.Step();
+  }
+}
+BENCHMARK(BM_TrapRlUpdate)->Unit(benchmark::kMillisecond);
+
+// Generation: the greedy decode and two sampled decodes of one workload
+// that the best-of-3 selection scores, sharing one record of encodings.
+void BM_TrapGenerate(benchmark::State& state) {
+  AgentFixture f;
+  tc::RlOptions rl;
+  rl.use_learned_utility = false;
+  const tc::RlTrainer trainer(&f.agent, nullptr, nullptr, nullptr, nullptr,
+                              kBenchConstraint, 5, advisor::TuningConstraint(),
+                              rl);
+  common::Rng rng(19);
+  for (auto _ : state) {
+    tc::TrapAgent::Encodings encodings;
+    benchmark::DoNotOptimize(trainer.Perturb(f.w, {}, &encodings));
+    for (int i = 0; i < 2; ++i) {
+      benchmark::DoNotOptimize(
+          trainer.PerturbSampled(f.w, rng, {}, &encodings));
+    }
+  }
+}
+BENCHMARK(BM_TrapGenerate)->Unit(benchmark::kMillisecond);
 
 // Workload-costing section: the candidate-benefit sweep that every advisor
 // greedy round funnels through, costed twice on the calling thread. Costs

@@ -5,6 +5,7 @@
 //       epochs needed to reach a target IUDR level.
 
 #include <cstdio>
+#include <optional>
 
 #include "advisor/registry.h"
 #include "harness.h"
@@ -51,11 +52,18 @@ int main() {
     std::printf("%-16s ", pretrain ? "w/ pretrain" : "w/o pretrain");
     double target = 0.10;
     int reached = -1;
-    const std::vector<double>& trace =
+    // An epoch with no usable workload has no mean reward: "n/a".
+    const std::vector<std::optional<double>>& trace =
         generator.rl_trace().mean_reward_per_epoch;
     for (size_t e = 0; e < trace.size(); ++e) {
-      std::printf(" %6.3f", trace[e]);
-      if (reached < 0 && trace[e] >= target) reached = static_cast<int>(e) + 1;
+      if (!trace[e].has_value()) {
+        std::printf(" %6s", "n/a");
+        continue;
+      }
+      std::printf(" %6.3f", *trace[e]);
+      if (reached < 0 && *trace[e] >= target) {
+        reached = static_cast<int>(e) + 1;
+      }
     }
     if (reached > 0) {
       std::printf("   [reached %.2f at epoch %d]", target, reached);

@@ -95,6 +95,39 @@ void SigmoidBackward(double* __restrict dx, const double* __restrict dy,
   ForPairs(n, [=](int i) { dx[i] += dy[i] * y[i] * (1.0 - y[i]); });
 }
 
+// Returns true when dOut row `grow` holds no zero. Otherwise collects its
+// nonzero columns, ascending, into `nz`.
+bool NonzeroColumns(const double* grow, int m, std::vector<int>& nz) {
+  nz.clear();
+  if (std::find(grow, grow + m, 0.0) == grow + m) return true;
+  for (int j = 0; j < m; ++j) {
+    if (grow[j] != 0.0) nz.push_back(j);
+  }
+  return false;
+}
+
+// MatMul's dB pass for one row i: dB[k, :] += A[i, k] * dOut[i, :] over the
+// nonzero dOut entries (every entry when `dense`, else those in `nz`). A zero
+// A[i, k] is skipped too when the row of dOut is finite: its terms are then
+// all +-0, and a gradient buffer, which starts at +0 and is only ever added
+// to, never holds -0, so adding them changes nothing. An infinite dOut entry
+// makes 0 * inf = NaN, which must still land.
+void AddOuterRow(const double* arow, const double* grow, int inner, int m,
+                 bool dense, const std::vector<int>& nz, Matrix& db) {
+  if (!dense && nz.empty()) return;
+  const bool finite =
+      std::all_of(grow, grow + m, [](double g) { return std::isfinite(g); });
+  for (int k = 0; k < inner; ++k) {
+    if (finite && arow[k] == 0.0) continue;
+    double* dbrow = Row(db, k);
+    if (dense) {
+      AddScaledTo(dbrow, arow[k], grow, m);
+      continue;
+    }
+    for (int j : nz) dbrow[j] += arow[k] * grow[j];
+  }
+}
+
 }  // namespace
 
 Graph::VarId Graph::Push(Op op, Matrix value, VarId a, VarId b) {
@@ -350,22 +383,84 @@ Graph::VarId Graph::LayerNorm(VarId a, Parameter* gain, Parameter* bias) {
   return id;
 }
 
-const Matrix& Graph::grad(VarId id) const {
-  static const Matrix kNone;
+Matrix Graph::grad(VarId id) const {
   at(id);  // range check
-  return static_cast<size_t>(id) < grads_.size()
-             ? grads_[static_cast<size_t>(id)]
-             : kNone;
+  const size_t i = static_cast<size_t>(id);
+  if (i < fold_.size() && fold_[i] >= 0) {
+    // A folded leaf never had a buffer: rebuild the one it would have had.
+    const Matrix& v = ValueOf(nodes_[i]);
+    Matrix g(v.rows(), v.cols());
+    std::vector<int> nz;
+    AddFoldedTerms(id, g, nz);
+    return g;
+  }
+  return i < grads_.size() ? grads_[i] : Matrix();
+}
+
+// A Param leaf folds when its one consumer adds a single term per element
+// of its gradient: a 1-row MatMul or a 1-row Add (no broadcast) taking it
+// as `b`. Its buffer would hold 0.0 + t, and Parameter::grad never holds -0
+// (it starts at +0, Adam and ZeroGrad write +0, and a round-to-nearest sum
+// starting at +0 never becomes -0), so adding t itself at the leaf's visit
+// leaves the same bits as adding the buffer there.
+void Graph::FoldParamLeaves(VarId loss) {
+  const size_t count = static_cast<size_t>(loss) + 1;
+  std::vector<int> uses(count, 0);
+  for (size_t id = 0; id < count; ++id) {
+    const Node& n = nodes_[id];
+    if (n.a >= 0) ++uses[static_cast<size_t>(n.a)];
+    if (n.b >= 0) ++uses[static_cast<size_t>(n.b)];
+  }
+  fold_.assign(count, -1);
+  for (size_t id = 0; id < count; ++id) {
+    const Node& n = nodes_[id];
+    const bool single_term =
+        n.op == Op::kMatMul || (n.op == Op::kAdd && !n.broadcast);
+    if (!single_term || n.a == n.b) continue;
+    const size_t b = static_cast<size_t>(n.b);
+    if (nodes_[b].op == Op::kParam && uses[b] == 1 &&
+        ValueOf(nodes_[static_cast<size_t>(n.a)]).rows() == 1) {
+      fold_[b] = static_cast<VarId>(id);
+    }
+  }
+}
+
+// Adds folded leaf `leaf`'s terms into `dst`: exactly the additions its
+// consumer's backward pass would have made into its buffer.
+void Graph::AddFoldedTerms(VarId leaf, Matrix& dst,
+                           std::vector<int>& nz) const {
+  const size_t consumer = static_cast<size_t>(fold_[static_cast<size_t>(leaf)]);
+  const Node& c = nodes_[consumer];
+  const Matrix& gc = grads_[consumer];
+  if (c.op == Op::kAdd) {
+    AddTo(dst.data(), gc.data(), gc.size());
+    return;
+  }
+  const Matrix& A = ValueOf(nodes_[static_cast<size_t>(c.a)]);
+  const int m = gc.cols();
+  AddOuterRow(A.data(), gc.data(), A.cols(), m,
+              NonzeroColumns(gc.data(), m, nz), nz, dst);
 }
 
 void Graph::Backward(VarId loss) {
   TRAP_CHECK(loss >= 0 && loss < num_nodes());
   TRAP_CHECK(value(loss).rows() == 1 && value(loss).cols() == 1);
   // Gradients are allocated here, not per op, so inference-only tapes never
-  // pay for them. A second Backward keeps what the first accumulated.
+  // pay for them. A second Backward keeps what the first accumulated: it
+  // first gives each folded leaf the buffer it would have had, then runs
+  // every node buffered.
   const size_t count = static_cast<size_t>(loss) + 1;
+  if (grads_.empty()) {
+    FoldParamLeaves(loss);
+  } else {
+    for (size_t id = 0; id < fold_.size(); ++id) {
+      if (fold_[id] >= 0) grads_[id] = grad(static_cast<VarId>(id));
+    }
+    fold_.assign(count, -1);
+  }
   if (grads_.size() < count) grads_.resize(count);
   for (size_t id = 0; id < count; ++id) {
+    if (fold_[id] >= 0) continue;
     const Matrix& v = ValueOf(nodes_[id]);
     Matrix& g = grads_[id];
     if (g.rows() != v.rows() || g.cols() != v.cols()) {
@@ -391,6 +486,10 @@ void Graph::BackwardNode(VarId id) {
     case Op::kInput:
       return;
     case Op::kParam:
+      if (fold_[static_cast<size_t>(id)] >= 0) {
+        AddFoldedTerms(id, n.param->grad, nz_);
+        return;
+      }
       AddTo(n.param->grad.data(), go, size);
       return;
     case Op::kGather: {
@@ -436,15 +535,13 @@ void Graph::BackwardNode(VarId id) {
       // Two passes over contiguous rows, each visiting only the nonzero
       // dOut entries of the row (ascending). dA[i, k] sums its terms in
       // ascending j and dB[k, j] in ascending i, as the interleaved loop did.
+      // A folded `b` gets its dB terms at its own visit instead.
+      const bool fold_b = fold_[static_cast<size_t>(n.b)] == id;
       for (int i = 0; i < rows; ++i) {
         const double* grow = Row(gn, i);
         const double* arow = Row(A, i);
         double* darow = Row(gna, i);
-        const bool dense = std::find(grow, grow + m, 0.0) == grow + m;
-        nz_.clear();
-        for (int j = 0; !dense && j < m; ++j) {
-          if (grow[j] != 0.0) nz_.push_back(j);
-        }
+        const bool dense = NonzeroColumns(grow, m, nz_);
         // Four k at a time: four independent accumulation chains.
         auto da_pass = [&](const auto& js) {
           int k = 0;
@@ -475,23 +572,7 @@ void Graph::BackwardNode(VarId id) {
           }
         };
         dense ? da_pass(std::views::iota(0, m)) : da_pass(nz_);
-        // dB[k, :] += A[i, k] * dOut[i, :] over the nonzero dOut entries. A
-        // zero A[i, k] is skipped too when the row of dOut is finite: its
-        // terms are then all +-0, and a gradient buffer, which starts at +0
-        // and is only ever added to, never holds -0, so adding them changes
-        // nothing. An infinite dOut entry makes 0 * inf = NaN, which must
-        // still land.
-        const bool finite = std::all_of(
-            grow, grow + m, [](double g) { return std::isfinite(g); });
-        for (int k = 0; k < inner; ++k) {
-          if (finite && arow[k] == 0.0) continue;
-          double* dbrow = Row(gnb, k);
-          if (dense) {
-            AddScaledTo(dbrow, arow[k], grow, m);
-            continue;
-          }
-          for (int j : nz_) dbrow[j] += arow[k] * grow[j];
-        }
+        if (!fold_b) AddOuterRow(arow, grow, inner, m, dense, nz_, gnb);
       }
       return;
     }
@@ -507,6 +588,7 @@ void Graph::BackwardNode(VarId id) {
     }
     case Op::kAdd: {
       AddTo(ga, go, size);
+      if (fold_[static_cast<size_t>(n.b)] == id) return;
       Matrix& gb = grads_[static_cast<size_t>(n.b)];
       for (int i = 0; i < gn.rows(); ++i) {
         AddTo(Row(gb, n.broadcast ? 0 : i), Row(gn, i), gn.cols());

@@ -30,7 +30,9 @@ struct Parameter {
 //
 // The tape is an arena of plain nodes, each tagged with an Op; Backward is
 // one switch over it. Node gradients are allocated only when Backward runs,
-// so an inference-only tape never allocates one. A Param() leaf reads the
+// so an inference-only tape never allocates one, and a Param() leaf whose
+// one consumer adds a single term per element (a 1-row MatMul or Add) gets
+// none: its terms go straight into Parameter::grad. A Param() leaf reads the
 // parameter's value in place instead of copying it: do not update a
 // parameter (e.g. Adam::Step) while a tape that reads it is still in use.
 class Graph {
@@ -78,7 +80,8 @@ class Graph {
   // The node's value. The reference stays valid until the next op is added.
   const Matrix& value(VarId id) const { return ValueOf(at(id)); }
   // The node's accumulated gradient; empty until Backward has reached it.
-  const Matrix& grad(VarId id) const;
+  // A folded Param leaf's is rebuilt from its consumer on each call.
+  Matrix grad(VarId id) const;
 
   // Back-propagates d(loss)/d(everything) from `loss`, which must be 1x1.
   // Parameter gradients are *accumulated* (call ZeroGrad on the optimizer
@@ -131,10 +134,15 @@ class Graph {
   }
   // Appends a node; invalidates references into the arena.
   VarId Push(Op op, Matrix value, VarId a = -1, VarId b = -1);
+  void FoldParamLeaves(VarId loss);
+  void AddFoldedTerms(VarId leaf, Matrix& dst, std::vector<int>& nz) const;
   void BackwardNode(VarId id);
 
   std::vector<Node> nodes_;
-  std::vector<Matrix> grads_;    // by node id, up to the last Backward's loss
+  std::vector<Matrix> grads_;    // by node id, up to the last Backward's loss;
+                                 // empty for a folded leaf
+  std::vector<VarId> fold_;  // by node id: the consumer a folded Param leaf
+                             // takes its terms from, else -1
   std::vector<int> gather_ids_;  // row ids of every kGather node
   std::vector<Matrix> aux_;      // kLayerNorm: rows x (cols + 1) matrices
                                  // [normalized | inv_std]

@@ -9,6 +9,28 @@ namespace trap::trap {
 
 namespace {
 
+// Episode-level observability. Decode is serial per episode, so every count
+// is deterministic for a given seed and schedule of calls.
+struct AgentMetrics {
+  obs::Counter* episodes;
+  obs::Counter* decode_steps;
+  obs::Counter* truncations;
+  obs::Counter* encodes;         // encoder runs
+  obs::Counter* encodes_reused;  // decodes that read a recorded encoding
+};
+
+AgentMetrics& Metrics() {
+  static AgentMetrics* m = [] {
+    obs::MetricRegistry& reg = obs::MetricRegistry::Global();
+    return new AgentMetrics{reg.counter("trap.agent.episodes"),
+                            reg.counter("trap.agent.decode_steps"),
+                            reg.counter("trap.agent.truncations"),
+                            reg.counter("trap.agent.encodes"),
+                            reg.counter("trap.agent.encodes_reused")};
+  }();
+  return *m;
+}
+
 // Uniform-weights row vector used to mean-pool encoder states.
 nn::Matrix MeanPoolWeights(int n) {
   nn::Matrix m(1, n);
@@ -65,6 +87,7 @@ struct TrapAgent::Impl {
   // Encodes `ids`; returns the encoder state matrix VarId, or -1 for kNone.
   nn::Graph::VarId Encode(nn::Graph& g, const std::vector<int>& ids) const {
     if (options.encoder == EncoderKind::kNone) return -1;
+    Metrics().encodes->Add();
     nn::Graph::VarId x = embed.Forward(g, ids);  // n x e
     int n = static_cast<int>(ids.size());
     if (options.encoder == EncoderKind::kTransformer) {
@@ -107,9 +130,13 @@ struct TrapAgent::Impl {
 
   // Shared decode loop. If `forced` is non-null, choices are replayed from
   // it (teacher forcing); otherwise they are sampled/argmaxed per `mode`.
+  // An encoder run is recorded in `encodings` (when non-null); with `reuse`
+  // a recorded encoding is entered as values instead.
   EpisodeResult Decode(nn::Graph& g, ReferenceTree tree, Mode mode,
                        common::Rng* sample_rng, const std::vector<int>* forced,
-                       common::CancelToken* cancel = nullptr) const {
+                       common::CancelToken* cancel = nullptr,
+                       Encodings* encodings = nullptr,
+                       bool reuse = false) const {
     const std::vector<int> input_ids = [&] {
       std::vector<int> ids;
       for (const sql::Token& t : sql::ToTokens(tree.original_query(), *vocab)) {
@@ -118,19 +145,35 @@ struct TrapAgent::Impl {
       return ids;
     }();
 
-    nn::Graph::VarId enc = Encode(g, input_ids);
+    nn::Graph::VarId enc = -1;
     nn::Graph::VarId att_keys = -1;  // Wh H, computed once
-    if (enc >= 0 && options.attention) {
-      att_keys = att_h.Forward(g, enc);
-    }
     nn::Graph::VarId s;
-    if (enc >= 0) {
+    const Encoding* known = nullptr;
+    if (encodings != nullptr && reuse) {
+      auto it = encodings->find(input_ids);
+      if (it != encodings->end()) known = &it->second;
+    }
+    if (options.encoder == EncoderKind::kNone) {
+      s = g.Input(nn::Matrix(1, options.hidden_dim));
+    } else if (known != nullptr) {
+      enc = g.Input(known->states);
+      if (options.attention) att_keys = g.Input(known->keys);
+      s = g.Input(known->init);
+      Metrics().encodes_reused->Add();
+    } else {
+      enc = Encode(g, input_ids);
+      if (options.attention) att_keys = att_h.Forward(g, enc);
       nn::Graph::VarId pooled =
           g.MatMul(g.Input(MeanPoolWeights(static_cast<int>(input_ids.size()))),
                    enc);
       s = g.Tanh(init_state.Forward(g, pooled));
-    } else {
-      s = g.Input(nn::Matrix(1, options.hidden_dim));
+      if (encodings != nullptr) {
+        encodings->emplace(
+            input_ids,
+            Encoding{g.value(enc),
+                     att_keys >= 0 ? g.value(att_keys) : nn::Matrix(),
+                     g.value(s)});
+      }
     }
 
     EpisodeResult result;
@@ -243,38 +286,17 @@ TrapAgent::TrapAgent(const sql::Vocabulary& vocab, AgentOptions options)
 
 TrapAgent::~TrapAgent() = default;
 
-namespace {
-
-// Episode-level observability. Decode is serial per episode, so every count
-// is deterministic for a given seed and schedule of calls.
-struct AgentMetrics {
-  obs::Counter* episodes;
-  obs::Counter* decode_steps;
-  obs::Counter* truncations;
-};
-
-AgentMetrics& Metrics() {
-  static AgentMetrics* m = [] {
-    obs::MetricRegistry& reg = obs::MetricRegistry::Global();
-    return new AgentMetrics{reg.counter("trap.agent.episodes"),
-                            reg.counter("trap.agent.decode_steps"),
-                            reg.counter("trap.agent.truncations")};
-  }();
-  return *m;
-}
-
-}  // namespace
-
 TrapAgent::EpisodeResult TrapAgent::RunEpisode(
     nn::Graph* g, ReferenceTree tree, Mode mode, common::Rng* rng,
-    const common::EvalContext& ctx) const {
+    const common::EvalContext& ctx, Encodings* encodings) const {
   EpisodeResult result;
   if (g != nullptr) {
-    result = impl_->Decode(*g, std::move(tree), mode, rng, nullptr, ctx.cancel);
+    result = impl_->Decode(*g, std::move(tree), mode, rng, nullptr, ctx.cancel,
+                           encodings);
   } else {
     nn::Graph local;
     result = impl_->Decode(local, std::move(tree), mode, rng, nullptr,
-                           ctx.cancel);
+                           ctx.cancel, encodings, /*reuse=*/true);
     result.log_prob_var = -1;
   }
   Metrics().episodes->Add();

@@ -1,6 +1,7 @@
 #ifndef TRAP_TRAP_AGENT_H_
 #define TRAP_TRAP_AGENT_H_
 
+#include <map>
 #include <memory>
 #include <vector>
 
@@ -57,16 +58,33 @@ class TrapAgent {
     bool truncated = false;
   };
 
+  // What decoding reads from the encoder for one query, as values: the
+  // encoder states, the attention keys (empty without attention) and the
+  // initial decoder state.
+  struct Encoding {
+    nn::Matrix states;
+    nn::Matrix keys;
+    nn::Matrix init;
+  };
+  // Encodings by the query's token ids. They hold only while the weights do
+  // not change, so a caller keeps one for one generation or one RL step.
+  using Encodings = std::map<std::vector<int>, Encoding>;
+
   // Decodes a perturbed query along `tree`. With `g` non-null the episode
   // is recorded for back-propagation (log_prob_var is the differentiable sum
   // of chosen-token log-probabilities). Each scored decision charges one
   // step to `ctx.cancel` (when provided); once the budget expires the
   // remaining walk is completed deterministically with the first legal token
   // at each node and the result is marked truncated — the caller observes
-  // the kDeadlineExceeded status on the token itself.
+  // the kDeadlineExceeded status on the token itself. With `encodings`
+  // non-null, a decode that runs the encoder records its outputs there, and
+  // one with `g` null enters a recorded query's encoding as values instead
+  // of running the encoder (with `g` non-null the encoder always runs, so
+  // its gradient reaches the encoder). The result is the same either way.
   EpisodeResult RunEpisode(nn::Graph* g, ReferenceTree tree, Mode mode,
                            common::Rng* rng,
-                           const common::EvalContext& ctx = {}) const;
+                           const common::EvalContext& ctx = {},
+                           Encodings* encodings = nullptr) const;
 
   // Teacher-forced negative log-likelihood of replaying `choices` on `tree`
   // (Eq. 7, pretraining). Returns the 1x1 loss VarId.

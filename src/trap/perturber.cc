@@ -320,13 +320,17 @@ common::StatusOr<workload::Workload> AdversarialWorkloadGenerator::TryGenerate(
   }
   // Greedy decode plus a few policy samples; keep the candidate with the
   // highest estimated IUDR (the same selection budget Random receives).
+  // Every candidate decodes w under the same weights, so each query is
+  // encoded once.
+  TrapAgent::Encodings encodings;
   TRAP_RETURN_IF_ERROR(sctx.CheckContinue());
-  workload::Workload best = trainer_->Perturb(w, sctx);
+  workload::Workload best = trainer_->Perturb(w, sctx, &encodings);
   std::optional<double> u;  // u(W), shared by every candidate
   double best_score = trainer_->EstimatedIudr(w, best, &u);
   for (int i = 1; i < config_.model_attempts; ++i) {
     TRAP_RETURN_IF_ERROR(sctx.CheckContinue());
-    workload::Workload attempt = trainer_->PerturbSampled(w, rng_, sctx);
+    workload::Workload attempt =
+        trainer_->PerturbSampled(w, rng_, sctx, &encodings);
     double score = trainer_->EstimatedIudr(w, attempt, &u);
     if (score > best_score) {
       best_score = score;

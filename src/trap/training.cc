@@ -128,7 +128,9 @@ RlTrace RlTrainer::Train(const std::vector<workload::Workload>& training) {
       std::optional<double> u = EstimatedUtility(w);
       if (*u <= options_.theta) continue;
 
-      // Sampled trajectory over every query of the workload.
+      // Sampled trajectory over every query of the workload. Its encodings
+      // serve the greedy baseline: the weights change only after the step.
+      TrapAgent::Encodings encodings;
       nn::Graph g;
       nn::Graph::VarId logp_sum = g.Input(nn::Matrix(1, 1));
       workload::Workload sampled;
@@ -138,7 +140,7 @@ RlTrace RlTrainer::Train(const std::vector<workload::Workload>& training) {
           nn::Graph::VarId before = logp_sum;
           TrapAgent::EpisodeResult res =
               agent_->RunEpisode(&g, std::move(tree), TrapAgent::Mode::kSample,
-                                 &rng);
+                                 &rng, {}, &encodings);
           logp_sum = g.Add(before, res.log_prob_var);
           return res;
         }();
@@ -150,7 +152,7 @@ RlTrace RlTrainer::Train(const std::vector<workload::Workload>& training) {
 
       double baseline_reward = 0.0;
       if (options_.self_critic) {
-        baseline_reward = EstimatedIudr(w, Perturb(w), &u);
+        baseline_reward = EstimatedIudr(w, Perturb(w, {}, &encodings), &u);
       }
       reward_sum += reward;
       ++reward_count;
@@ -160,37 +162,34 @@ RlTrace RlTrainer::Train(const std::vector<workload::Workload>& training) {
       optimizer.Step();
     }
     trace.mean_reward_per_epoch.push_back(
-        reward_count > 0 ? reward_sum / reward_count : 0.0);
+        reward_count > 0 ? std::optional<double>(reward_sum / reward_count)
+                         : std::nullopt);
   }
   return trace;
 }
 
 workload::Workload RlTrainer::Perturb(const workload::Workload& w,
-                                      const common::EvalContext& ctx) const {
-  const sql::Vocabulary& vocab = agent_->vocab();
-  workload::Workload out;
-  for (const workload::WorkloadQuery& wq : w.queries) {
-    ReferenceTree tree(wq.query, vocab, constraint_, epsilon_);
-    TrapAgent::EpisodeResult r =
-        agent_->RunEpisode(nullptr, std::move(tree), TrapAgent::Mode::kGreedy,
-                           nullptr, ctx);
-    std::optional<sql::Query> pq = sql::FromTokens(r.output, vocab);
-    TRAP_CHECK(pq.has_value());
-    out.queries.push_back(workload::WorkloadQuery{*pq, wq.weight});
-  }
-  return out;
+                                      const common::EvalContext& ctx,
+                                      TrapAgent::Encodings* encodings) const {
+  return Decode(w, TrapAgent::Mode::kGreedy, nullptr, ctx, encodings);
 }
 
 workload::Workload RlTrainer::PerturbSampled(
     const workload::Workload& w, common::Rng& rng,
-    const common::EvalContext& ctx) const {
+    const common::EvalContext& ctx, TrapAgent::Encodings* encodings) const {
+  return Decode(w, TrapAgent::Mode::kSample, &rng, ctx, encodings);
+}
+
+workload::Workload RlTrainer::Decode(const workload::Workload& w,
+                                     TrapAgent::Mode mode, common::Rng* rng,
+                                     const common::EvalContext& ctx,
+                                     TrapAgent::Encodings* encodings) const {
   const sql::Vocabulary& vocab = agent_->vocab();
   workload::Workload out;
   for (const workload::WorkloadQuery& wq : w.queries) {
     ReferenceTree tree(wq.query, vocab, constraint_, epsilon_);
-    TrapAgent::EpisodeResult r =
-        agent_->RunEpisode(nullptr, std::move(tree), TrapAgent::Mode::kSample,
-                           &rng, ctx);
+    TrapAgent::EpisodeResult r = agent_->RunEpisode(nullptr, std::move(tree),
+                                                    mode, rng, ctx, encodings);
     std::optional<sql::Query> pq = sql::FromTokens(r.output, vocab);
     TRAP_CHECK(pq.has_value());
     out.queries.push_back(workload::WorkloadQuery{*pq, wq.weight});

@@ -47,8 +47,9 @@ struct RlOptions {
 };
 
 struct RlTrace {
-  // Mean (estimated) IUDR of sampled perturbations per epoch.
-  std::vector<double> mean_reward_per_epoch;
+  // Mean (estimated) IUDR of sampled perturbations per epoch; none for an
+  // epoch in which no drawn workload passed u(W) > theta.
+  std::vector<std::optional<double>> mean_reward_per_epoch;
 };
 
 // Trains the agent to generate workloads that degrade one victim advisor
@@ -69,14 +70,18 @@ class RlTrainer {
   // Greedy adversarial perturbation of a workload with the trained policy.
   // Decode steps are charged to ctx's step budget; episodes past the
   // deadline complete with first-legal tokens (see TrapAgent::RunEpisode).
+  // `encodings`, when given, is read and filled as RunEpisode does: pass one
+  // record to every perturbation of `w` made under the same weights.
   workload::Workload Perturb(const workload::Workload& w,
-                             const common::EvalContext& ctx = {}) const;
+                             const common::EvalContext& ctx = {},
+                             TrapAgent::Encodings* encodings = nullptr) const;
 
   // Stochastic perturbation (policy sampling) — used for best-of-k
   // generation at assessment time.
-  workload::Workload PerturbSampled(const workload::Workload& w,
-                                    common::Rng& rng,
-                                    const common::EvalContext& ctx = {}) const;
+  workload::Workload PerturbSampled(
+      const workload::Workload& w, common::Rng& rng,
+      const common::EvalContext& ctx = {},
+      TrapAgent::Encodings* encodings = nullptr) const;
 
   // Estimated IUDR of perturbing `w` into `perturbed` from the victim's
   // perspective (used as the reward signal).
@@ -94,6 +99,10 @@ class RlTrainer {
                        std::optional<double>* u) const;
 
  private:
+  // Decodes every query of `w` in `mode` on its own inference tape.
+  workload::Workload Decode(const workload::Workload& w, TrapAgent::Mode mode,
+                            common::Rng* rng, const common::EvalContext& ctx,
+                            TrapAgent::Encodings* encodings) const;
   double EstimatedUtility(const workload::Workload& w) const;
   double CostOf(const workload::Workload& w,
                 const engine::IndexConfig& config) const;

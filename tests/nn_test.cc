@@ -410,6 +410,98 @@ TEST(GraphTest, MatMulZeroSkipKeepsNaNFromInfiniteGradient) {
   EXPECT_TRUE(std::isnan(w->grad.at(0, 1)));  // -0 * -inf from row 2
 }
 
+// A Linear on a 1-row input: its W and b leaves have one consumer each,
+// whose terms Backward may fold straight into Parameter::grad. The input
+// row holds zeros of both signs and an infinity; one dOut row is finite with
+// zeros (A's zeros are skipped), the other holds infinities (they are not).
+// So the terms include -0, +-inf and 0 * inf = NaN, and A's infinity meets
+// a zero of dOut that must stay skipped. Every node gradient, the leaves'
+// included, and Parameter::grad match the reference bit for bit, after one
+// Backward and after a second on the same tape.
+TEST(GraphTest, SingleUseParamLeavesMatchReference) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  Matrix x(1, 5);
+  x.at(0, 0) = 1.5;
+  x.at(0, 1) = 0.0;
+  x.at(0, 2) = -0.0;
+  x.at(0, 3) = kInf;
+  x.at(0, 4) = -2.0;
+  Matrix finite(1, 4);
+  finite.at(0, 0) = 0.75;
+  finite.at(0, 1) = -0.0;
+  finite.at(0, 2) = -3.0;
+  finite.at(0, 3) = 0.0;
+  Matrix infinite = finite;
+  infinite.at(0, 0) = -kInf;
+  infinite.at(0, 2) = kInf;
+  for (const Matrix& dout : {finite, infinite}) {
+    common::Rng rng(61);
+    ParameterStore fast_store;
+    Linear linear(&fast_store, 5, 4, rng);
+    linear.bias()->value.InitXavier(rng);
+    ParameterStore ref_store;
+    Parameter* rw = ref_store.CreateZero(5, 4);
+    Parameter* rb = ref_store.CreateZero(1, 4);
+    ref_store.CopyValuesFrom(fast_store);
+    // Sum(Linear(x) * dOut) back-propagates dOut into the Add. The
+    // reference mirrors Linear::Forward's expression, so both tapes push
+    // their nodes in one order.
+    Graph g;
+    const int y = linear.Forward(g, g.Input(x));
+    const int loss = g.Sum(g.Mul(y, g.Input(dout)));
+    proptest::ReferenceGraph ref;
+    const int rx = ref.Input(x);
+    const int ry = ref.Add(ref.MatMul(rx, ref.Param(rw)), ref.Param(rb));
+    ASSERT_EQ(ry, y);
+    ASSERT_EQ(ref.Sum(ref.Mul(ry, ref.Input(dout))), loss);
+    for (int pass = 0; pass < 2; ++pass) {
+      g.Backward(loss);
+      ref.Backward(loss);
+      for (int id = 0; id <= loss; ++id) {
+        EXPECT_TRUE(SameBits(g.grad(id), ref.grad(id)))
+            << "pass " << pass << " node " << id;
+      }
+      EXPECT_TRUE(SameBits(linear.weight()->grad, rw->grad)) << pass;
+      EXPECT_TRUE(SameBits(linear.bias()->grad, rb->grad)) << pass;
+    }
+  }
+}
+
+// Three single-use leaves of one 1x1 parameter, each read by its own 1-row
+// MatMul, with the first leaf's consumer last on the tape. Its term must
+// land at the leaf's own visit, after the other two leaves' terms: the
+// terms 1, 1e16 and -1e16 sum to 1 in that order and to 0 in the order of
+// the consumers' visits.
+TEST(GraphTest, FoldedLeafTermLandsAtTheLeafsVisit) {
+  Parameter fast(1, 1);
+  Parameter ref_param(1, 1);
+  Matrix one(1, 1);
+  one.at(0, 0) = 1.0;
+  auto build = [&](auto& g, Parameter* p) {
+    const int l1 = g.Param(p);
+    const int l2 = g.Param(p);
+    const int l3 = g.Param(p);
+    const int x = g.Input(one);
+    const int c2 = g.MatMul(x, l2);
+    const int c3 = g.MatMul(x, l3);
+    const int c1 = g.MatMul(x, l1);
+    int loss = g.Scale(c1, 1.0);
+    loss = g.Add(loss, g.Scale(c2, 1e16));
+    return g.Add(loss, g.Scale(c3, -1e16));
+  };
+  Graph g;
+  proptest::ReferenceGraph ref;
+  const int loss = build(g, &fast);
+  ASSERT_EQ(build(ref, &ref_param), loss);
+  g.Backward(loss);
+  ref.Backward(loss);
+  EXPECT_EQ(ref_param.grad.at(0, 0), 1.0);
+  EXPECT_TRUE(SameBits(fast.grad, ref_param.grad));
+  for (int id = 0; id <= loss; ++id) {
+    EXPECT_TRUE(SameBits(g.grad(id), ref.grad(id))) << "node " << id;
+  }
+}
+
 // A batched update (one forward over all samples, row r holding sample
 // B-1-r, per-sample loss nodes appended in sample order) leaves
 // Parameter::grad bit-identical to one forward per sample on one tape.

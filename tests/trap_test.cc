@@ -3,12 +3,15 @@
 #include <algorithm>
 #include <cstring>
 #include <memory>
+#include <optional>
+#include <set>
 #include <string>
 
 #include "advisor/registry.h"
 #include "catalog/datasets.h"
 #include "common/thread_pool.h"
 #include "obs/metrics.h"
+#include "sql/query.h"
 #include "sql/tokenizer.h"
 #include "trap/agent.h"
 #include "trap/perturber.h"
@@ -88,6 +91,39 @@ TEST_F(TrapTest, AgentSampledEpisodeIsReproducibleWithSameRng) {
   auto a = agent.RunEpisode(nullptr, std::move(t1), TrapAgent::Mode::kSample, &r1);
   auto b = agent.RunEpisode(nullptr, std::move(t2), TrapAgent::Mode::kSample, &r2);
   EXPECT_EQ(a.choices, b.choices);
+}
+
+// Encodings recorded by a decode on a training tape, entered as values by
+// later decodes under the same weights, give the bits a fresh encode gives.
+TEST_F(TrapTest, RecordedEncodingDecodesLikeAFreshEncode) {
+  for (bool attention : {false, true}) {
+    TrapAgent agent(vocab_, SmallAgent(EncoderKind::kBiGru, attention));
+    TrapAgent::Encodings encodings;
+    nn::Graph tape;
+    common::Rng sample_rng(5);
+    for (int i = 0; i < 4; ++i) {
+      agent.RunEpisode(&tape,
+                       ReferenceTree(pool_[static_cast<size_t>(i)], vocab_,
+                                     PerturbationConstraint::kSharedTable, 5),
+                       TrapAgent::Mode::kSample, &sample_rng, {}, &encodings);
+    }
+    ASSERT_EQ(encodings.size(), 4u);
+    for (int i = 0; i < 4; ++i) {
+      const sql::Query& q = pool_[static_cast<size_t>(i)];
+      const ReferenceTree tree(q, vocab_, PerturbationConstraint::kSharedTable,
+                               5);
+      common::Rng r1(9), r2(9);
+      auto fresh =
+          agent.RunEpisode(nullptr, tree, TrapAgent::Mode::kSample, &r1);
+      auto reused = agent.RunEpisode(nullptr, tree, TrapAgent::Mode::kSample,
+                                     &r2, {}, &encodings);
+      EXPECT_EQ(fresh.choices, reused.choices) << i;
+      EXPECT_EQ(std::memcmp(&fresh.total_log_prob, &reused.total_log_prob,
+                            sizeof(double)),
+                0)
+          << i;
+    }
+  }
 }
 
 TEST_F(TrapTest, ForcedNllMatchesEpisodeLogProb) {
@@ -282,6 +318,16 @@ bool SameBits(const std::vector<double>& a, const std::vector<double>& b) {
   return a.size() == b.size() && SameBits(a.data(), b.data(), a.size());
 }
 
+bool SameBits(const std::vector<std::optional<double>>& a,
+              const std::vector<std::optional<double>>& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (a[i].has_value() != b[i].has_value()) return false;
+    if (a[i].has_value() && !SameBits(&*a[i], &*b[i], 1)) return false;
+  }
+  return true;
+}
+
 bool SameBits(const nn::Matrix& a, const nn::Matrix& b) {
   return a.rows() == b.rows() && a.cols() == b.cols() &&
          SameBits(a.data(), b.data(), static_cast<size_t>(a.size()));
@@ -449,6 +495,110 @@ TEST_F(PretrainMemoTest, UtilityOfWorkloadIsAskedOncePerStepForPureVictims) {
   // One generation scores the greedy and two sampled candidates.
   EXPECT_EQ(pure->calls() - pure_fit, 1 + 3);
   EXPECT_EQ(impure->calls() - impure_fit, 2 * 3);
+}
+
+// FNV-1a over the eight bytes of each word, as the learner weight pins hash.
+uint64_t Fnv(uint64_t h, uint64_t word) {
+  for (int byte = 0; byte < 8; ++byte) {
+    h = (h ^ ((word >> (8 * byte)) & 0xff)) * 0x100000001b3ULL;
+  }
+  return h;
+}
+
+uint64_t Fnv(uint64_t h, double value) {
+  uint64_t bits = 0;
+  std::memcpy(&bits, &value, sizeof(bits));
+  return Fnv(h, bits);
+}
+
+constexpr uint64_t kFnvBasis = 0xcbf29ce484222325ULL;
+
+// The full TRAP method on a small TPC-H generator (Bi-GRU encoder,
+// attention decoder): pretraining, RL against Extend under the learned
+// utility model, then best-of-3 generation on three workloads. Every agent
+// parameter's value/m/v bits, the pretrain NLL trace, the RL reward trace
+// and the generated queries' fingerprints are pinned. The digests were taken
+// before Backward folded single-term Param gradients into Parameter::grad
+// and before decodes reused recorded encodings; neither may move a bit.
+TEST_F(PretrainMemoTest, TrapMethodOutputsBitIdentical) {
+  GeneratorConfig cfg = Config();
+  cfg.rl.epochs = 3;
+  std::unique_ptr<AdversarialWorkloadGenerator> gen =
+      Fit(vocab_, cfg, Victim("Extend"));
+
+  uint64_t params = kFnvBasis;
+  for (const nn::Parameter* p : gen->agent()->store().parameters()) {
+    for (const nn::Matrix* m : {&p->value, &p->m, &p->v}) {
+      for (int i = 0; i < m->size(); ++i) params = Fnv(params, m->data()[i]);
+    }
+  }
+  uint64_t pretrain = kFnvBasis;
+  for (double nll : gen->pretrain_trace()) pretrain = Fnv(pretrain, nll);
+  uint64_t rewards = kFnvBasis;
+  for (const std::optional<double>& r : gen->rl_trace().mean_reward_per_epoch) {
+    ASSERT_TRUE(r.has_value());
+    rewards = Fnv(rewards, *r);
+  }
+  uint64_t generated = kFnvBasis;
+  for (const workload::Workload* w : {&test_, &training_[0], &training_[1]}) {
+    for (const workload::WorkloadQuery& wq : gen->Generate(*w).queries) {
+      generated = Fnv(generated, sql::Fingerprint(wq.query));
+    }
+  }
+  EXPECT_EQ(params, 0x3b5a8f420f4bf499ULL) << std::hex << params;
+  EXPECT_EQ(pretrain, 0xc214c7d5025da21bULL) << std::hex << pretrain;
+  EXPECT_EQ(rewards, 0x6f6387e5a9080c87ULL) << std::hex << rewards;
+  EXPECT_EQ(generated, 0x93d3dd47a44f6258ULL) << std::hex << generated;
+}
+
+// An epoch in which every drawn workload fails u(W) > theta has no mean
+// reward, not a reward of zero, and leaves the weights as they were.
+TEST_F(PretrainMemoTest, EpochWithoutUsableWorkloadHasNoMeanReward) {
+  TrapAgent agent(vocab_, SmallAgent(EncoderKind::kBiGru, true));
+  std::vector<nn::Matrix> before;
+  for (const nn::Parameter* p : agent.store().parameters()) {
+    before.push_back(p->value);
+  }
+  RlOptions rl;
+  rl.epochs = 2;
+  rl.workloads_per_epoch = 2;
+  rl.theta = 1.0;  // u(W) = 1 - cost(selected) / cost(base) never exceeds 1
+  RlTrainer trainer(&agent, Victim("Extend"), nullptr, &optimizer_, &utility_,
+                    PerturbationConstraint::kSharedTable, 5, Constraint(), rl);
+  const RlTrace trace = trainer.Train(training_);
+  ASSERT_EQ(trace.mean_reward_per_epoch.size(), 2u);
+  for (const std::optional<double>& r : trace.mean_reward_per_epoch) {
+    EXPECT_FALSE(r.has_value()) << *r;
+  }
+  const std::vector<nn::Parameter*> after = agent.store().parameters();
+  for (size_t i = 0; i < after.size(); ++i) {
+    EXPECT_TRUE(SameBits(after[i]->value, before[i])) << i;
+  }
+}
+
+// One generation decodes w three times (greedy and two samples) under the
+// same weights: each distinct query is encoded once and reused after.
+TEST_F(PretrainMemoTest, GenerationEncodesEachQueryOnce) {
+  GeneratorConfig cfg = Config();
+  cfg.pretrain_enabled = false;
+  cfg.model_attempts = 3;
+  std::unique_ptr<AdversarialWorkloadGenerator> gen =
+      Fit(vocab_, cfg, Victim("Extend"));
+  std::set<uint64_t> distinct;
+  for (const workload::WorkloadQuery& wq : test_.queries) {
+    distinct.insert(sql::Fingerprint(wq.query));
+  }
+  obs::MetricRegistry& reg = obs::MetricRegistry::Global();
+  obs::Counter* encodes = reg.counter("trap.agent.encodes");
+  obs::Counter* reused = reg.counter("trap.agent.encodes_reused");
+  const int64_t encodes_before = encodes->value();
+  const int64_t reused_before = reused->value();
+  gen->Generate(test_);
+  const int64_t n = static_cast<int64_t>(test_.queries.size());
+  EXPECT_EQ(encodes->value() - encodes_before,
+            static_cast<int64_t>(distinct.size()));
+  EXPECT_EQ(reused->value() - reused_before,
+            3 * n - static_cast<int64_t>(distinct.size()));
 }
 
 }  // namespace

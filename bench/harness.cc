@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <sstream>
 
 #include "advisor/registry.h"
 #include "common/file_util.h"
@@ -293,24 +292,17 @@ void BenchReport::RecordFailure(const advisor::FailureRecord& failure) {
 }
 
 std::string BenchReport::Write() const {
+  using common::JsonValue;
   const std::string path = "BENCH_" + name_ + ".json";
-  std::ostringstream out;
-  out << "{\n  \"bench\": \"" << name_ << "\",\n";
-  out << "  \"threads\": " << threads_ << ",\n";
-  out << "  \"phases\": [";
-  for (size_t i = 0; i < phases_.size(); ++i) {
-    out << (i == 0 ? "\n" : ",\n");
-    char buf[64];
-    std::snprintf(buf, sizeof buf, "%.6f", phases_[i].seconds);
-    out << "    {\"name\": \"" << phases_[i].name
-        << "\", \"seconds\": " << buf << "}";
+  JsonValue phases = JsonValue::Array();
+  for (const Phase& phase : phases_) {
+    phases.Push(JsonValue::Object()
+                    .Set("name", JsonValue::Str(phase.name))
+                    .Set("seconds", JsonValue::Number(phase.seconds)));
   }
-  out << "\n  ],\n  \"metrics\": {";
-  for (size_t i = 0; i < metrics_.size(); ++i) {
-    out << (i == 0 ? "\n" : ",\n");
-    char buf[64];
-    std::snprintf(buf, sizeof buf, "%.6f", metrics_[i].second);
-    out << "    \"" << metrics_[i].first << "\": " << buf;
+  JsonValue metrics = JsonValue::Object();
+  for (const auto& [key, value] : metrics_) {
+    metrics.Set(key, JsonValue::Number(value));
   }
   // Observability block: every sample in the global registry at write time,
   // plus the digest over the deterministic subset. The digest is what
@@ -318,32 +310,39 @@ std::string BenchReport::Write() const {
   // must produce bit-identical digests.
   const std::vector<obs::MetricSample> samples =
       obs::MetricRegistry::Global().Snapshot();
-  out << "\n  },\n  \"obs_metrics\": {";
-  for (size_t i = 0; i < samples.size(); ++i) {
-    out << (i == 0 ? "\n" : ",\n");
-    out << "    " << common::JsonQuote(samples[i].name)
-        << ": {\"value\": " << samples[i].value << ", \"deterministic\": "
-        << (samples[i].deterministic ? "true" : "false") << "}";
+  JsonValue obs_metrics = JsonValue::Object();
+  for (const obs::MetricSample& sample : samples) {
+    obs_metrics.Set(
+        sample.name,
+        JsonValue::Object()
+            .Set("value", JsonValue::Number(static_cast<double>(sample.value)))
+            .Set("deterministic", JsonValue::Bool(sample.deterministic)));
   }
-  char digest_buf[32];
-  std::snprintf(digest_buf, sizeof digest_buf, "0x%016llx",
-                static_cast<unsigned long long>(
-                    obs::MetricRegistry::Digest(samples)));
-  out << "\n  },\n  \"metrics_digest\": \"" << digest_buf << "\",\n";
-  out << "  \"failures\": [";
-  for (size_t i = 0; i < failures_.size(); ++i) {
-    const advisor::FailureRecord& f = failures_[i];
-    out << (i == 0 ? "\n" : ",\n");
-    out << "    {\"advisor\": " << common::JsonQuote(f.advisor)
-        << ", \"site\": " << common::JsonQuote(f.site) << ", \"code\": \""
-        << common::StatusCodeName(f.code) << "\", \"attempts\": " << f.attempts
-        << ", \"degraded\": " << (f.degraded ? "true" : "false")
-        << ", \"message\": " << common::JsonQuote(f.message) << "}";
+  JsonValue failures = JsonValue::Array();
+  for (const advisor::FailureRecord& f : failures_) {
+    failures.Push(
+        JsonValue::Object()
+            .Set("advisor", JsonValue::Str(f.advisor))
+            .Set("site", JsonValue::Str(f.site))
+            .Set("code", JsonValue::Str(common::StatusCodeName(f.code)))
+            .Set("attempts", JsonValue::Number(f.attempts))
+            .Set("degraded", JsonValue::Bool(f.degraded))
+            .Set("message", JsonValue::Str(f.message)));
   }
-  out << (failures_.empty() ? "]\n}\n" : "\n  ]\n}\n");
+  JsonValue doc = JsonValue::Object();
+  doc.Set("bench", JsonValue::Str(name_))
+      .Set("threads", JsonValue::Number(threads_))
+      .Set("phases", std::move(phases))
+      .Set("metrics", std::move(metrics))
+      .Set("obs_metrics", std::move(obs_metrics))
+      .Set("metrics_digest",
+           JsonValue::Hex(obs::MetricRegistry::Digest(samples)))
+      .Set("failures", std::move(failures));
   // Atomic publish (write .tmp, rename): a crash mid-write leaves only the
   // .tmp file, never a torn BENCH_*.json.
-  if (!common::AtomicWriteFile(path, out.str()).ok()) return "";
+  if (!common::AtomicWriteFile(path, common::WriteJson(doc) + "\n").ok()) {
+    return "";
+  }
   std::printf("[bench json] wrote %s (threads=%d)\n", path.c_str(), threads_);
   return path;
 }

@@ -16,7 +16,7 @@
 #      counters, snapshot publishes, metrics and trace sinks.
 #   3. The same suite under ASan+UBSan (TRAP_SANITIZE=address,undefined)
 #      with sanitizer recovery disabled, so any UB aborts the run.
-#   4. A smoke-fuzz stage per build flavor: trap_fuzz sweeps all eleven oracle
+#   4. A smoke-fuzz stage per build flavor: trap_fuzz sweeps all ten oracle
 #      families at a fixed seed (smaller case counts under sanitizers so the
 #      stage stays near 30 seconds end to end), then replays the committed
 #      regression corpus.
@@ -26,13 +26,6 @@
 #      silent wrong answer fails the stage. The plain flavor additionally
 #      reruns the campaign at TRAP_THREADS=1/4/8 and requires the reported
 #      campaign digest to be bit-identical across thread counts.
-#   5b. A distributed-campaign stage per flavor (plain + TSan): the sharded
-#      coordinator/worker runner (trap_campaign) must reproduce the
-#      single-process campaign digest bit-for-bit in-process, under 1 and 4
-#      workers, and across a crash-interrupted run (injected worker.crash
-#      faults + --stop-after-shards) resumed from its checkpoint journal.
-#      The plain flavor also writes BENCH_campaign.json with a
-#      campaign_cases_per_sec throughput counter.
 #   6. An observability stage per flavor (plain + TSan): trap_trace replays
 #      the deterministic trace scenario at TRAP_THREADS=1/4/8 and requires
 #      the metric and trace digest lines to be bit-identical across thread
@@ -57,9 +50,8 @@
 #   8. An advisor-registry audit: outside src/advisor/ nothing may
 #      construct a concrete advisor directly -- every construction goes
 #      through advisor::MakeAdvisor / MakeLearningAdvisor.
-#   9. An exemption audit: the property-testing and campaign trees
-#      (src/testing, src/campaign, tools/fuzz, tools/campaign) must lint
-#      clean without a single NOLINT escape hatch.
+#   9. An exemption audit: the property-testing trees (src/testing,
+#      tools/fuzz) must lint clean without a single NOLINT escape hatch.
 #  10. A clang-format check on src/ tests/ bench/ tools/ (skipped with a
 #      notice when clang-format is not installed; the lint_fixtures tree is
 #      excluded -- its files exist to be lexed, not formatted).
@@ -118,57 +110,6 @@ fault_campaign_stage() {
       exit 1
     fi
   done
-}
-
-# Distributed-campaign stage: every topology of the sharded
-# coordinator/worker runner must land on the digest of the single-process
-# trap_fuzz --fault-campaign run, including a crash-interrupted run (with
-# injected worker crashes) resumed from its checkpoint journal.
-campaign_digest_stage() {
-  local dir="$1"
-  local with_report="$2"   # "report" to also write BENCH_campaign.json
-  echo "==> distributed campaign digests ${dir}"
-  local ref
-  ref="$(campaign_digest "${dir}")"
-  echo "    single-process:      ${ref}"
-  local w
-  for w in 0 1 4; do
-    local digest
-    digest="$("${dir}/tools/campaign/trap_campaign" --workers "${w}" \
-        --seed 1 --digest)"
-    echo "    workers=${w}:           ${digest}"
-    if [ "${digest}" != "${ref}" ]; then
-      echo "error: trap_campaign --workers ${w} digest differs from" \
-           "single-process run" >&2
-      exit 1
-    fi
-  done
-  # Interrupt a faulty run after 3 shards (worker crashes injected along
-  # the way), then resume from the journal: still bit-identical. Shards
-  # that exhausted retries under faults are simply re-run by the resume.
-  local journal="${dir}/campaign_resume.journal"
-  rm -f "${journal}"
-  TRAP_CAMPAIGN_FAULTS='worker.crash@p=0.3' TRAP_CAMPAIGN_FAULT_SEED=7 \
-    "${dir}/tools/campaign/trap_campaign" --workers 2 --seed 1 \
-      --journal "${journal}" --stop-after-shards 3 --digest > /dev/null ||
-    true   # nonzero exit = interrupted/degraded, expected here
-  local digest
-  digest="$("${dir}/tools/campaign/trap_campaign" --workers 2 --seed 1 \
-      --journal "${journal}" --resume --digest)"
-  echo "    interrupted+resumed: ${digest}"
-  rm -f "${journal}"
-  if [ "${digest}" != "${ref}" ]; then
-    echo "error: resumed campaign digest differs from single-process run" >&2
-    exit 1
-  fi
-  if [ "${with_report}" = "report" ]; then
-    (cd "${dir}" && ./tools/campaign/trap_campaign --workers 4 --seed 1 \
-        --report campaign > /dev/null)
-    if ! grep -q '"campaign_cases_per_sec"' "${dir}/BENCH_campaign.json"; then
-      echo "error: BENCH_campaign.json lacks campaign_cases_per_sec" >&2
-      exit 1
-    fi
-  fi
 }
 
 # Replays the trap_trace scenario across thread counts and requires both
@@ -293,7 +234,6 @@ lint_stage build-check
 
 run_suite build-check 2000 -DTRAP_WERROR=ON
 fault_campaign_stage build-check "1 4 8"
-campaign_digest_stage build-check report
 trace_digest_stage build-check "1 4 8"
 drift_digest_stage build-check "1 4 8"
 serve_digest_stage build-check "1 4 8" report
@@ -302,7 +242,6 @@ perf_gate_stage build-check
 TRAP_THREADS=4 run_suite build-check-tsan 600 -DTRAP_WERROR=ON \
   -DTRAP_SANITIZE=thread
 fault_campaign_stage build-check-tsan "4"
-campaign_digest_stage build-check-tsan ""
 trace_digest_stage build-check-tsan "1 4 8"
 drift_digest_stage build-check-tsan "1 4 8"
 serve_digest_stage build-check-tsan "1 4 8" ""
@@ -319,8 +258,8 @@ if grep -rnE \
   exit 1
 fi
 
-echo "==> NOLINT exemption audit (src/testing, src/campaign, tools/fuzz, tools/campaign)"
-if grep -rn "NOLINT" src/testing src/campaign tools/fuzz tools/campaign; then
+echo "==> NOLINT exemption audit (src/testing, tools/fuzz)"
+if grep -rn "NOLINT" src/testing tools/fuzz; then
   echo "error: property-testing trees must be lint-clean without exemptions"
   exit 1
 fi

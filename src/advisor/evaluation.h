@@ -13,7 +13,7 @@ namespace trap::advisor {
 // A structured record of one advisor failure survived by the evaluation
 // runtime: which advisor failed, the fault site (when the Status originated
 // from an injected fault), the final Status, how many attempts were made,
-// and whether the campaign degraded to the no-index baseline. Serialized
+// and whether the evaluation degraded to the no-index baseline. Serialized
 // into BenchReport JSON by the bench harness.
 struct FailureRecord {
   std::string advisor;

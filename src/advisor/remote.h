@@ -18,8 +18,8 @@ namespace trap::advisor {
 // document yields kInvalidArgument, never an abort, because the peer is a
 // separate process the protocol deliberately distrusts. Encode/Decode
 // round-trips are exact: queries and configurations compare equal, and
-// weights/statistics survive bit-for-bit (doubles ride through
-// common::JsonDouble's %.17g).
+// weights/statistics survive bit-for-bit (common::WriteJson prints doubles
+// with %.17g).
 common::JsonValue EncodeQuery(const sql::Query& q);
 common::StatusOr<sql::Query> DecodeQuery(const common::JsonValue& v);
 
@@ -45,7 +45,7 @@ struct RemoteAdvisorOptions {
 
 // An IndexAdvisor whose recommendations are computed by a separate process
 // speaking the common::rpc envelope over length-prefixed frames on its
-// stdio (the same transport as the campaign coordinator/worker link). The
+// stdio (the same transport as `trap_serve --stdio`). The
 // child is spawned lazily on the first TryRecommend and reused across
 // calls; it must send a `{"rpc":1,"hello":"trap-serve"}` handshake frame
 // before serving requests, so protocol skew fails the very first call with

@@ -12,8 +12,9 @@ namespace trap::common {
 namespace {
 
 // One row per site, in enum order. `draw_tag` salts the site's draws and is
-// fixed once a site exists, so deleting a site (5 was cache.shard.poison)
-// never reshuffles the fault fates of the others.
+// fixed once a site exists, so deleting a site (5 was cache.shard.poison;
+// 8-10 were the process-level worker.crash/hang/garbage_frame) never
+// reshuffles the fault fates of the others.
 struct SiteNameEntry {
   FaultSite site;
   const char* name;
@@ -27,9 +28,6 @@ constexpr SiteNameEntry kSiteNames[] = {
     {FaultSite::kAdvisorRecommendHang, "advisor.recommend.hang", 4},
     {FaultSite::kPerturberInvalidTree, "perturber.invalid_tree", 6},
     {FaultSite::kWhatIfInvertBenefit, "engine.whatif.invert_benefit", 7},
-    {FaultSite::kCampaignWorkerCrash, "worker.crash", 8},
-    {FaultSite::kCampaignWorkerHang, "worker.hang", 9},
-    {FaultSite::kCampaignWorkerGarbageFrame, "worker.garbage_frame", 10},
 };
 static_assert(sizeof(kSiteNames) / sizeof(kSiteNames[0]) ==
               static_cast<size_t>(kNumFaultSites));
@@ -172,6 +170,26 @@ RegistryData& Data() {
   return data;
 }
 
+// Replaces the whole configuration; the caller holds d.config_mu.
+void ApplyLocked(RegistryData& d, const FaultSpec& spec) {
+  std::uint64_t mask = kInitBit;  // configuring overrides env init
+  for (int i = 0; i < kNumFaultSites; ++i) {
+    d.sites[i].probability.store(0.0, std::memory_order_relaxed);
+    d.sites[i].remaining.store(-1, std::memory_order_relaxed);
+    d.sites[i].hits.store(0, std::memory_order_relaxed);
+  }
+  d.seed.store(spec.seed, std::memory_order_relaxed);
+  for (const FaultSiteConfig& cfg : spec.sites) {
+    FaultRegistry::SiteState& s = d.sites[static_cast<int>(cfg.site)];
+    s.probability.store(cfg.probability, std::memory_order_relaxed);
+    s.remaining.store(cfg.limit, std::memory_order_relaxed);
+    if (cfg.probability > 0.0 && cfg.limit != 0) {
+      mask |= std::uint64_t{1} << static_cast<int>(cfg.site);
+    }
+  }
+  d.armed_mask.store(mask, std::memory_order_release);
+}
+
 }  // namespace
 
 FaultRegistry& FaultRegistry::Global() {
@@ -186,22 +204,7 @@ FaultRegistry::SiteState* FaultRegistry::state(FaultSite site) const {
 void FaultRegistry::Configure(const FaultSpec& spec) {
   RegistryData& d = Data();
   std::lock_guard<std::mutex> lock(d.config_mu);
-  std::uint64_t mask = kInitBit;  // configuring overrides env init
-  for (int i = 0; i < kNumFaultSites; ++i) {
-    d.sites[i].probability.store(0.0, std::memory_order_relaxed);
-    d.sites[i].remaining.store(-1, std::memory_order_relaxed);
-    d.sites[i].hits.store(0, std::memory_order_relaxed);
-  }
-  d.seed.store(spec.seed, std::memory_order_relaxed);
-  for (const FaultSiteConfig& cfg : spec.sites) {
-    SiteState& s = d.sites[static_cast<int>(cfg.site)];
-    s.probability.store(cfg.probability, std::memory_order_relaxed);
-    s.remaining.store(cfg.limit, std::memory_order_relaxed);
-    if (cfg.probability > 0.0 && cfg.limit != 0) {
-      mask |= std::uint64_t{1} << static_cast<int>(cfg.site);
-    }
-  }
-  d.armed_mask.store(mask, std::memory_order_release);
+  ApplyLocked(d, spec);
 }
 
 void FaultRegistry::EnsureInitFromEnv() {
@@ -209,17 +212,8 @@ void FaultRegistry::EnsureInitFromEnv() {
   if ((d.armed_mask.load(std::memory_order_acquire) & kInitBit) != 0) return;
   std::lock_guard<std::mutex> lock(d.config_mu);
   if ((d.armed_mask.load(std::memory_order_acquire) & kInitBit) != 0) return;
+  // TRAP_FAULTS="site@p=P@limit=N,..." + TRAP_FAULT_SEED.
   FaultSpec spec;
-  // Legacy hook first: TRAP_TESTING_FAULT=invert_index_benefit.
-  if (const char* env = std::getenv("TRAP_TESTING_FAULT");
-      env != nullptr && *env != '\0') {
-    std::optional<InjectedFault> parsed = FaultFromName(env);
-    TRAP_CHECK_MSG(parsed.has_value(), env);
-    if (*parsed == InjectedFault::kInvertIndexBenefit) {
-      spec.sites.push_back({FaultSite::kWhatIfInvertBenefit, 1.0, -1});
-    }
-  }
-  // Registry spec: TRAP_FAULTS="site@p=P@limit=N,..." + TRAP_FAULT_SEED.
   if (const char* env = std::getenv("TRAP_FAULTS");
       env != nullptr && *env != '\0') {
     std::uint64_t seed = 0;
@@ -232,29 +226,9 @@ void FaultRegistry::EnsureInitFromEnv() {
     std::string error;
     std::optional<FaultSpec> parsed = ParseFaultSpec(env, seed, &error);
     TRAP_CHECK_MSG(parsed.has_value(), error.c_str());
-    spec.seed = parsed->seed;
-    for (const FaultSiteConfig& cfg : parsed->sites) {
-      spec.sites.push_back(cfg);
-    }
+    spec = *std::move(parsed);
   }
-  // Unlock-free re-entry into Configure would deadlock on config_mu; inline
-  // the same logic here while holding the lock.
-  std::uint64_t mask = kInitBit;
-  d.seed.store(spec.seed, std::memory_order_relaxed);
-  for (const FaultSiteConfig& cfg : spec.sites) {
-    SiteState& s = d.sites[static_cast<int>(cfg.site)];
-    s.probability.store(cfg.probability, std::memory_order_relaxed);
-    s.remaining.store(cfg.limit, std::memory_order_relaxed);
-    if (cfg.probability > 0.0 && cfg.limit != 0) {
-      mask |= std::uint64_t{1} << static_cast<int>(cfg.site);
-    }
-  }
-  d.armed_mask.store(mask, std::memory_order_release);
-}
-
-bool FaultRegistry::armed(FaultSite site) const {
-  std::uint64_t mask = Data().armed_mask.load(std::memory_order_relaxed);
-  return (mask & (std::uint64_t{1} << static_cast<int>(site))) != 0;
+  ApplyLocked(d, spec);
 }
 
 std::int64_t FaultRegistry::hits(FaultSite site) const {
@@ -313,39 +287,5 @@ ScopedFaultSpec::ScopedFaultSpec(std::string_view spec, std::uint64_t seed) {
 }
 
 ScopedFaultSpec::~ScopedFaultSpec() { FaultRegistry::Global().Reset(); }
-
-// ---------------------------------------------------------------------------
-// Legacy single-fault API
-// ---------------------------------------------------------------------------
-
-const char* FaultName(InjectedFault f) {
-  switch (f) {
-    case InjectedFault::kNone: return "none";
-    case InjectedFault::kInvertIndexBenefit: return "invert_index_benefit";
-  }
-  return "?";
-}
-
-std::optional<InjectedFault> FaultFromName(std::string_view name) {
-  if (name == "none") return InjectedFault::kNone;
-  if (name == "invert_index_benefit") return InjectedFault::kInvertIndexBenefit;
-  return std::nullopt;
-}
-
-InjectedFault ActiveFault() {
-  FaultRegistry& r = FaultRegistry::Global();
-  r.EnsureInitFromEnv();
-  return r.armed(FaultSite::kWhatIfInvertBenefit)
-             ? InjectedFault::kInvertIndexBenefit
-             : InjectedFault::kNone;
-}
-
-void SetInjectedFault(InjectedFault f) {
-  FaultSpec spec;
-  if (f == InjectedFault::kInvertIndexBenefit) {
-    spec.sites.push_back({FaultSite::kWhatIfInvertBenefit, 1.0, -1});
-  }
-  FaultRegistry::Global().Configure(spec);
-}
 
 }  // namespace trap::common

@@ -12,8 +12,7 @@ namespace trap::common {
 // ---------------------------------------------------------------------------
 // Fault-site registry
 // ---------------------------------------------------------------------------
-// Testing-only fault injection, generalized from the original single
-// TRAP_TESTING_FAULT hook into a registry of named, seeded, probabilistic
+// Testing-only fault injection: a registry of named, seeded, probabilistic
 // fault sites. Production code consults ShouldFire(site, key) at
 // well-defined points and deliberately fails (or mis-computes, for the
 // legacy silent fault) when the draw fires, so the fault-tolerance runtime
@@ -52,24 +51,11 @@ enum class FaultSite : int {
   // The perturber emits an invalid perturbed tree for the drawn query; the
   // generator degrades that query to its unperturbed original.
   kPerturberInvalidTree,
-  // Legacy silent fault (PR 3's invert_index_benefit): CostModel::QueryCost
-  // reports base + (base - cost) for non-empty configurations, flipping
-  // every index benefit into a penalty. Caught by the add-index-monotone
-  // oracle; kept to prove the oracles still detect silent wrong answers.
+  // The silent fault: CostModel::QueryCost reports base + (base - cost) for
+  // non-empty configurations, flipping every index benefit into a penalty.
+  // Caught by the add-index-monotone oracle; kept to prove the oracles still
+  // detect silent wrong answers.
   kWhatIfInvertBenefit,
-
-  // Process-level campaign faults (TRAP_CAMPAIGN_FAULTS). These share the
-  // site namespace and spec grammar so one parser serves both, but they are
-  // never armed in this in-process registry: the campaign keeps its own
-  // WorkerFaultPlan (src/campaign/fault.h), because the per-case
-  // ScopedFaultSpec arming below would clobber a registry-held plan.
-  //
-  // A campaign worker raises SIGKILL mid-shard.
-  kCampaignWorkerCrash,
-  // A campaign worker swallows its work unit and never replies.
-  kCampaignWorkerHang,
-  // A campaign worker replies with a garbage frame instead of a result.
-  kCampaignWorkerGarbageFrame,
 
   kNumFaultSites,
 };
@@ -114,16 +100,13 @@ class FaultRegistry {
   // the logical work item (fingerprints + fault_salt), not its schedule.
   bool ShouldFire(FaultSite site, std::uint64_t key);
 
-  // True iff the site is armed at all (probability > 0, limit not spent).
-  bool armed(FaultSite site) const;
-
   // Number of times `site` fired since the last Configure/Reset.
   std::int64_t hits(FaultSite site) const;
   // Total across all sites.
   std::int64_t total_hits() const;
 
-  // One-time lazy init from TRAP_TESTING_FAULT / TRAP_FAULTS /
-  // TRAP_FAULT_SEED; a no-op after the first Configure or call.
+  // One-time lazy init from TRAP_FAULTS / TRAP_FAULT_SEED; a no-op after
+  // the first Configure or call.
   void EnsureInitFromEnv();
 
   struct SiteState;  // defined in fault.cc
@@ -147,26 +130,6 @@ class ScopedFaultSpec {
   ScopedFaultSpec(const ScopedFaultSpec&) = delete;
   ScopedFaultSpec& operator=(const ScopedFaultSpec&) = delete;
 };
-
-// ---------------------------------------------------------------------------
-// Legacy single-fault API (PR 3), kept source-compatible.
-// ---------------------------------------------------------------------------
-// kInvertIndexBenefit now arms the registry site kWhatIfInvertBenefit at
-// probability 1.0; TRAP_TESTING_FAULT=invert_index_benefit still works.
-enum class InjectedFault {
-  kNone,
-  kInvertIndexBenefit,
-};
-
-const char* FaultName(InjectedFault f);
-std::optional<InjectedFault> FaultFromName(std::string_view name);
-
-// The currently armed legacy fault, derived from the registry state.
-InjectedFault ActiveFault();
-
-// Arms `f` for the whole process, overriding the environment. Clears any
-// spec-configured sites (legacy semantics: one fault at a time).
-void SetInjectedFault(InjectedFault f);
 
 }  // namespace trap::common
 

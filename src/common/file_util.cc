@@ -4,8 +4,6 @@
 #include <cstdio>
 #include <cstring>
 
-#include <unistd.h>
-
 namespace trap::common {
 
 namespace {
@@ -16,8 +14,7 @@ Status Errno(const std::string& what, const std::string& path) {
 
 }  // namespace
 
-Status AtomicWriteFile(const std::string& path, std::string_view content,
-                       bool sync_to_disk) {
+Status AtomicWriteFile(const std::string& path, std::string_view content) {
   const std::string tmp = path + ".tmp";
   std::FILE* f = std::fopen(tmp.c_str(), "wb");
   if (f == nullptr) return Errno("cannot open", tmp);
@@ -27,7 +24,7 @@ Status AtomicWriteFile(const std::string& path, std::string_view content,
     std::remove(tmp.c_str());
     return Errno("short write to", tmp);
   }
-  if (std::fflush(f) != 0 || (sync_to_disk && fsync(fileno(f)) != 0)) {
+  if (std::fflush(f) != 0) {
     std::fclose(f);
     std::remove(tmp.c_str());
     return Errno("cannot flush", tmp);
@@ -41,22 +38,6 @@ Status AtomicWriteFile(const std::string& path, std::string_view content,
     return Errno("cannot publish", path);
   }
   return Status::Ok();
-}
-
-StatusOr<std::string> ReadFileToString(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    return Status::Unavailable("cannot open " + path + ": " +
-                               std::strerror(errno));
-  }
-  std::string out;
-  char buf[1 << 14];
-  size_t n;
-  while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) out.append(buf, n);
-  const bool failed = std::ferror(f) != 0;
-  std::fclose(f);
-  if (failed) return Errno("cannot read", path);
-  return out;
 }
 
 }  // namespace trap::common

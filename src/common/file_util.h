@@ -8,18 +8,12 @@
 
 namespace trap::common {
 
-// Atomically replaces `path` with `content`: writes `path + ".tmp"`, flushes
-// it (fsync when `sync_to_disk` is set, for files that must survive a crash
-// of the whole machine, e.g. the campaign checkpoint journal), then
-// publishes with rename(2). A crash at any point leaves either the old file
-// or the new one -- never a torn mixture -- because rename within a
-// filesystem is atomic. The stale .tmp from an interrupted write is
-// overwritten by the next call.
-Status AtomicWriteFile(const std::string& path, std::string_view content,
-                       bool sync_to_disk = false);
-
-// Reads the whole file. kUnavailable when it cannot be opened.
-StatusOr<std::string> ReadFileToString(const std::string& path);
+// Atomically replaces `path` with `content` (the BENCH_*.json reports):
+// writes `path + ".tmp"`, flushes it, then publishes with rename(2). A crash
+// of the writer at any point leaves either the old file or the new one --
+// never a torn mixture -- because rename within a filesystem is atomic. The
+// stale .tmp from an interrupted write is overwritten by the next call.
+Status AtomicWriteFile(const std::string& path, std::string_view content);
 
 }  // namespace trap::common
 

@@ -9,8 +9,8 @@
 
 namespace trap::common {
 
-// Length-prefixed frame codec for the coordinator/worker wire protocol (and
-// any future serve mode): each frame is
+// Length-prefixed frame codec for the serve runtime's sockets and the
+// Remote advisor's stdio pipes: each frame is
 //
 //   "TRAPF <decimal payload length>\n<payload bytes>"
 //
@@ -19,8 +19,8 @@ namespace trap::common {
 // start with the magic, carries a non-numeric or oversized length, or ends
 // before the declared payload is classified as malformed/truncated rather
 // than silently resynchronized. A transport that can be corrupted must fail
-// loudly -- the campaign supervisor treats a malformed frame as a dead
-// worker and re-dispatches the shard.
+// loudly -- the server answers a malformed frame with an error and closes
+// that connection; Remote kills its child and fails the call.
 
 // Upper bound on a single payload; a longer declared length is malformed.
 inline constexpr std::size_t kMaxFramePayload = std::size_t{16} << 20;
@@ -51,7 +51,7 @@ class FrameDecoder {
   std::string malformed_error_;
 };
 
-// Blocking helpers over stdio streams (the worker side of the protocol).
+// Blocking helpers over stdio streams (Remote and `trap_serve --stdio`).
 // ReadFrame returns kUnavailable on clean EOF between frames, kInternal on
 // EOF mid-frame or malformed input. WriteFrame flushes.
 Status ReadFrame(std::FILE* in, FrameDecoder* decoder, std::string* payload);

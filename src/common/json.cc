@@ -201,7 +201,7 @@ void WriteValue(const JsonValue& v, std::string* out) {
       *out += v.bool_value ? "true" : "false";
       return;
     case JsonValue::Kind::kNumber:
-      *out += JsonDouble(v.number_value);
+      *out += StrFormat("%.17g", v.number_value);
       return;
     case JsonValue::Kind::kString:
       *out += JsonQuote(v.string_value);
@@ -290,8 +290,6 @@ JsonValue JsonValue::Array() {
   return v;
 }
 
-JsonValue JsonValue::Null() { return JsonValue{}; }
-
 JsonValue JsonValue::Bool(bool b) {
   JsonValue v;
   v.kind = Kind::kBool;
@@ -378,11 +376,5 @@ std::string JsonQuote(std::string_view s) {
   out.push_back('"');
   return out;
 }
-
-std::string JsonHex(std::uint64_t v) {
-  return StrFormat("\"0x%016llx\"", static_cast<unsigned long long>(v));
-}
-
-std::string JsonDouble(double v) { return StrFormat("%.17g", v); }
 
 }  // namespace trap::common

@@ -13,12 +13,11 @@
 namespace trap::common {
 
 // Minimal JSON document model shared by every frame dialect in the tree
-// (campaign coordinator/worker, the serve runtime, remote advisors) and by
-// the checkpoint journal. Self-contained by design: each of those wire
-// formats crosses a process boundary the system deliberately distrusts
-// (workers are killed mid-write, fault injection emits garbage frames,
-// serve clients are arbitrary), so every frame is parsed defensively into
-// this tree and then field-checked, never pointer-cast.
+// (the serve runtime, remote advisors) and by the BENCH_*.json reports.
+// Self-contained by design: each wire format crosses a process boundary the
+// system deliberately distrusts (a remote advisor can die mid-reply, serve
+// clients are arbitrary), so every frame is parsed defensively into this
+// tree and then field-checked, never pointer-cast.
 struct JsonValue {
   enum class Kind { kNull, kBool, kNumber, kString, kObject, kArray };
   Kind kind = Kind::kNull;
@@ -43,7 +42,6 @@ struct JsonValue {
   // document can never carry duplicates.
   static JsonValue Object();
   static JsonValue Array();
-  static JsonValue Null();
   static JsonValue Bool(bool v);
   static JsonValue Number(double v);
   static JsonValue Str(std::string v);
@@ -55,15 +53,13 @@ struct JsonValue {
 StatusOr<JsonValue> ParseJson(std::string_view text);
 
 // Serializes a tree in member/item order, with no whitespace. Numbers use
-// %.17g (see JsonDouble) so a parse/write round-trip is bit-exact.
+// %.17g so strtod round-trips the exact bits: serve responses and Remote
+// advisor frames carry costs and budgets that must survive the process
+// boundary bit-exactly.
 std::string WriteJson(const JsonValue& v);
 
-// Writer helpers. JsonDouble uses %.17g so strtod round-trips the exact
-// bits -- campaign digests hash the probability, so a lossy round-trip
-// would silently fork the digest across process topologies.
+// Quotes and escapes `s` as a JSON string literal.
 std::string JsonQuote(std::string_view s);
-std::string JsonHex(std::uint64_t v);
-std::string JsonDouble(double v);
 
 }  // namespace trap::common
 

@@ -17,6 +17,18 @@ Status CheckVersion(const JsonValue& v) {
   return Status::Ok();
 }
 
+// Wire name ("OK", "RESOURCE_EXHAUSTED", ...) -> StatusCode. An unknown name
+// yields kInternal: a peer reporting a code this build does not know is an
+// internal-consistency problem, not caller error.
+StatusCode ParseStatusCode(std::string_view name) {
+  for (int i = static_cast<int>(StatusCode::kOk);
+       i <= static_cast<int>(StatusCode::kUnavailable); ++i) {
+    const StatusCode code = static_cast<StatusCode>(i);
+    if (name == StatusCodeName(code)) return code;
+  }
+  return StatusCode::kInternal;
+}
+
 }  // namespace
 
 Status Response::ToStatus() const {
@@ -127,15 +139,6 @@ Response ErrorResponse(std::uint64_t id, const Status& status) {
   resp.status = status.code();
   resp.message = status.message();
   return resp;
-}
-
-StatusCode ParseStatusCode(std::string_view name) {
-  for (int i = static_cast<int>(StatusCode::kOk);
-       i <= static_cast<int>(StatusCode::kUnavailable); ++i) {
-    const StatusCode code = static_cast<StatusCode>(i);
-    if (name == StatusCodeName(code)) return code;
-  }
-  return StatusCode::kInternal;
 }
 
 }  // namespace trap::common::rpc

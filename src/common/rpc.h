@@ -11,8 +11,8 @@
 namespace trap::common::rpc {
 
 // One versioned request/response envelope for every frame dialect in the
-// tree: the campaign coordinator/worker link, the serve runtime's client
-// sessions, and remote out-of-process advisors. Frames are length-prefixed
+// tree: the serve runtime's client sessions and remote out-of-process
+// advisors. Frames are length-prefixed
 // (common/frame.*); the payload is a JSON object that always carries the
 // protocol version under "rpc", so a peer built against a different
 // protocol is rejected on the very first frame instead of misparsing
@@ -60,11 +60,6 @@ Status CheckHello(std::string_view payload, std::string_view want_role);
 // Response builders.
 Response OkResponse(std::uint64_t id, JsonValue result);
 Response ErrorResponse(std::uint64_t id, const Status& status);
-
-// StatusCode <-> wire name ("OK", "RESOURCE_EXHAUSTED", ...). Parsing an
-// unknown name yields kInternal: a peer reporting a code this build does
-// not know is an internal-consistency problem, not caller error.
-StatusCode ParseStatusCode(std::string_view name);
 
 }  // namespace trap::common::rpc
 

@@ -84,16 +84,6 @@ void Kill(Subprocess* p) {
   if (p->pid > 0) kill(p->pid, SIGKILL);
 }
 
-bool TryReap(Subprocess* p, int* code) {
-  if (p->pid <= 0) return true;
-  int wstatus = 0;
-  const pid_t r = waitpid(p->pid, &wstatus, WNOHANG);
-  if (r == 0) return false;
-  p->pid = -1;
-  if (code != nullptr) *code = r > 0 ? DecodeWaitStatus(wstatus) : -1;
-  return true;
-}
-
 int Reap(Subprocess* p) {
   if (p->pid <= 0) return -1;
   int wstatus = 0;

@@ -9,9 +9,10 @@
 namespace trap::common {
 
 // A spawned child process with pipes to its stdin/stdout (stderr passes
-// through to the parent's, so worker diagnostics stay visible). Plain POSIX
-// fork/exec -- the campaign coordinator owns the lifecycle: spawn, exchange
-// frames, and on any protocol violation Kill + Reap unconditionally.
+// through to the parent's, so child diagnostics stay visible). Plain POSIX
+// fork/exec -- the owner (advisor::Remote, trap_serve's spawned servers)
+// drives the lifecycle: spawn, exchange frames, and on any protocol
+// violation Kill + Reap unconditionally.
 struct Subprocess {
   int pid = -1;
   int stdin_fd = -1;   // write end: parent -> child stdin
@@ -31,10 +32,6 @@ void ClosePipes(Subprocess* p);
 
 // SIGKILL; a no-op once reaped. Does not close pipes or wait.
 void Kill(Subprocess* p);
-
-// Non-blocking reap. Returns true once the child is gone, with *code set to
-// the exit code, or -signo when it died on a signal. After true, pid is -1.
-bool TryReap(Subprocess* p, int* code);
 
 // Blocking reap (call after Kill or stdin-EOF; always terminates).
 int Reap(Subprocess* p);

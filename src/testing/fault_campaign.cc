@@ -1,8 +1,8 @@
 #include "testing/fault_campaign.h"
 
-#include <algorithm>
 #include <map>
 #include <memory>
+#include <optional>
 #include <utility>
 
 #include "advisor/evaluation.h"
@@ -75,17 +75,9 @@ bool CodeMatchesSite(FaultSite site, common::StatusCode code) {
   }
 }
 
-void FoldCase(CampaignResult* result, const CampaignCase& c) {
-  result->digest ^= CampaignCaseHash(c);
-  if (!c.note.empty()) ++result->violations;
-  result->cases.push_back(c);
-}
-
-}  // namespace
-
-std::uint64_t CampaignCaseHash(const CampaignCase& c) {
-  // Order-independent: the campaign digest XOR-accumulates these per-case
-  // hashes, so it does not depend on sweep enumeration or merge order.
+// Per-case hash folded (by XOR) into the campaign digest; see
+// CampaignResult::digest for the fields it covers.
+std::uint64_t CaseHash(const CampaignCase& c) {
   std::uint64_t h = NameHash(c.site);
   h = common::HashCombine(h, static_cast<std::uint64_t>(c.probability * 1e6));
   h = common::HashCombine(h, NameHash(c.advisor));
@@ -96,7 +88,7 @@ std::uint64_t CampaignCaseHash(const CampaignCase& c) {
   return h;
 }
 
-void LogCampaignCase(std::FILE* log, const CampaignCase& c) {
+void LogCase(std::FILE* log, const CampaignCase& c) {
   if (log == nullptr) return;
   std::fprintf(log,
                "campaign %-28s p=%.2f %-10s w%d -> %s attempts=%d "
@@ -108,57 +100,13 @@ void LogCampaignCase(std::FILE* log, const CampaignCase& c) {
                c.note.c_str());
 }
 
-std::vector<CampaignCaseSpec> EnumerateCampaignCases(
-    const FaultCampaignOptions& opts) {
-  std::vector<CampaignCaseSpec> out;
-  auto add = [&](FaultSite site, double p, const std::string& advisor,
-                 int wi) {
-    CampaignCaseSpec spec;
-    spec.case_index = static_cast<int>(out.size());
-    spec.site = common::FaultSiteName(site);
-    spec.probability = p;
-    spec.advisor = advisor;
-    spec.workload_index = wi;
-    out.push_back(std::move(spec));
-  };
-  for (FaultSite site : kSweptSites) {
-    for (double p : opts.probabilities) {
-      if (site == FaultSite::kPerturberInvalidTree) {
-        for (int wi = 0; wi < opts.workloads; ++wi) {
-          add(site, p, "perturber", wi);
-        }
-        continue;
-      }
-      for (const char* advisor_name : kAdvisors) {
-        for (int wi = 0; wi < opts.workloads; ++wi) {
-          add(site, p, advisor_name, wi);
-        }
-      }
-    }
-  }
-  return out;
-}
+// The schema, vocabulary, deterministic workload set, and the fault-free
+// baseline fingerprints every succeeding case must match. Building it is
+// the expensive part (baselines run real recommendations); RunCase is
+// cheap. Built in place and never moved: `vocab` points into `schema`.
+struct CampaignEnv {
+  CampaignEnv(const FaultCampaignOptions& opts_in, catalog::Schema schema_in);
 
-std::vector<ShardSpec> MakeShardPlan(int num_cases, int num_shards) {
-  std::vector<ShardSpec> out;
-  if (num_cases <= 0 || num_shards <= 0) return out;
-  const int shards = std::min(num_shards, num_cases);
-  const int base = num_cases / shards;
-  const int extra = num_cases % shards;
-  int begin = 0;
-  for (int s = 0; s < shards; ++s) {
-    const int size = base + (s < extra ? 1 : 0);
-    out.push_back(ShardSpec{s, begin, begin + size});
-    begin += size;
-  }
-  return out;
-}
-
-// ---------------------------------------------------------------------------
-// CampaignEnv
-// ---------------------------------------------------------------------------
-
-struct CampaignEnv::Impl {
   FaultCampaignOptions opts;
   catalog::Schema schema;
   sql::Vocabulary vocab;
@@ -167,37 +115,20 @@ struct CampaignEnv::Impl {
   // Fault-free recommendation fingerprint per (advisor, workload) -- the
   // reference a succeeding fault-run case must match bit-for-bit.
   std::map<std::pair<std::string, int>, std::uint64_t> baseline;
-
-  Impl(FaultCampaignOptions opts_in, catalog::Schema schema_in)
-      : opts(std::move(opts_in)),
-        schema(std::move(schema_in)),
-        vocab(schema, 8),
-        constraint(advisor::TuningConstraint::IndexCount(
-            3, schema.DataSizeBytes() / 2)) {}
 };
 
-CampaignEnv::CampaignEnv(std::unique_ptr<Impl> impl)
-    : impl_(std::move(impl)) {}
-CampaignEnv::~CampaignEnv() = default;
-CampaignEnv::CampaignEnv(CampaignEnv&&) noexcept = default;
-CampaignEnv& CampaignEnv::operator=(CampaignEnv&&) noexcept = default;
-
-const FaultCampaignOptions& CampaignEnv::options() const {
-  return impl_->opts;
-}
-
-common::StatusOr<CampaignEnv> CampaignEnv::Make(
-    const FaultCampaignOptions& opts) {
-  std::optional<catalog::Schema> schema = MakeSchemaByName(opts.schema);
-  if (!schema.has_value()) {
-    return common::Status::InvalidArgument("unknown schema: " + opts.schema);
-  }
-  auto impl = std::make_unique<Impl>(opts, *std::move(schema));
-  impl->workloads = MakeWorkloads(impl->vocab, opts.seed, opts.workloads);
+CampaignEnv::CampaignEnv(const FaultCampaignOptions& opts_in,
+                         catalog::Schema schema_in)
+    : opts(opts_in),
+      schema(std::move(schema_in)),
+      vocab(schema, 8),
+      workloads(MakeWorkloads(vocab, opts.seed, opts.workloads)),
+      constraint(advisor::TuningConstraint::IndexCount(
+          3, schema.DataSizeBytes() / 2)) {
   // Reference fingerprints before any fault is armed.
   for (const char* name : kAdvisors) {
-    for (size_t wi = 0; wi < impl->workloads.size(); ++wi) {
-      engine::WhatIfOptimizer optimizer(impl->schema);
+    for (size_t wi = 0; wi < workloads.size(); ++wi) {
+      engine::WhatIfOptimizer optimizer(schema);
       std::unique_ptr<advisor::IndexAdvisor> adv =
           MakeAdvisorByName(name, optimizer);
       common::CancelToken token(opts.step_budget);
@@ -205,45 +136,38 @@ common::StatusOr<CampaignEnv> CampaignEnv::Make(
       ctx.cancel = &token;
       ctx.fault_salt = common::HashCombine(opts.seed, wi);
       advisor::RecommendOutcome outcome = advisor::RecommendWithRetry(
-          *adv, impl->workloads[wi], impl->constraint, ctx,
-          advisor::RetryPolicy{});
-      impl->baseline[{name, static_cast<int>(wi)}] =
+          *adv, workloads[wi], constraint, ctx, advisor::RetryPolicy{});
+      baseline[{name, static_cast<int>(wi)}] =
           outcome.status.ok() ? outcome.config.Fingerprint() : 0;
     }
   }
-  return CampaignEnv(std::move(impl));
 }
 
-CampaignCase CampaignEnv::RunCase(const CampaignCaseSpec& spec) const {
-  const Impl& env = *impl_;
+// Runs one cell of the sweep with `site` armed at `probability`.
+CampaignCase RunCase(const CampaignEnv& env, FaultSite site,
+                     double probability, const std::string& advisor_name,
+                     int workload_index) {
   const FaultCampaignOptions& opts = env.opts;
-  const size_t wi = static_cast<size_t>(spec.workload_index);
+  const size_t wi = static_cast<size_t>(workload_index);
 
   CampaignCase c;
-  c.case_index = spec.case_index;
-  c.site = spec.site;
-  c.probability = spec.probability;
-  c.advisor = spec.advisor;
-  c.workload_index = spec.workload_index;
-
-  std::optional<FaultSite> site = common::FaultSiteFromName(spec.site);
-  if (!site.has_value() || wi >= env.workloads.size()) {
-    c.note = "malformed case spec: " + spec.site;
-    return c;
-  }
+  c.site = common::FaultSiteName(site);
+  c.probability = probability;
+  c.advisor = advisor_name;
+  c.workload_index = workload_index;
 
   common::FaultRegistry& registry = common::FaultRegistry::Global();
-  std::string arm = common::StrFormat("%s@p=%.6f", spec.site.c_str(),
-                                      spec.probability);
+  std::string arm =
+      common::StrFormat("%s@p=%.6f", c.site.c_str(), probability);
   common::ScopedFaultSpec scoped(arm, opts.seed);
 
   common::CancelToken token(opts.step_budget);
   common::EvalContext ctx;
   ctx.cancel = &token;
   ctx.fault_salt = common::HashCombine(opts.seed, wi);
-  const std::int64_t hits_before = registry.hits(*site);
+  const std::int64_t hits_before = registry.hits(site);
 
-  if (spec.advisor == "perturber") {
+  if (advisor_name == "perturber") {
     // Perturber leg: generation degrades fired queries to their originals
     // and stays OK -- an invalid tree never escapes.
     ::trap::trap::GeneratorConfig config;
@@ -254,7 +178,7 @@ CampaignCase CampaignEnv::RunCase(const CampaignCaseSpec& spec) const {
     common::StatusOr<workload::Workload> perturbed =
         generator.TryGenerate(env.workloads[wi], ctx);
     c.attempts = 1;
-    c.triggers = registry.hits(*site) - hits_before;
+    c.triggers = registry.hits(site) - hits_before;
     c.degraded = generator.num_degraded_queries() > 0;
     if (!perturbed.ok()) {
       c.code = perturbed.status().code();
@@ -267,7 +191,7 @@ CampaignCase CampaignEnv::RunCase(const CampaignCaseSpec& spec) const {
         c.note = "perturbed workload lost queries";
       } else if (c.triggers > 0 && !c.degraded) {
         c.note = "fault fired but no query was degraded";
-      } else if (spec.probability >= 1.0 && c.triggers == 0) {
+      } else if (probability >= 1.0 && c.triggers == 0) {
         c.note = "p=1 fault never triggered";
       }
     }
@@ -278,17 +202,16 @@ CampaignCase CampaignEnv::RunCase(const CampaignCaseSpec& spec) const {
   // engine state leaks across sweep cells.
   engine::WhatIfOptimizer optimizer(env.schema);
   std::unique_ptr<advisor::IndexAdvisor> adv =
-      MakeAdvisorByName(spec.advisor, optimizer);
+      MakeAdvisorByName(advisor_name, optimizer);
   advisor::RecommendOutcome outcome = advisor::RecommendWithRetry(
       *adv, env.workloads[wi], env.constraint, ctx, advisor::RetryPolicy{});
   c.code = outcome.status.code();
   c.attempts = outcome.attempts;
   c.degraded = outcome.degraded;
-  c.triggers = registry.hits(*site) - hits_before;
+  c.triggers = registry.hits(site) - hits_before;
   if (outcome.status.ok()) {
     c.config_fp = outcome.config.Fingerprint();
-    auto baseline_it =
-        env.baseline.find({spec.advisor, spec.workload_index});
+    auto baseline_it = env.baseline.find({advisor_name, workload_index});
     const std::uint64_t expected =
         baseline_it != env.baseline.end() ? baseline_it->second : 0;
     if (c.triggers > 0 && c.attempts == 1) {
@@ -296,13 +219,13 @@ CampaignCase CampaignEnv::RunCase(const CampaignCaseSpec& spec) const {
     } else if (c.config_fp != expected) {
       c.note = "silent wrong answer: recommendation differs from "
                "fault-free baseline";
-    } else if (spec.probability >= 1.0 && c.triggers == 0) {
+    } else if (probability >= 1.0 && c.triggers == 0) {
       c.note = "p=1 fault never triggered";
     }
   } else {
     if (!outcome.degraded) {
       c.note = "failed without degrading to the no-index fallback";
-    } else if (!CodeMatchesSite(*site, c.code)) {
+    } else if (!CodeMatchesSite(site, c.code)) {
       c.note = common::StrFormat("unexpected status %s for site %s",
                                  common::StatusCodeName(c.code),
                                  c.site.c_str());
@@ -313,22 +236,46 @@ CampaignCase CampaignEnv::RunCase(const CampaignCaseSpec& spec) const {
   return c;
 }
 
+}  // namespace
+
 CampaignResult RunFaultCampaign(const FaultCampaignOptions& opts,
                                 std::FILE* log) {
   CampaignResult result;
-  common::StatusOr<CampaignEnv> env = CampaignEnv::Make(opts);
-  if (!env.ok()) {
+  auto fold = [&](const CampaignCase& c) {
+    result.digest ^= CaseHash(c);
+    if (!c.note.empty()) ++result.violations;
+    result.cases.push_back(c);
+    LogCase(log, c);
+  };
+  std::optional<catalog::Schema> schema = MakeSchemaByName(opts.schema);
+  if (!schema.has_value()) {
     CampaignCase c;
     c.site = "setup";
-    c.note = env.status().message();
-    FoldCase(&result, c);
-    LogCampaignCase(log, c);
+    c.note = "unknown schema: " + opts.schema;
+    fold(c);
     return result;
   }
-  for (const CampaignCaseSpec& spec : EnumerateCampaignCases(opts)) {
-    CampaignCase c = env->RunCase(spec);
-    FoldCase(&result, c);
-    LogCampaignCase(log, c);
+  const CampaignEnv env(opts, *std::move(schema));
+  auto run = [&](FaultSite site, double p, const std::string& advisor_name,
+                 int wi) {
+    CampaignCase c = RunCase(env, site, p, advisor_name, wi);
+    c.case_index = static_cast<int>(result.cases.size());
+    fold(c);
+  };
+  for (FaultSite site : kSweptSites) {
+    for (double p : opts.probabilities) {
+      if (site == FaultSite::kPerturberInvalidTree) {
+        for (int wi = 0; wi < opts.workloads; ++wi) {
+          run(site, p, "perturber", wi);
+        }
+        continue;
+      }
+      for (const char* advisor_name : kAdvisors) {
+        for (int wi = 0; wi < opts.workloads; ++wi) {
+          run(site, p, advisor_name, wi);
+        }
+      }
+    }
   }
   if (log != nullptr) {
     std::fprintf(log, "campaign digest: %016llx\n",

@@ -2,16 +2,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <memory>
-#include <set>
-#include <tuple>
 #include <utility>
 
 #include "advisor/registry.h"
 #include "catalog/snapshot.h"
 #include "catalog/stats_overlay.h"
 #include "common/string_util.h"
-#include "testing/fault_campaign.h"
 #include "testing/nn_equivalence.h"
 #include "drift/episode.h"
 #include "drift/replay.h"
@@ -545,114 +543,51 @@ std::optional<std::string> CheckStatsBudget(OracleEnv& env,
   return std::nullopt;
 }
 
-// (j): the campaign enumeration is duplicate-free with positional indexes,
-// and the shard plan exactly partitions it. This is the invariant the
-// distributed campaign's correctness rests on: a shard plan that loses or
-// duplicates a case silently corrupts every merged digest.
-std::optional<std::string> CheckShardPartition(OracleEnv& env,
-                                               const Reproducer& r) {
-  (void)env;
-  FaultCampaignOptions opts;
-  opts.seed = r.walk_seed;
-  opts.workloads = std::clamp(r.max_indexes, 1, 4);
-  // Probability-list length varies 1..3; the values only have to be
-  // distinct, the enumeration treats them as opaque.
-  opts.probabilities.clear();
-  const int probs = 1 + static_cast<int>(r.walk_seed % 3);
-  for (int i = 0; i < probs; ++i) {
-    opts.probabilities.push_back(1.0 / static_cast<double>(i + 1));
+// One row per oracle, in enum order: the single list every name lookup and
+// AllOracles() walks.
+struct OracleEntry {
+  OracleId id;
+  const char* name;
+};
+
+constexpr OracleEntry kOracles[] = {
+    {OracleId::kAddIndexMonotone, "add-index-monotone"},
+    {OracleId::kSupersetMonotone, "superset-monotone"},
+    {OracleId::kParallelDeterminism, "parallel-determinism"},
+    {OracleId::kCacheCoherence, "cache-coherence"},
+    {OracleId::kPerturbationBudget, "perturbation-budget"},
+    {OracleId::kAdvisorContract, "advisor-contract"},
+    {OracleId::kEpisodeDeterminism, "episode-determinism"},
+    {OracleId::kRegretSanity, "regret-sanity"},
+    {OracleId::kStatsBudget, "stats-budget"},
+    {OracleId::kNnKernelEquivalence, "nn-kernel-equivalence"},
+};
+static_assert([] {
+  for (size_t i = 1; i < std::size(kOracles); ++i) {
+    if (kOracles[i - 1].id >= kOracles[i].id) return false;
   }
-  const std::vector<CampaignCaseSpec> cases = EnumerateCampaignCases(opts);
-  const int n = static_cast<int>(cases.size());
-  if (n == 0) return "campaign enumeration is empty";
-  std::set<std::tuple<std::string, std::string, int, int>> seen;
-  for (int i = 0; i < n; ++i) {
-    const CampaignCaseSpec& spec = cases[i];
-    if (spec.case_index != i) {
-      return common::StrFormat("case at position %d carries case_index %d",
-                               i, spec.case_index);
-    }
-    if (!seen.insert({spec.site, spec.advisor,
-                      static_cast<int>(spec.probability * 1e6),
-                      spec.workload_index}).second) {
-      return common::StrFormat("duplicate case tuple at position %d (%s/%s)",
-                               i, spec.site.c_str(), spec.advisor.c_str());
-    }
-  }
-  const int requested = std::max(1, r.epsilon);
-  const std::vector<ShardSpec> plan = MakeShardPlan(n, requested);
-  if (static_cast<int>(plan.size()) != std::min(n, requested)) {
-    return common::StrFormat("plan has %zu shard(s), want %d", plan.size(),
-                             std::min(n, requested));
-  }
-  std::vector<int> covered(static_cast<size_t>(n), 0);
-  int prev_end = 0;
-  int min_size = n;
-  int max_size = 0;
-  for (size_t s = 0; s < plan.size(); ++s) {
-    const ShardSpec& shard = plan[s];
-    if (shard.shard_id != static_cast<int>(s)) {
-      return common::StrFormat("shard at position %zu carries id %d", s,
-                               shard.shard_id);
-    }
-    if (shard.begin != prev_end) {
-      return common::StrFormat("shard %d begins at %d, want %d",
-                               shard.shard_id, shard.begin, prev_end);
-    }
-    if (shard.end <= shard.begin || shard.end > n) {
-      return common::StrFormat("shard %d spans [%d, %d) of %d case(s)",
-                               shard.shard_id, shard.begin, shard.end, n);
-    }
-    for (int i = shard.begin; i < shard.end; ++i) ++covered[i];
-    min_size = std::min(min_size, shard.end - shard.begin);
-    max_size = std::max(max_size, shard.end - shard.begin);
-    prev_end = shard.end;
-  }
-  if (prev_end != n) {
-    return common::StrFormat("shards cover [0, %d) of %d case(s)", prev_end,
-                             n);
-  }
-  for (int i = 0; i < n; ++i) {
-    if (covered[i] != 1) {
-      return common::StrFormat("case %d covered %d time(s)", i, covered[i]);
-    }
-  }
-  if (max_size - min_size > 1) {
-    return common::StrFormat("unbalanced shards: sizes %d..%d", min_size,
-                             max_size);
-  }
-  return std::nullopt;
-}
+  return true;
+}());
 
 }  // namespace
 
 const char* OracleName(OracleId id) {
-  switch (id) {
-    case OracleId::kAddIndexMonotone: return "add-index-monotone";
-    case OracleId::kSupersetMonotone: return "superset-monotone";
-    case OracleId::kParallelDeterminism: return "parallel-determinism";
-    case OracleId::kCacheCoherence: return "cache-coherence";
-    case OracleId::kPerturbationBudget: return "perturbation-budget";
-    case OracleId::kAdvisorContract: return "advisor-contract";
-    case OracleId::kEpisodeDeterminism: return "episode-determinism";
-    case OracleId::kRegretSanity: return "regret-sanity";
-    case OracleId::kStatsBudget: return "stats-budget";
-    case OracleId::kShardPartition: return "shard-partition";
-    case OracleId::kNnKernelEquivalence: return "nn-kernel-equivalence";
+  for (const OracleEntry& e : kOracles) {
+    if (e.id == id) return e.name;
   }
   return "?";
 }
 
 std::optional<OracleId> OracleFromName(std::string_view name) {
-  for (OracleId id : AllOracles()) {
-    if (name == OracleName(id)) return id;
+  for (const OracleEntry& e : kOracles) {
+    if (name == e.name) return e.id;
   }
   return std::nullopt;
 }
 
 std::vector<OracleId> AllOracles() {
   std::vector<OracleId> out;
-  for (int i = 0; i < kNumOracles; ++i) out.push_back(static_cast<OracleId>(i));
+  for (const OracleEntry& e : kOracles) out.push_back(e.id);
   return out;
 }
 
@@ -696,8 +631,6 @@ std::optional<std::string> CheckReproducer(OracleId id, OracleEnv& env,
       return CheckRegretSanity(env, r);
     case OracleId::kStatsBudget:
       return CheckStatsBudget(env, r);
-    case OracleId::kShardPartition:
-      return CheckShardPartition(env, r);
     case OracleId::kNnKernelEquivalence:
       return CheckNnKernelEquivalence(r.walk_seed, r.epsilon);
   }
@@ -777,19 +710,10 @@ std::optional<OracleFailure> RunOracle(OracleId id, OracleEnv& env,
       r.epsilon = static_cast<int>(gen.rng().UniformInt(0, 4));
       break;
     }
-    case OracleId::kShardPartition: {
-      // The workload is unused by the check but keeps the reproducer
-      // shrinkable through the generic non-empty-workload guard.
-      sql::Query q = gen.Query();
-      r.workload.queries.push_back(workload::WorkloadQuery{q, 1.0});
-      r.epsilon = static_cast<int>(gen.rng().UniformInt(1, 9));    // shards
-      r.max_indexes = static_cast<int>(gen.rng().UniformInt(1, 4));
-      r.walk_seed = gen.rng().engine()();  // campaign spec seed
-      break;
-    }
     case OracleId::kNnKernelEquivalence: {
-      // As for shard-partition, the workload only keeps the reproducer
-      // shrinkable; the shrinker's budget pass shortens the tape.
+      // The workload is unused by the check but keeps the reproducer
+      // shrinkable through the generic non-empty-workload guard; the
+      // shrinker's budget pass shortens the tape.
       sql::Query q = gen.Query();
       r.workload.queries.push_back(workload::WorkloadQuery{q, 1.0});
       r.epsilon = static_cast<int>(gen.rng().UniformInt(1, 24));  // ops
@@ -841,12 +765,6 @@ std::string DescribeReproducer(OracleId id, const OracleEnv& env,
   }
   if (id == OracleId::kStatsBudget) {
     out += common::StrFormat("stats l1_budget: %.17g\n", 0.25 * r.epsilon);
-  }
-  if (id == OracleId::kShardPartition) {
-    out += common::StrFormat(
-        "campaign: shards=%d workloads=%d spec_seed=%llu\n",
-        std::max(1, r.epsilon), std::clamp(r.max_indexes, 1, 4),
-        static_cast<unsigned long long>(r.walk_seed));
   }
   if (id == OracleId::kNnKernelEquivalence) {
     out += common::StrFormat("tape: ops=%d seed=%llu\n", r.epsilon,

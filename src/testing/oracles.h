@@ -18,7 +18,7 @@ namespace trap::proptest {
 
 using PerturbationConstraint = ::trap::trap::PerturbationConstraint;
 
-// The eleven metamorphic / differential oracle families. Each one states an
+// The ten metamorphic / differential oracle families. Each one states an
 // invariant the engine, an advisor, the drift runtime or the nn kernels
 // must hold for *every* input, so the harness can hammer them with
 // generated cases instead of hand-picked ones:
@@ -54,18 +54,16 @@ using PerturbationConstraint = ::trap::trap::PerturbationConstraint;
 //                          budget, keeps NDV/skew in-domain, never touches
 //                          row counts or value domains, and a zero budget
 //                          is a bit-exact identity;
-//   shard-partition        for random campaign specs and shard counts, the
-//                          campaign enumeration is duplicate-free with
-//                          positional case indexes, and MakeShardPlan's
-//                          shards exactly partition the case space -- no
-//                          case lost, none duplicated, no empty shard,
-//                          sizes balanced within one;
 //   nn-kernel-equivalence  a random autograd tape over every nn::Graph op
 //                          (broadcast, exact zeros, MatMul/Mul(x, x)
 //                          aliasing, reused Param leaves) matches the
 //                          at()-based ReferenceGraph bit for bit in forward
 //                          values, every gradient and two Adam steps with
 //                          and without clipping (differential).
+//
+// An id's value salts its case streams (RunOracle), so the values are frozen
+// once an oracle exists and committed corpus cases keep building the same
+// inputs: deleting an oracle leaves a hole (9 belonged to a deleted one).
 enum class OracleId {
   kAddIndexMonotone = 0,
   kSupersetMonotone = 1,
@@ -76,14 +74,12 @@ enum class OracleId {
   kEpisodeDeterminism = 6,
   kRegretSanity = 7,
   kStatsBudget = 8,
-  kShardPartition = 9,
   kNnKernelEquivalence = 10,
 };
 
-inline constexpr int kNumOracles = 11;
-
 const char* OracleName(OracleId id);
 std::optional<OracleId> OracleFromName(std::string_view name);
+// Every oracle, in enum order.
 std::vector<OracleId> AllOracles();
 
 // Long-lived oracle environment: the vocabulary, a shared what-if optimizer
@@ -111,15 +107,13 @@ struct Reproducer {
   PerturbationConstraint constraint = PerturbationConstraint::kValueOnly;
   int epsilon = 0;        // perturbation-budget; drift oracles: episodes
                           // (episode-determinism, regret-sanity) or L1
-                          // budget quarters (stats-budget); shard-partition:
-                          // requested shard count; nn-kernel-equivalence:
-                          // tape length in ops
+                          // budget quarters (stats-budget);
+                          // nn-kernel-equivalence: tape length in ops
   uint64_t walk_seed = 0;  // perturbation walk / drift episode-stream seed;
                            // nn-kernel-equivalence: tape seed
   int advisor = 0;        // advisor-contract + drift: advisor id in [0,6)
   int64_t storage_budget = 0;
-  int max_indexes = 0;                // 0 = unconstrained count;
-                                      // shard-partition: campaign workloads
+  int max_indexes = 0;                // 0 = unconstrained count
 };
 
 // Human-readable advisor name for Reproducer::advisor.

@@ -3,7 +3,12 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstring>
+#include <fstream>
+#include <iterator>
+#include <limits>
 #include <numeric>
+#include <string>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -14,6 +19,7 @@
 #include "common/deadline.h"
 #include "common/file_util.h"
 #include "common/frame.h"
+#include "common/json.h"
 #include "common/rng.h"
 #include "common/stats.h"
 #include "common/string_util.h"
@@ -304,29 +310,56 @@ TEST(ThreadPoolTest, GlobalPoolIsUsableAndSized) {
   EXPECT_EQ(calls.load(), 10);
 }
 
+std::string ReadBack(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
 TEST(FileUtilTest, AtomicWriteFileRoundTrips) {
   const std::string path = ::testing::TempDir() + "/trap_file_util.txt";
   ASSERT_TRUE(AtomicWriteFile(path, "hello\nworld\n").ok());
-  StatusOr<std::string> back = ReadFileToString(path);
-  ASSERT_TRUE(back.ok());
-  EXPECT_EQ(*back, "hello\nworld\n");
+  EXPECT_EQ(ReadBack(path), "hello\nworld\n");
   // Overwrite goes through the same tmp+rename path.
-  ASSERT_TRUE(AtomicWriteFile(path, "v2", /*sync_to_disk=*/true).ok());
-  back = ReadFileToString(path);
-  ASSERT_TRUE(back.ok());
-  EXPECT_EQ(*back, "v2");
+  ASSERT_TRUE(AtomicWriteFile(path, "v2").ok());
+  EXPECT_EQ(ReadBack(path), "v2");
   // No stray .tmp left behind after a successful publish.
-  EXPECT_FALSE(ReadFileToString(path + ".tmp").ok());
-}
-
-TEST(FileUtilTest, MissingFileIsUnavailable) {
-  StatusOr<std::string> r = ReadFileToString("/no/such/dir/trap.txt");
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kUnavailable);
+  EXPECT_FALSE(std::ifstream(path + ".tmp").is_open());
 }
 
 TEST(FileUtilTest, UnwritablePathFails) {
   EXPECT_FALSE(AtomicWriteFile("/no/such/dir/trap.txt", "x").ok());
+}
+
+TEST(JsonTest, ParseJsonHandlesNestingStringsAndNumbers) {
+  StatusOr<JsonValue> v = ParseJson(
+      "{\"a\": [1, 2.5, -3], \"b\": {\"c\": \"x\\\"y\\n\"}, "
+      "\"t\": true, \"n\": null, \"h\": \"0x00000000000000ff\"}");
+  ASSERT_TRUE(v.ok()) << v.status().ToString();
+  ASSERT_NE(v->Find("a"), nullptr);
+  EXPECT_EQ(v->Find("a")->items.size(), 3u);
+  EXPECT_EQ(v->Find("a")->items[1].number_value, 2.5);
+  EXPECT_EQ(v->Find("b")->Find("c")->string_value, "x\"y\n");
+  EXPECT_EQ(v->BoolAt("t"), true);
+  EXPECT_EQ(v->HexAt("h"), 255u);
+  EXPECT_FALSE(ParseJson("{\"unterminated\": ").ok());
+  EXPECT_FALSE(ParseJson("{} trailing").ok());
+}
+
+// WriteJson prints numbers with %.17g, so ParseJson gets the exact bits
+// back: serve and Remote frames and BENCH_*.json reports rely on it.
+TEST(JsonTest, WriteParseRoundTripIsBitExact) {
+  const double values[] = {0.05, 0.1, std::numeric_limits<double>::denorm_min(),
+                           2.5e-310};
+  JsonValue doc = JsonValue::Array();
+  for (double d : values) doc.Push(JsonValue::Number(d));
+  StatusOr<JsonValue> back = ParseJson(WriteJson(doc));
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  ASSERT_EQ(back->items.size(), std::size(values));
+  for (size_t i = 0; i < std::size(values); ++i) {
+    const double got = back->items[i].number_value;
+    EXPECT_EQ(std::memcmp(&got, &values[i], sizeof got), 0)
+        << "value " << i << " came back as " << got;
+  }
 }
 
 TEST(FrameTest, EncodeDecodeRoundTrips) {

@@ -8,7 +8,9 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "advisor/evaluation.h"
@@ -403,6 +405,23 @@ TEST(FaultDeterminismTest, FailureRecordsIdenticalAcrossRunsAndThreadCounts) {
   }
 }
 
+// The campaign digest XORs per-case hashes, so a repeated case would cancel
+// itself out of the digest silently: every (site, p, advisor, workload) cell
+// must appear exactly once, at its position in the sweep.
+void ExpectOneCasePerCell(const proptest::CampaignResult& result,
+                          size_t want_cases) {
+  ASSERT_EQ(result.cases.size(), want_cases);
+  std::set<std::tuple<std::string, double, std::string, int>> seen;
+  for (size_t i = 0; i < result.cases.size(); ++i) {
+    const proptest::CampaignCase& c = result.cases[i];
+    EXPECT_EQ(c.case_index, static_cast<int>(i));
+    EXPECT_TRUE(
+        seen.insert({c.site, c.probability, c.advisor, c.workload_index})
+            .second)
+        << "repeated cell at " << i << ": " << c.site << " " << c.advisor;
+  }
+}
+
 TEST(FaultDeterminismTest, CampaignDigestStableAcrossRuns) {
   proptest::FaultCampaignOptions options;
   options.workloads = 1;
@@ -413,6 +432,12 @@ TEST(FaultDeterminismTest, CampaignDigestStableAcrossRuns) {
   EXPECT_TRUE(b.ok());
   EXPECT_EQ(a.digest, b.digest);
   EXPECT_EQ(a.cases.size(), b.cases.size());
+  // Four loud sites x three advisors plus the perturber leg, per workload
+  // and probability.
+  ExpectOneCasePerCell(a, 13);
+  ExpectOneCasePerCell(
+      proptest::RunFaultCampaign(proptest::FaultCampaignOptions{}, nullptr),
+      52);
 }
 
 TEST(FaultDeterminismTest, BackoffIsSeededAndReproducible) {

@@ -23,14 +23,6 @@ class ProptestTest : public ::testing::Test {
   sql::Vocabulary vocab_;
 };
 
-// Arms an injected fault for the duration of one test and guarantees the
-// process-wide fault state is restored afterwards.
-class ScopedFault {
- public:
-  explicit ScopedFault(common::InjectedFault f) { common::SetInjectedFault(f); }
-  ~ScopedFault() { common::SetInjectedFault(common::InjectedFault::kNone); }
-};
-
 TEST_F(ProptestTest, StreamSeedSeparatesCasesAndOracles) {
   uint64_t base = CaseGen::StreamSeed(1, 0, 0);
   EXPECT_NE(base, CaseGen::StreamSeed(1, 1, 0));
@@ -90,7 +82,7 @@ TEST_F(ProptestTest, AllOraclesPassOnHealthyEngine) {
 // inverts the benefit of indexes is caught by the monotonicity oracle and
 // shrunk to a minimal reproducer with at most 3 predicates.
 TEST_F(ProptestTest, InjectedFaultIsCaughtAndShrunkSmall) {
-  ScopedFault fault(common::InjectedFault::kInvertIndexBenefit);
+  common::ScopedFaultSpec fault("engine.whatif.invert_benefit");
   OracleEnv env(schema_);
   bool caught = false;
   for (int i = 0; i < 60 && !caught; ++i) {
@@ -115,7 +107,7 @@ TEST_F(ProptestTest, InjectedFaultIsCaughtAndShrunkSmall) {
 }
 
 TEST_F(ProptestTest, ShrinkIsDeterministic) {
-  ScopedFault fault(common::InjectedFault::kInvertIndexBenefit);
+  common::ScopedFaultSpec fault("engine.whatif.invert_benefit");
   OracleEnv env(schema_);
   std::optional<OracleFailure> failure;
   for (int i = 0; i < 60 && !failure.has_value(); ++i) {
@@ -134,7 +126,7 @@ TEST_F(ProptestTest, ShrinkIsDeterministic) {
 }
 
 TEST_F(ProptestTest, ShrunkQueriesStayValid) {
-  ScopedFault fault(common::InjectedFault::kInvertIndexBenefit);
+  common::ScopedFaultSpec fault("engine.whatif.invert_benefit");
   OracleEnv env(schema_);
   int shrunk_count = 0;
   for (int i = 0; i < 120 && shrunk_count < 3; ++i) {
@@ -199,13 +191,13 @@ TEST_F(ProptestTest, ReplayCaseAgreesWithHarness) {
   EXPECT_FALSE(ReplayCase(c, /*shrink=*/false, nullptr).has_value());
   // The same case fails under the injected fault (it is the one the fuzz
   // fault-detection ctest entry finds first).
-  ScopedFault fault(common::InjectedFault::kInvertIndexBenefit);
+  common::ScopedFaultSpec fault("engine.whatif.invert_benefit");
   EXPECT_TRUE(ReplayCase(c, /*shrink=*/false, nullptr).has_value());
 }
 
 // Satellite 6: minimization is a pure function of the case file.
 TEST_F(ProptestTest, MinimizeCaseIsDeterministic) {
-  ScopedFault fault(common::InjectedFault::kInvertIndexBenefit);
+  common::ScopedFaultSpec fault("engine.whatif.invert_benefit");
   CaseFile c;
   c.schema = "tpch";
   c.oracle = OracleId::kAddIndexMonotone;
@@ -228,13 +220,6 @@ TEST_F(ProptestTest, MinimizeCaseReportsPassingCases) {
   std::string error;
   EXPECT_FALSE(MinimizeCase(c, &error).has_value());
   EXPECT_NE(error.find("passes"), std::string::npos);
-}
-
-TEST_F(ProptestTest, FaultNamesRoundTrip) {
-  EXPECT_EQ(common::FaultFromName("invert_index_benefit"),
-            common::InjectedFault::kInvertIndexBenefit);
-  EXPECT_EQ(common::FaultFromName("none"), common::InjectedFault::kNone);
-  EXPECT_FALSE(common::FaultFromName("no-such-fault").has_value());
 }
 
 // Under a mixed low-probability fault regime the determinism and coherence

@@ -6,8 +6,8 @@
 namespace trap::cli {
 
 // The one flag grammar shared by every TRAP command-line tool (trap_fuzz,
-// trap_drift, trap_trace, trap_campaign, trap_serve): boolean switches
-// match exactly; valued flags accept both "--flag VALUE" and "--flag=VALUE".
+// trap_drift, trap_trace, trap_serve): boolean switches match exactly;
+// valued flags accept both "--flag VALUE" and "--flag=VALUE".
 // Numeric parsing is strict (strtoll/strtoull/strtod with whole-string
 // checks -- trailing garbage is an error, never silently truncated).
 //

@@ -1,6 +1,6 @@
 // trap_fuzz: metamorphic / differential fuzzing driver for the TRAP engine,
 // perturber, advisors, drift runtime and nn kernels. Runs seeded generated
-// cases against the eleven oracle families in src/testing/oracles.h, shrinks
+// cases against the ten oracle families in src/testing/oracles.h, shrinks
 // failures to minimal reproducers, and replays the committed regression
 // corpus.
 //
@@ -9,7 +9,7 @@
 //   trap_fuzz --oracle add-index-monotone --cases 500    # one family
 //   trap_fuzz --replay tests/corpus                      # replay corpus
 //   trap_fuzz --minimize tests/corpus/foo.case           # deterministic min
-//   trap_fuzz --fault invert_index_benefit --expect-failure
+//   trap_fuzz --faults engine.whatif.invert_benefit --expect-failure
 //
 // Exit codes: 0 = all properties held (or, with --expect-failure, the
 // injected fault was caught); 1 = an oracle failed; 2 = usage error.
@@ -48,7 +48,6 @@ int Usage(std::FILE* out) {
       "  --oracle LIST      comma-separated oracle names (default: all)\n"
       "  --max-failures K   stop after K failures (default 1)\n"
       "  --no-shrink        report failures without minimizing them\n"
-      "  --fault NAME       arm an injected fault (see common/fault.h)\n"
       "  --faults SPEC      arm fault sites from a registry spec, e.g.\n"
       "                     'engine.whatif.cost_error@p=0.05' (common/fault.h)\n"
       "  --fault-seed S     seed for probabilistic fault draws (default 0)\n"
@@ -252,17 +251,6 @@ int main(int argc, char** argv) {
       std::optional<std::vector<OracleId>> ids = ParseOracleList(value);
       if (!ids.has_value()) return 2;
       opts.oracles = *std::move(ids);
-      continue;
-    }
-    if (flags.StringFlag("--fault", &value)) {
-      if (flags.failed()) return Usage(stderr);
-      std::optional<trap::common::InjectedFault> fault =
-          trap::common::FaultFromName(value);
-      if (!fault.has_value()) {
-        std::fprintf(stderr, "trap_fuzz: unknown fault '%s'\n", value.c_str());
-        return 2;
-      }
-      trap::common::SetInjectedFault(*fault);
       continue;
     }
     if (flags.StringFlag("--schema", &opts.schema)) continue;

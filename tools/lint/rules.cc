@@ -361,7 +361,6 @@ void CheckAbortInLibrary(const SourceFile& f, std::vector<Finding>* out) {
       "src/engine/what_if.",   "src/advisor/advisor.",
       "src/advisor/evaluation.", "src/advisor/heuristic_advisors.",
       "src/trap/perturber.",   "src/testing/fault_campaign.",
-      "src/campaign/",
   };
   bool converted = false;
   for (const char* prefix : kConvertedPrefixes) {
@@ -511,14 +510,13 @@ void CheckNondeterministicIteration(
     const SourceFile& f, const std::vector<std::string>& extra_tainted,
     std::vector<Finding>* out) {
   // Digest-feeding code: the metric/trace digests, the fault registry's
-  // work-item-keyed draws, the what-if fingerprint caches, the campaign
+  // work-item-keyed draws, the what-if fingerprint caches, the fault-campaign
   // digest, and the trace scenario all promise bit-identical output across
   // runs and thread counts. Hash-order iteration there is a latent
   // nondeterminism bug even when it happens to pass today.
   static const char* kDigestPrefixes[] = {
       "src/obs/",
       "src/common/fault.",
-      "src/campaign/",
       "src/engine/what_if.",
       "src/testing/fault_campaign.",
       "src/testing/trace_scenario.",

@@ -5,6 +5,7 @@
 
 #include <chrono>
 #include <cstdio>
+#include <optional>
 
 #include "advisor/registry.h"
 #include "common/string_util.h"
@@ -37,8 +38,12 @@ int main(int argc, char** argv) {
       config.rl.epochs = 6;
       config.pretrain.num_pairs = 80;
       auto start = std::chrono::steady_clock::now();
-      bench::AssessmentResult r = bench::AssessRobustness(
-          env, extend.get(), nullptr, config, constraint, 0.05);
+      const assess::AssessmentRecord r = *assess::Assess(
+          env.substrate(), {.victim = extend.get(),
+                            .generator = config,
+                            .constraint = constraint,
+                            .theta = 0.05,
+                            .tests = env.tests});
       double sec = std::chrono::duration<double>(
                        std::chrono::steady_clock::now() - start)
                        .count();
@@ -47,11 +52,14 @@ int main(int argc, char** argv) {
           common::StrFormat("assess/%d_columns/method_%d", columns,
                             static_cast<int>(m)),
           sec);
-      report.RecordMetric(
-          common::StrFormat("iudr/%d_columns/method_%d", columns,
-                            static_cast<int>(m)),
-          r.mean_iudr);
-      std::printf(" %10.4f", r.mean_iudr);
+      const std::optional<double> mean = r.mean_iudr();
+      if (mean.has_value()) {
+        report.RecordMetric(
+            common::StrFormat("iudr/%d_columns/method_%d", columns,
+                              static_cast<int>(m)),
+            *mean);
+      }
+      bench::PrintCell(mean, 10);
     }
     std::printf(" %14.1f\n", gen_seconds);
   }

@@ -3,6 +3,7 @@
 // abundant (fractions of the data size).
 
 #include <cstdio>
+#include <optional>
 
 #include "advisor/registry.h"
 #include "harness.h"
@@ -20,18 +21,9 @@ int main() {
               "mean u(W)");
   for (double fraction : {0.1, 0.25, 0.5, 0.75}) {
     advisor::TuningConstraint constraint = env.StorageConstraint(fraction);
-    // Mean utility across eligible tests (context for the sweep).
-    double mean_u = 0.0;
-    int n = 0;
-    for (const workload::Workload& w : env.tests) {
-      double u = env.evaluator
-                     .TryIndexUtility(*extend, nullptr, w, constraint, {})
-                     .value_or(0.0);
-      if (u > 0.1) {
-        mean_u += u;
-        ++n;
-      }
-    }
+    // Mean u(W) across the eligible tests (context for the sweep), read off
+    // the TRAP record, which holds one entry per eligible test.
+    std::optional<double> mean_u;
     std::printf("%9.0f%%  ", fraction * 100.0);
     for (tc::GenerationMethod m :
          {tc::GenerationMethod::kRandom, tc::GenerationMethod::kTrap}) {
@@ -39,11 +31,21 @@ int main() {
           m, tc::PerturbationConstraint::kSharedTable, 5,
           0xfb1 ^ static_cast<uint64_t>(m) ^
               static_cast<uint64_t>(fraction * 100));
-      bench::AssessmentResult r = bench::AssessRobustness(
-          env, extend.get(), nullptr, config, constraint, 0.1);
-      std::printf(" %10.4f", r.mean_iudr);
+      const assess::AssessmentRecord r = *assess::Assess(
+          env.substrate(), {.victim = extend.get(),
+                            .generator = config,
+                            .constraint = constraint,
+                            .theta = 0.1,
+                            .tests = env.tests});
+      bench::PrintCell(r.mean_iudr(), 10);
+      if (m == tc::GenerationMethod::kTrap && !r.workloads.empty()) {
+        double sum = 0.0;
+        for (const assess::AssessedWorkload& a : r.workloads) sum += a.u;
+        mean_u = sum / static_cast<double>(r.workloads.size());
+      }
     }
-    std::printf(" %12.4f\n", n > 0 ? mean_u / n : 0.0);
+    bench::PrintCell(mean_u, 12);
+    std::printf("\n");
   }
   std::printf("\nShape: utility stabilizes once the budget is ample, and "
               "TRAP's IUDR stays comparable even at large budgets — more "

@@ -63,9 +63,13 @@ int main() {
           tc::GenerationMethod::kTrap, pc, 5,
           0xfc1 ^ std::hash<std::string>{}(v.label) ^
               (static_cast<uint64_t>(pc) << 8));
-      bench::AssessmentResult r = bench::AssessRobustness(
-          env, v.advisor.get(), nullptr, config, v.constraint, 0.05);
-      std::printf(" %16.4f", r.mean_iudr);
+      const assess::AssessmentRecord r = *assess::Assess(
+          env.substrate(), {.victim = v.advisor.get(),
+                            .generator = config,
+                            .constraint = v.constraint,
+                            .theta = 0.05,
+                            .tests = env.tests});
+      bench::PrintCell(r.mean_iudr(), 16);
     }
     std::printf("\n");
   }

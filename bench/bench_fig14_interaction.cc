@@ -31,9 +31,13 @@ int main() {
           tc::GenerationMethod::kTrap,
           tc::PerturbationConstraint::kColumnConsistent, 5,
           0xfe1 ^ std::hash<std::string>{}(name) ^ (interaction ? 1 : 2));
-      bench::AssessmentResult r = bench::AssessRobustness(
-          env, victim.get(), nullptr, config, constraint, 0.1);
-      std::printf(" %18.4f", r.mean_iudr);
+      const assess::AssessmentRecord r = *assess::Assess(
+          env.substrate(), {.victim = victim.get(),
+                            .generator = config,
+                            .constraint = constraint,
+                            .theta = 0.1,
+                            .tests = env.tests});
+      bench::PrintCell(r.mean_iudr(), 18);
     }
     std::printf("\n");
   }

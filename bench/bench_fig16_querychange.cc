@@ -6,7 +6,6 @@
 #include <cstdio>
 
 #include "analysis/causal.h"
-#include "common/stats.h"
 #include "analysis/query_change.h"
 #include "advisor/registry.h"
 #include "harness.h"
@@ -30,9 +29,8 @@ int main() {
   int nonsarg_total = 0;
 
   for (const workload::Workload& w : env.tests) {
-    double u = env.evaluator
-                   .TryIndexUtility(*extend, nullptr, w, constraint, {})
-                   .value_or(0.0);
+    const double u =
+        *env.evaluator.TryIndexUtility(*extend, nullptr, w, constraint, {});
     if (u <= 0.1) continue;
     for (int attempt = 0; attempt < 60; ++attempt) {
       workload::Workload perturbed;
@@ -49,20 +47,16 @@ int main() {
         }
         perturbed.queries.push_back(workload::WorkloadQuery{pq, wq.weight});
       }
-      if (bench::IsNonSargable(env, perturbed, constraint, 0.1)) {
+      if (*assess::IsNonSargable(env.substrate(), perturbed, constraint, 0.1)) {
         ++nonsarg_total;
         for (int t = 0; t < analysis::kNumQueryChangeTypes; ++t) {
           if (flags[static_cast<size_t>(t)]) ++nonsarg_counts[static_cast<size_t>(t)];
         }
         continue;
       }
-      double u_prime =
-          env.evaluator
-              .TryIndexUtility(*extend, nullptr, perturbed, constraint, {})
-              .value_or(0.0);
-      double iudr = common::Clamp(
-          advisor::RobustnessEvaluator::Iudr(u, u_prime), -1.0, 2.0);
-      y.push_back(iudr);
+      const double u_prime = *env.evaluator.TryIndexUtility(
+          *extend, nullptr, perturbed, constraint, {});
+      y.push_back(assess::ClampedIudr(u, u_prime));
       for (int t = 0; t < analysis::kNumQueryChangeTypes; ++t) {
         x[static_cast<size_t>(t)].push_back(
             flags[static_cast<size_t>(t)] ? 1.0 : 0.0);

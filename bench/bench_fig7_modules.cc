@@ -48,10 +48,13 @@ int main() {
       if (m.plm != nullptr) {
         config.agent = *tc::PlmAgentOptions(m.plm, config.seed);
       }
-      bench::AssessmentResult r =
-          bench::AssessRobustness(env, victims[i].get(), nullptr, config,
-                                  env.ConstraintFor(rows[i]->constraint));
-      std::printf(" %10.4f", r.mean_iudr);
+      const assess::AssessmentRecord r = *assess::Assess(
+          env.substrate(),
+          {.victim = victims[i].get(),
+           .generator = config,
+           .constraint = env.ConstraintFor(rows[i]->constraint),
+           .tests = env.tests});
+      bench::PrintCell(r.mean_iudr(), 10);
     }
     std::printf("\n");
   }

@@ -26,9 +26,13 @@ int main() {
       tc::GeneratorConfig config = bench::BenchGeneratorConfig(
           m, tc::PerturbationConstraint::kSharedTable, 5,
           0xf91 ^ static_cast<uint64_t>(m));
-      bench::AssessmentResult r = bench::AssessRobustness(
-          env, extend.get(), nullptr, config, constraint, theta);
-      std::printf(" %10.4f", r.mean_iudr);
+      const assess::AssessmentRecord r = *assess::Assess(
+          env.substrate(), {.victim = extend.get(),
+                            .generator = config,
+                            .constraint = constraint,
+                            .theta = theta,
+                            .tests = env.tests});
+      bench::PrintCell(r.mean_iudr(), 10);
     }
     std::printf("\n");
   }
@@ -42,9 +46,13 @@ int main() {
       tc::GeneratorConfig config = bench::BenchGeneratorConfig(
           m, tc::PerturbationConstraint::kSharedTable, epsilon,
           0xf92 ^ static_cast<uint64_t>(m) ^ (static_cast<uint64_t>(epsilon) << 4));
-      bench::AssessmentResult r = bench::AssessRobustness(
-          env, extend.get(), nullptr, config, constraint, 0.1);
-      std::printf(" %10.4f", r.mean_iudr);
+      const assess::AssessmentRecord r = *assess::Assess(
+          env.substrate(), {.victim = extend.get(),
+                            .generator = config,
+                            .constraint = constraint,
+                            .theta = 0.1,
+                            .tests = env.tests});
+      bench::PrintCell(r.mean_iudr(), 10);
     }
     std::printf("\n");
   }
@@ -54,10 +62,9 @@ int main() {
   common::Rng rng(0xf93);
   for (int size : {1, 5, 15, 30, 50}) {
     // Fixed-size test workloads sampled from the same pool.
-    std::vector<workload::Workload> saved_tests = env.tests;
-    env.tests.clear();
+    std::vector<workload::Workload> tests;
     for (int i = 0; i < 5; ++i) {
-      env.tests.push_back(workload::SampleWorkload(env.pool, size, rng));
+      tests.push_back(workload::SampleWorkload(env.pool, size, rng));
     }
     std::printf("%-8d", size);
     for (tc::GenerationMethod m :
@@ -66,12 +73,15 @@ int main() {
           m, tc::PerturbationConstraint::kSharedTable, 5,
           0xf93 ^ static_cast<uint64_t>(m) ^ (static_cast<uint64_t>(size) << 4));
       config.rl.epochs = 6;  // larger workloads cost more per epoch
-      bench::AssessmentResult r = bench::AssessRobustness(
-          env, extend.get(), nullptr, config, constraint, 0.1);
-      std::printf(" %10.4f", r.mean_iudr);
+      const assess::AssessmentRecord r = *assess::Assess(
+          env.substrate(), {.victim = extend.get(),
+                            .generator = config,
+                            .constraint = constraint,
+                            .theta = 0.1,
+                            .tests = tests});
+      bench::PrintCell(r.mean_iudr(), 10);
     }
     std::printf("\n");
-    env.tests = std::move(saved_tests);
   }
   std::printf("\nShapes: IUDR grows with theta (well-performing advisors have "
               "more to lose) and with epsilon (larger perturbations), and "

@@ -8,7 +8,6 @@
 #include "advisor/registry.h"
 #include "common/file_util.h"
 #include "common/json.h"
-#include "common/stats.h"
 #include "common/thread_pool.h"
 #include "obs/metrics.h"
 
@@ -48,6 +47,10 @@ BenchEnv::BenchEnv(catalog::Schema schema_in, uint64_t seed, int pool_size,
     configs.push_back(cfg);
   }
   utility.Train(pool, configs);
+}
+
+assess::Substrate BenchEnv::substrate() const {
+  return assess::Substrate{vocab, optimizer, truth, utility, pool, training};
 }
 
 advisor::TuningConstraint BenchEnv::StorageConstraint(double fraction) const {
@@ -99,85 +102,16 @@ tc::GeneratorConfig BenchGeneratorConfig(tc::GenerationMethod method,
   return config;
 }
 
-bool IsNonSargable(BenchEnv& env, const workload::Workload& w,
-                   const advisor::TuningConstraint& constraint, double theta) {
-  // Reference advisors: if neither can reach theta utility, no index serves
-  // this workload and it falls outside the assessment region (Sec. V-A).
-  // The two references are independent (heuristics are stateless across
-  // Recommend calls and the what-if optimizer is thread-safe), so both
-  // utilities are evaluated in parallel.
-  std::unique_ptr<advisor::IndexAdvisor> refs[] = {
-      *advisor::MakeAdvisor("Extend", env.optimizer),
-      *advisor::MakeAdvisor("AutoAdmin", env.optimizer)};
-  double utilities[2] = {0.0, 0.0};
-  common::ParallelFor(2, [&](size_t i) {
-    utilities[i] = env.evaluator.TryIndexUtility(*refs[i], nullptr, w,
-                                                 constraint, {})
-                       .value_or(0.0);
-  });
-  return utilities[0] < theta && utilities[1] < theta;
-}
-
-namespace {
-
-// A utility the evaluation could not produce at all (deadline/cancellation)
-// scores 0; with a report, the failure records carry the why.
-double ReportedUtility(BenchEnv& env, advisor::IndexAdvisor& advisor,
-                       advisor::IndexAdvisor* baseline,
-                       const workload::Workload& w,
-                       const advisor::TuningConstraint& constraint,
-                       BenchReport* report) {
-  std::vector<advisor::FailureRecord> failures;
-  common::StatusOr<double> u = env.evaluator.TryIndexUtility(
-      advisor, baseline, w, constraint, {}, {},
-      report != nullptr ? &failures : nullptr);
-  for (const advisor::FailureRecord& f : failures) {
-    report->RecordFailure(f);
-  }
-  return std::move(u).value_or(0.0);
-}
-
-}  // namespace
-
-AssessmentResult AssessRobustness(BenchEnv& env, advisor::IndexAdvisor* victim,
-                                  advisor::IndexAdvisor* baseline,
-                                  tc::GeneratorConfig config,
-                                  const advisor::TuningConstraint& constraint,
-                                  double theta, BenchReport* report) {
-  tc::AdversarialWorkloadGenerator generator(env.vocab, config);
-  generator.Fit(victim, baseline, &env.optimizer, &env.utility, env.pool,
-                env.training, constraint);
-  AssessmentResult result;
-  double sum = 0.0;
-  // Random's 5x generation budget means 5x more perturbed workloads enter
-  // the assessment; trained methods emit one workload per test.
-  int attempts = config.method == ::trap::trap::GenerationMethod::kRandom
-                     ? config.random_attempts
-                     : 1;
-  for (const workload::Workload& w : env.tests) {
-    double u = ReportedUtility(env, *victim, baseline, w, constraint, report);
-    if (u <= theta) continue;  // Definition 3.3 requires u(W) > theta
-    for (int attempt = 0; attempt < attempts; ++attempt) {
-      workload::Workload perturbed = generator.Generate(w);
-      if (IsNonSargable(env, perturbed, constraint, theta)) {
-        ++result.filtered;
-        continue;
-      }
-      double u_prime = ReportedUtility(env, *victim, baseline, perturbed,
-                                       constraint, report);
-      // IUDR = 1 - u'/u explodes when u is small; clamp per-workload values
-      // so miniature-sample means are not dominated by one ratio blow-up.
-      sum += common::Clamp(advisor::RobustnessEvaluator::Iudr(u, u_prime),
-                           -1.0, 2.0);
-      ++result.eligible;
-    }
-  }
-  result.mean_iudr = result.eligible > 0 ? sum / result.eligible : 0.0;
-  return result;
-}
-
 void PrintHeader(const std::string& title) {
   std::printf("\n=== %s ===\n", title.c_str());
+}
+
+void PrintCell(std::optional<double> value, int width) {
+  if (value.has_value()) {
+    std::printf(" %*.4f", width, *value);
+  } else {
+    std::printf(" %*s", width, "n/a");
+  }
 }
 
 BenchOptions ParseBenchOptions(int* argc, char** argv) {

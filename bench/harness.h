@@ -3,11 +3,13 @@
 
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "advisor/evaluation.h"
 #include "advisor/registry.h"
+#include "assess/assess.h"
 #include "catalog/datasets.h"
 #include "gbdt/utility_model.h"
 #include "trap/perturber.h"
@@ -39,6 +41,8 @@ struct BenchEnv {
   // The constraint a Table III row is trained and assessed under:
   // StorageConstraint() or CountConstraint(4).
   advisor::TuningConstraint ConstraintFor(advisor::ConstraintKind kind) const;
+  // The engine state an assess::Assess call over this environment reads.
+  assess::Substrate substrate() const;
 };
 
 // Builds the advisor of a Table III row; a trainable one is trained on
@@ -53,35 +57,13 @@ std::unique_ptr<advisor::IndexAdvisor> MakeVictim(
     ::trap::trap::PerturbationConstraint constraint, int epsilon,
     uint64_t seed);
 
-// Result of assessing one (victim, generator) pair over the test workloads.
-struct AssessmentResult {
-  double mean_iudr = 0.0;
-  int eligible = 0;      // workloads with u(W) > theta
-  int filtered = 0;      // perturbed workloads excluded as non-sargable
-};
-
-class BenchReport;
-
-// Fits `config` against the victim and measures the mean IUDR over the test
-// workloads (Definition 3.3), excluding non-sargable perturbations: a W'
-// on which even the reference advisors cannot reach theta utility
-// (Section V-A's filtering step). With a non-null `report`, any advisor
-// failure the evaluation survived (injected fault, deadline, degradation
-// to the no-index fallback) lands in the report's "failures" array.
-AssessmentResult AssessRobustness(BenchEnv& env, advisor::IndexAdvisor* victim,
-                                  advisor::IndexAdvisor* baseline,
-                                  ::trap::trap::GeneratorConfig config,
-                                  const advisor::TuningConstraint& constraint,
-                                  double theta = 0.1,
-                                  BenchReport* report = nullptr);
-
-// True when no reference advisor reaches `theta` utility on `w` — the
-// workload cannot be served by indexes at all.
-bool IsNonSargable(BenchEnv& env, const workload::Workload& w,
-                   const advisor::TuningConstraint& constraint, double theta);
-
 // Prints a section header so the bench output reads like the paper's tables.
 void PrintHeader(const std::string& title);
+
+// Prints one table cell: " " then `value` as %.4f right-aligned in `width`
+// columns, or "n/a" when there is no value (no eligible workload is no
+// data, not zero degradation).
+void PrintCell(std::optional<double> value, int width);
 
 // Command-line knobs shared by the bench binaries. `--repeat=N` selects
 // median-of-N timing for the throughput probes; `--min-iters=N` folds N
@@ -102,6 +84,8 @@ BenchOptions ParseBenchOptions(int* argc, char** argv);
 // robust to the one-off stalls (page faults, scheduler preemption) that
 // poison a single-shot timing on a shared machine.
 double MedianSeconds(const BenchOptions& opt, const std::function<void()>& fn);
+
+class BenchReport;
 
 // Cold-cache what-if throughput probe shared by every bench that writes a
 // BENCH_*.json: one fixed TPC-H 64-query x per-column candidate sweep,

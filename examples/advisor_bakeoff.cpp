@@ -6,13 +6,13 @@
 #include <algorithm>
 #include <cstdio>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
-#include "advisor/evaluation.h"
 #include "advisor/registry.h"
+#include "assess/assess.h"
 #include "catalog/datasets.h"
-#include "trap/perturber.h"
 #include "workload/generator.h"
 
 int main() {
@@ -62,11 +62,12 @@ int main() {
 
   gbdt::LearnedUtilityModel utility(optimizer, truth);
   utility.Train(pool, {engine::IndexConfig()});
-  advisor::RobustnessEvaluator evaluator(optimizer, truth);
+  const assess::Substrate substrate{vocab,   optimizer, truth,
+                                    utility, pool,      training};
 
   struct Row {
     std::string name;
-    double mean_iudr = 0.0;
+    std::optional<double> mean_iudr;  // nullopt: no eligible workload
   };
   std::vector<Row> rows;
   for (size_t i = 0; i < victims.size(); ++i) {
@@ -91,34 +92,34 @@ int main() {
     config.rl.workloads_per_epoch = 2;
     config.rl.theta = 0.02;
     config.seed = 0xbbb ^ std::hash<std::string>{}(name);
-    trapcore::AdversarialWorkloadGenerator generator(vocab, config);
-    generator.Fit(victim, baseline, &optimizer, &utility, pool, training,
-                  constraint);
-
-    double sum = 0.0;
-    int n = 0;
-    for (const workload::Workload& w : tests) {
-      double u = evaluator.TryIndexUtility(*victim, baseline, w, constraint, {})
-                     .value_or(0.0);
-      if (u <= 0.02) continue;
-      double u_prime = evaluator
-                           .TryIndexUtility(*victim, baseline,
-                                            generator.Generate(w), constraint,
-                                            {})
-                           .value_or(0.0);
-      sum += advisor::RobustnessEvaluator::Iudr(u, u_prime);
-      ++n;
-    }
-    rows.push_back(Row{name, n > 0 ? sum / n : 0.0});
-    std::printf("  assessed %-10s (eligible workloads: %d)\n", name.c_str(), n);
+    const assess::AssessmentRecord record =
+        *assess::Assess(substrate, {.victim = victim,
+                                    .baseline = baseline,
+                                    .generator = config,
+                                    .constraint = constraint,
+                                    .theta = 0.02,
+                                    .tests = tests});
+    rows.push_back(Row{name, record.mean_iudr()});
+    std::printf("  assessed %-10s (eligible workloads: %d, filtered: %d)\n",
+                name.c_str(), record.eligible(), record.filtered());
   }
 
-  std::sort(rows.begin(), rows.end(),
-            [](const Row& a, const Row& b) { return a.mean_iudr < b.mean_iudr; });
+  // Advisors without data rank last: no eligible workload says nothing
+  // about robustness.
+  std::stable_sort(rows.begin(), rows.end(), [](const Row& a, const Row& b) {
+    if (a.mean_iudr.has_value() != b.mean_iudr.has_value()) {
+      return a.mean_iudr.has_value();
+    }
+    return a.mean_iudr.has_value() && *a.mean_iudr < *b.mean_iudr;
+  });
   std::printf("\nrobustness ranking (smaller IUDR = more robust):\n");
   std::printf("%-12s %8s\n", "advisor", "IUDR");
   for (const Row& r : rows) {
-    std::printf("%-12s %8.4f\n", r.name.c_str(), r.mean_iudr);
+    if (r.mean_iudr.has_value()) {
+      std::printf("%-12s %8.4f\n", r.name.c_str(), *r.mean_iudr);
+    } else {
+      std::printf("%-12s %8s\n", r.name.c_str(), "n/a");
+    }
   }
   return 0;
 }

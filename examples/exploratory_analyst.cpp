@@ -6,10 +6,9 @@
 
 #include <cstdio>
 
-#include "advisor/evaluation.h"
 #include "advisor/registry.h"
+#include "assess/assess.h"
 #include "catalog/datasets.h"
-#include "trap/perturber.h"
 #include "workload/generator.h"
 
 int main() {
@@ -37,22 +36,14 @@ int main() {
   gbdt::LearnedUtilityModel utility(optimizer, truth);
   utility.Train(pool, {engine::IndexConfig()});
 
-  advisor::RobustnessEvaluator evaluator(optimizer, truth);
-  struct VictimSpec {
-    std::unique_ptr<advisor::IndexAdvisor> advisor;
-  };
-  std::vector<VictimSpec> victims;
-  victims.push_back(VictimSpec{*advisor::MakeAdvisor("Extend", optimizer)});
-  victims.push_back(VictimSpec{*advisor::MakeAdvisor("MCTS", optimizer)});
-
+  const assess::Substrate substrate{vocab,   optimizer, truth,
+                                    utility, pool,      training};
   std::printf("banking schema (%d tables / %d columns), Shared-Table drift\n\n",
               schema.num_tables(), schema.num_columns());
   std::printf("%-10s %10s %10s %8s\n", "advisor", "u(W)", "u(W')", "IUDR");
-  for (VictimSpec& v : victims) {
-    double u = evaluator
-                   .TryIndexUtility(*v.advisor, nullptr, analyst_session,
-                                    constraint, {})
-                   .value_or(0.0);
+  for (const char* name : {"Extend", "MCTS"}) {
+    std::unique_ptr<advisor::IndexAdvisor> victim =
+        *advisor::MakeAdvisor(name, optimizer);
     trapcore::GeneratorConfig config;
     config.method = trapcore::GenerationMethod::kTrap;
     config.constraint = trapcore::PerturbationConstraint::kSharedTable;
@@ -64,15 +55,25 @@ int main() {
     config.rl.epochs = 4;
     config.rl.workloads_per_epoch = 2;
     config.rl.theta = 0.02;
-    trapcore::AdversarialWorkloadGenerator generator(vocab, config);
-    generator.Fit(v.advisor.get(), nullptr, &optimizer, &utility, pool,
-                  training, constraint);
-    workload::Workload drifted = generator.Generate(analyst_session);
-    double u_prime =
-        evaluator.TryIndexUtility(*v.advisor, nullptr, drifted, constraint, {})
-            .value_or(0.0);
-    std::printf("%-10s %10.4f %10.4f %8.4f\n", v.advisor->name().c_str(), u,
-                u_prime, advisor::RobustnessEvaluator::Iudr(u, u_prime));
+    const assess::AssessmentRecord record =
+        *assess::Assess(substrate, {.victim = victim.get(),
+                                    .generator = config,
+                                    .constraint = constraint,
+                                    .theta = 0.02,
+                                    .tests = {analyst_session}});
+    // An empty record: u(W) <= theta, so no index helps the session.
+    std::printf("%-10s", name);
+    if (record.workloads.empty()) {
+      std::printf(" %10s %10s %8s\n", "n/a", "n/a", "n/a");
+      continue;
+    }
+    const assess::AssessedWorkload& result = record.workloads[0];
+    if (result.filtered) {  // no index serves the drifted session
+      std::printf(" %10.4f %10s %8s\n", result.u, "filtered", "n/a");
+    } else {
+      std::printf(" %10.4f %10.4f %8.4f\n", result.u, result.u_prime,
+                  result.iudr);
+    }
   }
   std::printf("\nShared-Table perturbations may add payloads and predicates, "
               "the most flexible (and most damaging) drift class.\n");

@@ -1,15 +1,14 @@
 // Quickstart: assess the robustness of one index advisor with TRAP.
 //
-// Builds the TPC-H catalog, trains the learned utility model, fits TRAP
-// against the Extend advisor, and reports the Index Utility Decrease Ratio
-// (IUDR) on a held-out workload.
+// Builds the TPC-H catalog, trains the learned utility model, then runs one
+// assessment (assess::Assess): fit TRAP against the Extend advisor and
+// report the Index Utility Decrease Ratio (IUDR) on a held-out workload.
 
 #include <cstdio>
 
-#include "advisor/evaluation.h"
 #include "advisor/registry.h"
+#include "assess/assess.h"
 #include "catalog/datasets.h"
-#include "trap/perturber.h"
 #include "workload/generator.h"
 
 int main() {
@@ -42,7 +41,9 @@ int main() {
   std::printf("learned utility model: holdout R^2 = %.3f\n",
               utility.holdout_r2());
 
-  // 4. Fit TRAP (pretraining + reinforced perturbation policy learning).
+  // 4. Assess: fit TRAP (pretraining + reinforced perturbation policy
+  //    learning), then compare the utility on W with that on the
+  //    adversarial W'.
   trapcore::GeneratorConfig config;
   config.method = trapcore::GenerationMethod::kTrap;
   config.constraint = trapcore::PerturbationConstraint::kSharedTable;
@@ -53,23 +54,28 @@ int main() {
   config.pretrain.epochs = 2;
   config.rl.epochs = 4;
   config.rl.workloads_per_epoch = 3;
-  trapcore::AdversarialWorkloadGenerator generator(vocab, config);
-  generator.Fit(victim.get(), nullptr, &optimizer, &utility, pool, training,
-                constraint);
-
-  // 5. Assess: utility on W vs the adversarial W'.
-  advisor::RobustnessEvaluator evaluator(optimizer, truth);
-  double u = evaluator.TryIndexUtility(*victim, nullptr, test, constraint, {})
-                 .value_or(0.0);
-  workload::Workload perturbed = generator.Generate(test);
-  double u_prime =
-      evaluator.TryIndexUtility(*victim, nullptr, perturbed, constraint, {})
-          .value_or(0.0);
-  std::printf("u(W)  = %.4f\nu(W') = %.4f\nIUDR  = %.4f\n", u, u_prime,
-              advisor::RobustnessEvaluator::Iudr(u, u_prime));
+  const assess::AssessmentRecord record = *assess::Assess(
+      assess::Substrate{vocab, optimizer, truth, utility, pool, training},
+      {.victim = victim.get(),
+       .generator = config,
+       .constraint = constraint,
+       .theta = 0.02,
+       .tests = {test}});
+  if (record.workloads.empty()) {
+    std::printf("u(W) <= 0.02: no index helps W, so there is nothing to "
+                "degrade\n");
+    return 0;
+  }
+  const assess::AssessedWorkload& result = record.workloads[0];
+  std::printf("u(W)  = %.4f\n", result.u);
+  if (result.filtered) {
+    std::printf("W' is non-sargable (no index serves it): no IUDR\n");
+  } else {
+    std::printf("u(W') = %.4f\nIUDR  = %.4f\n", result.u_prime, result.iudr);
+  }
 
   std::printf("\nexample perturbation:\n  %s\n->%s\n",
               sql::ToSql(test.queries[0].query, schema).c_str(),
-              sql::ToSql(perturbed.queries[0].query, schema).c_str());
+              sql::ToSql(result.perturbed.queries[0].query, schema).c_str());
   return 0;
 }

@@ -228,6 +228,10 @@ struct SiteCase {
   int expected_attempts;  // -1 = don't care
 };
 
+// Prints only the fault spec, so the listed test name (which carries the
+// printed parameter) holds no pointer value that changes from run to run.
+void PrintTo(const SiteCase& c, std::ostream* os) { *os << c.spec; }
+
 class FaultSiteDegradationTest : public ::testing::TestWithParam<SiteCase> {};
 
 TEST_P(FaultSiteDegradationTest, DegradesWithExpectedStatusAndRetries) {

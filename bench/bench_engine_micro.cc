@@ -61,7 +61,9 @@ void BM_WhatIfQueryCost(benchmark::State& state) {
   size_t i = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        f.optimizer.QueryCost(f.queries[i++ % f.queries.size()], f.config));
+        f.optimizer
+            .TryQueryCost(f.queries[i++ % f.queries.size()], f.config)
+            .value());
   }
 }
 BENCHMARK(BM_WhatIfQueryCost);
@@ -253,9 +255,11 @@ void WorkloadCostingSection(const bench::BenchOptions& opt) {
     configs.push_back(cfg);
   }
 
-  const std::vector<double> first_costs = f.optimizer.WorkloadCosts(w, configs);
+  const std::vector<double> first_costs =
+      f.optimizer.TryWorkloadCosts(w, configs).value();
   auto start = std::chrono::steady_clock::now();
-  const std::vector<double> costs = f.optimizer.WorkloadCosts(w, configs);
+  const std::vector<double> costs =
+      f.optimizer.TryWorkloadCosts(w, configs).value();
   const double sweep_sec =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();

@@ -4,11 +4,14 @@
 // (b) fraction of perturbed queries flagged as outliers by three anomaly
 //     detectors, split by effective (IUDR > 0) vs. ineffective.
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <string>
 
 #include "analysis/outliers.h"
 #include "analysis/tsne.h"
+#include "common/string_util.h"
 #include "advisor/registry.h"
 #include "harness.h"
 
@@ -34,14 +37,12 @@ int main() {
   std::vector<std::vector<double>> originals, perturbed;
   std::vector<bool> effective;
   for (const workload::Workload& w : env.tests) {
-    double u = env.evaluator
-                   .TryIndexUtility(*extend, nullptr, w, constraint, {})
-                   .value_or(0.0);
+    double u =
+        *env.evaluator.TryIndexUtility(*extend, nullptr, w, constraint, {});
     if (u <= 0.1) continue;
-    workload::Workload wp = generator.Generate(w);
-    double u_prime = env.evaluator
-                         .TryIndexUtility(*extend, nullptr, wp, constraint, {})
-                         .value_or(0.0);
+    workload::Workload wp = *generator.TryGenerate(w);
+    double u_prime =
+        *env.evaluator.TryIndexUtility(*extend, nullptr, wp, constraint, {});
     bool eff = advisor::RobustnessEvaluator::Iudr(u, u_prime) > 0.0;
     for (int i = 0; i < w.size(); ++i) {
       originals.push_back(agent->EncodeQueryVector(
@@ -83,25 +84,28 @@ int main() {
               "perturbed queries follow the original distribution)\n");
 
   // (b) outlier fractions among effective vs. ineffective perturbations.
+  // An empty group has no fraction, so it prints n/a.
+  auto percent = [](int flagged, int total) {
+    return total > 0 ? common::StrFormat("%.1f%%", 100.0 * flagged / total)
+                     : std::string("n/a");
+  };
+  const int eff_n = static_cast<int>(
+      std::count(effective.begin(), effective.end(), true));
+  const int ineff_n = static_cast<int>(n) - eff_n;
   bench::PrintHeader("Fig. 17(b) — outlier fraction of perturbed queries");
   std::printf("%-18s %12s %12s\n", "detector", "effective", "ineffective");
+  std::printf("%-18s %12d %12d\n", "(queries)", eff_n, ineff_n);
   for (analysis::OutlierDetector d :
        {analysis::OutlierDetector::kIsolationForest,
         analysis::OutlierDetector::kLof, analysis::OutlierDetector::kOneClass}) {
     std::vector<bool> flags = analysis::DetectOutliers(d, all, 0.05);
-    int eff_out = 0, eff_n = 0, ineff_out = 0, ineff_n = 0;
+    int eff_out = 0, ineff_out = 0;
     for (size_t i = 0; i < n; ++i) {
-      if (effective[i]) {
-        ++eff_n;
-        if (flags[n + i]) ++eff_out;
-      } else {
-        ++ineff_n;
-        if (flags[n + i]) ++ineff_out;
-      }
+      if (flags[n + i]) ++(effective[i] ? eff_out : ineff_out);
     }
-    std::printf("%-18s %11.1f%% %11.1f%%\n", analysis::OutlierDetectorName(d),
-                eff_n > 0 ? 100.0 * eff_out / eff_n : 0.0,
-                ineff_n > 0 ? 100.0 * ineff_out / ineff_n : 0.0);
+    std::printf("%-18s %12s %12s\n", analysis::OutlierDetectorName(d),
+                percent(eff_out, eff_n).c_str(),
+                percent(ineff_out, ineff_n).c_str());
   }
   std::printf("\nShape: the bulk of effective perturbations are \"normal\" "
               "(~97-99%% inliers in the paper) — TRAP's damage does not come "

@@ -175,7 +175,7 @@ void RecordWhatIfThroughput(BenchReport* report, const BenchOptions& opt) {
       static_cast<double>(w.queries.size() * configs.size());
   double sink = 0.0;
   const double t1 = MedianSeconds(
-      opt, [&] { sink += optimizer.WorkloadCosts(w, configs)[0]; });
+      opt, [&] { sink += optimizer.TryWorkloadCosts(w, configs).value()[0]; });
   // Report-only: the same sweep as four disjoint quarter-sweeps issued by
   // concurrent callers on the shared optimizer, 4 lanes over 1.
   std::vector<std::vector<engine::IndexConfig>> quarters(4);
@@ -185,7 +185,7 @@ void RecordWhatIfThroughput(BenchReport* report, const BenchOptions& opt) {
   std::vector<double> quarter_sinks(quarters.size(), 0.0);
   auto quarter_sweeps = [&](common::ThreadPool& pool) {
     pool.ParallelFor(quarters.size(), [&](size_t q) {
-      quarter_sinks[q] += optimizer.WorkloadCosts(w, quarters[q])[0];
+      quarter_sinks[q] += optimizer.TryWorkloadCosts(w, quarters[q]).value()[0];
     });
   };
   common::ThreadPool one_lane(1);

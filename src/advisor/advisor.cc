@@ -9,7 +9,7 @@ namespace trap::advisor {
 
 engine::IndexConfig IndexAdvisor::Recommend(const workload::Workload& w,
                                             const TuningConstraint& constraint) {
-  return DegradeToEmpty(TryRecommend(w, constraint, common::EvalContext{}));
+  return TryRecommend(w, constraint, {}).value_or(engine::IndexConfig{});
 }
 
 uint64_t WorkloadFingerprint(const workload::Workload& w) {
@@ -60,11 +60,6 @@ common::Status EnterRecommend(const std::string& advisor_name,
         ") with no step budget");
   }
   return common::Status::Ok();
-}
-
-engine::IndexConfig DegradeToEmpty(
-    common::StatusOr<engine::IndexConfig> result) {
-  return std::move(result).value_or(engine::IndexConfig{});
 }
 
 }  // namespace trap::advisor

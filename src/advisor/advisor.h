@@ -39,12 +39,11 @@ struct TuningConstraint {
 // interact with the engine exclusively through what-if calls.
 //
 // Error handling: TryRecommend is the fallible, deadline-aware entry point
-// every advisor implements. Recommend is the infallible shim over it: it
-// runs TryRecommend unbounded and degrades an error to the empty (no-index)
-// configuration -- always constraint-feasible, never a silent wrong answer,
-// merely zero improvement over the baseline. Recommend stays virtual only
-// because the benchmark's counting proxy (perfbench/victim_proxy.h)
-// overrides it.
+// every advisor implements, and the one callers use; each caller states
+// what a failure means for it. Recommend, an infallible shim that degrades
+// an error to the empty configuration, exists only because the benchmark
+// (perfbench/) calls it and its counting proxy overrides it; the
+// restricted-api lint rule keeps every other caller off it.
 class IndexAdvisor {
  public:
   virtual ~IndexAdvisor() = default;
@@ -80,11 +79,6 @@ uint64_t WorkloadFingerprint(const workload::Workload& w);
 common::Status EnterRecommend(const std::string& advisor_name,
                               const workload::Workload& w,
                               const common::EvalContext& ctx);
-
-// Graceful degradation for legacy callers: the recommended configuration on
-// success, the empty (no-index) configuration on any error.
-engine::IndexConfig DegradeToEmpty(
-    common::StatusOr<engine::IndexConfig> result);
 
 // True if adding `index` to `config` stays within the constraint.
 bool FitsConstraint(const engine::IndexConfig& config,

@@ -58,22 +58,29 @@ class DqnAdvisorBase : public LearningAdvisor {
       const workload::Workload& w =
           training[static_cast<size_t>(rng_.UniformInt(
               0, static_cast<int64_t>(training.size()) - 1))];
-      env.Reset(&w, constraint);
+      // A failed what-if probe ends the episode, and the step it failed in
+      // is not learned from: its reward would be measured against a cost
+      // that was never estimated.
+      if (!env.TryReset(&w, constraint).ok()) continue;
       while (!env.Done()) {
         std::vector<bool> valid = env.ValidActions(false);
         if (std::none_of(valid.begin(), valid.end(), [](bool b) { return b; })) {
           break;
         }
-        std::vector<double> state = encoder_->Encode(w, env.built(), constraint);
+        common::StatusOr<std::vector<double>> state =
+            encoder_->TryEncode(w, env.built(), constraint);
+        if (!state.ok()) break;
         int a = rng_.Bernoulli(eps) ? RandomValid(valid)
-                                    : GreedyAction(qnet_, state, valid);
-        double r = env.Step(a);
+                                    : GreedyAction(qnet_, *state, valid);
+        common::StatusOr<double> r = env.TryStep(a);
+        if (!r.ok()) break;
         bool done = env.Done();
-        std::vector<double> next_state =
-            encoder_->Encode(w, env.built(), constraint);
+        common::StatusOr<std::vector<double>> next_state =
+            encoder_->TryEncode(w, env.built(), constraint);
+        if (!next_state.ok()) break;
         std::vector<bool> next_valid = env.ValidActions(false);
-        replay_.push_back(Transition{std::move(state), a, r,
-                                     std::move(next_state),
+        replay_.push_back(Transition{*std::move(state), a, *r,
+                                     *std::move(next_state),
                                      std::move(next_valid), done});
         if (static_cast<int>(replay_.size()) > options_.replay_capacity) {
           replay_.pop_front();
@@ -101,20 +108,21 @@ class DqnAdvisorBase : public LearningAdvisor {
     // The frozen policy is probed under the caller's stats epoch: the
     // episode and the state encoding both carry ctx so drifted workloads
     // are costed against the snapshot they arrived with.
-    env.Reset(&w, constraint, ctx);
+    TRAP_RETURN_IF_ERROR(env.TryReset(&w, constraint, ctx));
     while (!env.Done()) {
       TRAP_RETURN_IF_ERROR(ctx.CheckContinue());
       std::vector<bool> valid = env.ValidActions(false);
       if (std::none_of(valid.begin(), valid.end(), [](bool b) { return b; })) {
         break;
       }
-      std::vector<double> state =
-          encoder_->Encode(w, env.built(), constraint, ctx);
+      TRAP_ASSIGN_OR_RETURN(
+          std::vector<double> state,
+          encoder_->TryEncode(w, env.built(), constraint, ctx));
       int a = GreedyAction(qnet_, state, valid);
       // Stop early when the best remaining Q-value predicts no improvement
       // (but always recommend at least one index).
       if (!env.built().empty() && BestQ(qnet_, state, valid) <= 0.0) break;
-      env.Step(a);
+      TRAP_RETURN_IF_ERROR(env.TryStep(a).status());
     }
     return env.built();
   }

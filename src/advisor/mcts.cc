@@ -36,10 +36,8 @@ class MctsAdvisor : public IndexAdvisor {
         base_cost_, optimizer_->TryWorkloadCost(w, engine::IndexConfig(), ctx));
     nodes_.clear();
 
-    // The rollouts below go through the legacy cost wrappers: an engine
-    // error degrades that rollout's value to -infinity (the search simply
-    // avoids it) instead of aborting the whole search. Deadlines are
-    // enforced at iteration granularity here.
+    // A failed rollout probe lowers only that rollout's value (see Value);
+    // deadlines are enforced at iteration granularity here.
     engine::IndexConfig root;
     for (int it = 0; it < options_.iterations; ++it) {
       TRAP_RETURN_IF_ERROR(ctx.CheckContinue());
@@ -77,7 +75,10 @@ class MctsAdvisor : public IndexAdvisor {
   };
 
   double Value(const engine::IndexConfig& config) {
-    double cost = optimizer_->WorkloadCost(*workload_, config, ctx_);
+    // A failed probe costs +infinity, so its value is -infinity. The search
+    // only compares values, so that config simply never wins.
+    double cost = optimizer_->TryWorkloadCost(*workload_, config, ctx_)
+                      .value_or(engine::WhatIfOptimizer::kInfiniteCost);
     return base_cost_ > 0.0 ? (base_cost_ - cost) / base_cost_ : 0.0;
   }
 

@@ -95,7 +95,7 @@ int StateEncoder::dim() const {
   return 2 * k + 1;
 }
 
-std::vector<double> StateEncoder::Encode(
+common::StatusOr<std::vector<double>> StateEncoder::TryEncode(
     const workload::Workload& w, const engine::IndexConfig& built,
     const TuningConstraint& constraint,
     const common::EvalContext& ctx) const {
@@ -117,7 +117,9 @@ std::vector<double> StateEncoder::Encode(
     }
     double norm = std::max(1.0, static_cast<double>(w.size()));
     for (double v : agg) state.push_back(v / norm);
-    double base = optimizer_->WorkloadCost(w, engine::IndexConfig(), ctx);
+    TRAP_ASSIGN_OR_RETURN(
+        double base,
+        optimizer_->TryWorkloadCost(w, engine::IndexConfig(), ctx));
     state.push_back(std::log1p(cost) / 20.0);
     state.push_back(base > 0.0 ? 1.0 - cost / base : 0.0);
     double used = constraint.storage_budget_bytes > 0
@@ -163,16 +165,18 @@ IndexSelectionEnv::IndexSelectionEnv(const engine::WhatIfOptimizer* optimizer,
                                      const ActionSpace* actions)
     : optimizer_(optimizer), actions_(actions) {}
 
-void IndexSelectionEnv::Reset(const workload::Workload* w,
-                              const TuningConstraint& constraint,
-                              const common::EvalContext& ctx) {
+common::Status IndexSelectionEnv::TryReset(const workload::Workload* w,
+                                           const TuningConstraint& constraint,
+                                           const common::EvalContext& ctx) {
   workload_ = w;
   constraint_ = constraint;
   ctx_ = ctx;
   built_ = engine::IndexConfig();
-  base_cost_ = optimizer_->WorkloadCost(*w, built_, ctx_);
-  current_cost_ = base_cost_;
   steps_ = 0;
+  TRAP_ASSIGN_OR_RETURN(base_cost_,
+                        optimizer_->TryWorkloadCost(*w, built_, ctx_));
+  current_cost_ = base_cost_;
+  return common::Status::Ok();
 }
 
 std::vector<bool> IndexSelectionEnv::ValidActions(bool mask_irrelevant) const {
@@ -190,10 +194,11 @@ std::vector<bool> IndexSelectionEnv::ValidActions(bool mask_irrelevant) const {
   return valid;
 }
 
-double IndexSelectionEnv::Step(int a) {
+common::StatusOr<double> IndexSelectionEnv::TryStep(int a) {
   TRAP_CHECK(a >= 0 && a < actions_->size());
   built_.Add(actions_->candidates[static_cast<size_t>(a)]);
-  double new_cost = optimizer_->WorkloadCost(*workload_, built_, ctx_);
+  TRAP_ASSIGN_OR_RETURN(double new_cost,
+                        optimizer_->TryWorkloadCost(*workload_, built_, ctx_));
   double reward =
       base_cost_ > 0.0 ? (current_cost_ - new_cost) / base_cost_ : 0.0;
   current_cost_ = new_cost;

@@ -67,11 +67,12 @@ class StateEncoder {
   // `ctx` selects the stats epoch the fine-grained plan/cost features are
   // computed against (the base epoch by default). Recommend-time callers
   // must pass their evaluation context so drifted workloads are encoded
-  // under the snapshot they will be costed against.
-  std::vector<double> Encode(const workload::Workload& w,
-                             const engine::IndexConfig& built,
-                             const TuningConstraint& constraint,
-                             const common::EvalContext& ctx = {}) const;
+  // under the snapshot they will be costed against. Fails when the
+  // fine-grained no-index cost probe fails.
+  common::StatusOr<std::vector<double>> TryEncode(
+      const workload::Workload& w, const engine::IndexConfig& built,
+      const TuningConstraint& constraint,
+      const common::EvalContext& ctx = {}) const;
 
   StateGranularity granularity() const { return granularity_; }
 
@@ -91,21 +92,24 @@ class IndexSelectionEnv {
 
   // `ctx` is pinned for the episode: every cost probe (the base cost here,
   // each Step's what-if probe) runs against the epoch it carries. It must
-  // outlive the episode.
-  void Reset(const workload::Workload* w, const TuningConstraint& constraint,
-             const common::EvalContext& ctx = {});
+  // outlive the episode. Fails when the base-cost probe fails; the episode
+  // cannot run then.
+  common::Status TryReset(const workload::Workload* w,
+                          const TuningConstraint& constraint,
+                          const common::EvalContext& ctx = {});
 
   // Valid actions: not built, fits the constraint. If `mask_irrelevant`,
   // additionally requires positive syntactic relevance to the workload
   // (SWIRL's invalid action masking).
   std::vector<bool> ValidActions(bool mask_irrelevant) const;
 
-  // Applies action `a` (index into the action space); returns the reward.
-  double Step(int a);
+  // Applies action `a` (index into the action space); returns the reward,
+  // or the what-if probe's error (the episode should end there: its cost
+  // bookkeeping no longer holds).
+  common::StatusOr<double> TryStep(int a);
 
   bool Done() const;
   const engine::IndexConfig& built() const { return built_; }
-  const workload::Workload& current_workload() const { return *workload_; }
   const TuningConstraint& constraint() const { return constraint_; }
   double base_cost() const { return base_cost_; }
   double current_cost() const { return current_cost_; }

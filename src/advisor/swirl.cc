@@ -67,14 +67,16 @@ struct SwirlAdvisor::Impl {
   std::unique_ptr<nn::Adam> opt;
   bool trained = false;
 
-  // Runs one episode; when `sample` the policy is stochastic and the episode
-  // contributes to the policy-gradient update, otherwise greedy.
-  engine::IndexConfig Rollout(const workload::Workload& w,
-                              const TuningConstraint& constraint, bool sample,
-                              double* episode_return,
-                              const common::EvalContext& ctx = {}) {
+  // Runs one episode and returns the configuration it built; when `sample`
+  // the policy is stochastic and the episode contributes to the
+  // policy-gradient update, otherwise greedy. A failed what-if probe ends
+  // the episode with its error; a sampled episode first learns from the
+  // steps before the failed one.
+  common::StatusOr<engine::IndexConfig> Rollout(
+      const workload::Workload& w, const TuningConstraint& constraint,
+      bool sample, const common::EvalContext& ctx = {}) {
     IndexSelectionEnv env(optimizer, &actions);
-    env.Reset(&w, constraint, ctx);
+    TRAP_RETURN_IF_ERROR(env.TryReset(&w, constraint, ctx));
     int k = actions.size();
     struct StepRecord {
       std::vector<double> state;
@@ -83,30 +85,36 @@ struct SwirlAdvisor::Impl {
       double reward = 0.0;
     };
     std::vector<StepRecord> steps;
-    double total = 0.0;
+    common::Status status;
     while (!env.Done()) {
       std::vector<bool> valid = env.ValidActions(options.action_masking);
       // The stop action becomes available once at least one index is built
       // (an empty recommendation is never useful).
       valid.push_back(!env.built().empty());
-      std::vector<double> state =
-          encoder->Encode(w, env.built(), constraint, ctx);
+      common::StatusOr<std::vector<double>> state =
+          encoder->TryEncode(w, env.built(), constraint, ctx);
+      if (!state.ok()) {
+        status = state.status();
+        break;
+      }
       // Forward pass outside the training graph for action selection.
       nn::Graph g;
       nn::Graph::VarId logits =
-          actor.Forward(g, g.Input(nn::Matrix::RowVector(state)));
+          actor.Forward(g, g.Input(nn::Matrix::RowVector(*state)));
       int a = SampleMasked(g.value(logits), valid, sample ? &rng : nullptr);
       if (a < 0 || a == k) {
         if (sample) {
-          steps.push_back(StepRecord{state, valid, k, 0.0});
+          steps.push_back(StepRecord{*std::move(state), valid, k, 0.0});
         }
         break;
       }
-      double r = env.Step(a);
-      total += r;
-      if (sample) steps.push_back(StepRecord{state, valid, a, r});
+      common::StatusOr<double> r = env.TryStep(a);
+      if (!r.ok()) {
+        status = r.status();
+        break;
+      }
+      if (sample) steps.push_back(StepRecord{*std::move(state), valid, a, *r});
     }
-    if (episode_return != nullptr) *episode_return = total;
 
     if (sample && !steps.empty()) {
       // Returns-to-go (gamma = 1; episodes are short).
@@ -151,6 +159,7 @@ struct SwirlAdvisor::Impl {
       opt->Step();
       CountLearnerUpdate(n);
     }
+    TRAP_RETURN_IF_ERROR(status);
     return env.built();
   }
 };
@@ -187,8 +196,9 @@ void SwirlAdvisor::Train(const std::vector<workload::Workload>& training,
     const workload::Workload& w =
         training[static_cast<size_t>(im.rng.UniformInt(
             0, static_cast<int64_t>(training.size()) - 1))];
-    double ret = 0.0;
-    im.Rollout(w, constraint, /*sample=*/true, &ret);
+    // An episode cut short by a failed probe has already learned from the
+    // steps before it; training goes on with the next one.
+    if (!im.Rollout(w, constraint, /*sample=*/true).ok()) continue;
   }
   im.trained = true;
 }
@@ -201,10 +211,10 @@ common::StatusOr<engine::IndexConfig> SwirlAdvisor::TryRecommend(
         "SwirlAdvisor::Train must be called first");
   }
   TRAP_RETURN_IF_ERROR(EnterRecommend(name(), w, ctx));
-  // The greedy rollout is one bounded episode; engine errors inside degrade
-  // through the legacy cost wrappers, and the entry bracket above accounts
-  // for deadline/fault injection at recommend granularity.
-  return impl_->Rollout(w, constraint, /*sample=*/false, nullptr, ctx);
+  // The greedy rollout is one bounded episode; an engine error inside it is
+  // returned, and the entry bracket above accounts for deadline/fault
+  // injection at recommend granularity.
+  return impl_->Rollout(w, constraint, /*sample=*/false, ctx);
 }
 
 }  // namespace trap::advisor

@@ -53,9 +53,6 @@ class CancelToken {
            spent_.load(std::memory_order_relaxed) > budget_;
   }
 
-  std::uint64_t steps_spent() const {
-    return spent_.load(std::memory_order_relaxed);
-  }
   std::uint64_t step_budget() const { return budget_; }
 
   // OK while the token is live; kCancelled / kDeadlineExceeded afterwards.

@@ -320,14 +320,6 @@ common::StatusOr<double> WhatIfOptimizer::TryQueryCost(
   return cost;
 }
 
-std::vector<double> WhatIfOptimizer::QueryCosts(
-    const sql::Query& q, const std::vector<IndexConfig>& configs,
-    const common::EvalContext& ctx) const {
-  common::StatusOr<std::vector<double>> costs = TryQueryCosts(q, configs, ctx);
-  if (costs.ok()) return *std::move(costs);
-  return std::vector<double>(configs.size(), kInfiniteCost);
-}
-
 common::StatusOr<std::vector<double>> WhatIfOptimizer::TryQueryCosts(
     const sql::Query& q, const std::vector<IndexConfig>& configs,
     const common::EvalContext& ctx) const {

@@ -57,19 +57,17 @@ namespace trap::engine {
 // optimizer get bit-identical results: a cost is a pure function of (query,
 // config, epoch), and each batch folds its per-item costs in input order.
 //
-// Error handling: the Try* entry points are the *canonical* fallible core
-// -- they honor the EvalContext (step budget, cancellation, trace sink) and surface injected faults and internal inconsistencies as
-// Statuses. Batched Try* calls aggregate per-item Statuses by picking the
-// first error in *input order*, so the returned Status is bit-identical
-// across runs. Deduplicated items keep the accounting of the
+// Error handling: every cost entry point is a Try* call. It honors the
+// EvalContext (step budget, cancellation, trace sink) and surfaces
+// injected faults and internal inconsistencies as Statuses; each caller
+// decides what a failure means for it (propagate, stop an episode, or
+// substitute kInfiniteCost). Batched calls aggregate per-item Statuses by
+// picking the first error in *input order*, so the returned Status is
+// bit-identical across runs. Deduplicated items keep the accounting of the
 // pre-dedup path: every item still charges one step and counts one call,
 // and duplicates inherit their primary's Status (fault draws key on the
 // (query_fp, config_fp) pair, so a duplicate would have drawn the same
-// fate). Every infallible form below is a thin shim over its Try* twin
-// (this header is the only definition site) that degrades an error to
-// +infinity cost -- a deterministic "this configuration is unusable"
-// answer that can never be mistaken for a real estimate (real costs are
-// finite and non-negative).
+// fate).
 //
 // Observability: calls, shape-cache misses, batch sizes, duplicate
 // configurations and deduplicated pairs per batch feed the global
@@ -100,15 +98,8 @@ class WhatIfOptimizer {
   explicit WhatIfOptimizer(const catalog::Schema& schema,
                            CostParams params = {});
 
-  // Estimated cost of `q` under hypothetical configuration `config`.
-  // Shim over TryQueryCost: degrades errors to +infinity.
-  double QueryCost(const sql::Query& q, const IndexConfig& config,
-                   const common::EvalContext& ctx = {}) const {
-    return TryQueryCost(q, config, ctx).value_or(kInfiniteCost);
-  }
-
-  // Fallible cost of `q` under `config`, honoring `ctx` (step budget,
-  // cancellation, fault salt).
+  // Estimated cost of `q` under hypothetical configuration `config`,
+  // honoring `ctx` (step budget, cancellation, fault salt).
   common::StatusOr<double> TryQueryCost(const sql::Query& q,
                                         const IndexConfig& config,
                                         const common::EvalContext& ctx = {})
@@ -125,15 +116,7 @@ class WhatIfOptimizer {
   // query order. `WorkloadT` is any
   // type with a `queries` container of {query, weight} items
   // (workload::Workload; templated to keep the engine layer free of an
-  // upward dependency). Shim over TryWorkloadCost: degrades errors to
-  // +infinity.
-  template <typename WorkloadT>
-  double WorkloadCost(const WorkloadT& w, const IndexConfig& config,
-                      const common::EvalContext& ctx = {}) const {
-    common::StatusOr<double> total = TryWorkloadCost(w, config, ctx);
-    return std::move(total).value_or(kInfiniteCost);
-  }
-
+  // upward dependency).
   template <typename WorkloadT>
   common::StatusOr<double> TryWorkloadCost(
       const WorkloadT& w, const IndexConfig& config,
@@ -156,18 +139,7 @@ class WhatIfOptimizer {
 
   // Batched candidate-benefit sweep: weighted workload cost under each of
   // `configs`, each unique (query, config) pair evaluated once.
-  // Entry k of the result corresponds to configs[k]. Shim over
-  // TryWorkloadCosts: degrades errors to +infinity.
-  template <typename WorkloadT>
-  std::vector<double> WorkloadCosts(const WorkloadT& w,
-                                    const std::vector<IndexConfig>& configs,
-                                    const common::EvalContext& ctx = {}) const {
-    common::StatusOr<std::vector<double>> totals =
-        TryWorkloadCosts(w, configs, ctx);
-    if (totals.ok()) return *std::move(totals);
-    return std::vector<double>(configs.size(), kInfiniteCost);
-  }
-
+  // Entry k of the result corresponds to configs[k].
   template <typename WorkloadT>
   common::StatusOr<std::vector<double>> TryWorkloadCosts(
       const WorkloadT& w, const std::vector<IndexConfig>& configs,
@@ -191,11 +163,6 @@ class WhatIfOptimizer {
 
   // Batched: cost of one query under each of `configs` (order-preserving)
   // — the inner loop of per-query greedy searches.
-  // Shim over TryQueryCosts: degrades errors to +infinity per entry.
-  std::vector<double> QueryCosts(const sql::Query& q,
-                                 const std::vector<IndexConfig>& configs,
-                                 const common::EvalContext& ctx = {}) const;
-
   common::StatusOr<std::vector<double>> TryQueryCosts(
       const sql::Query& q, const std::vector<IndexConfig>& configs,
       const common::EvalContext& ctx = {}) const;
@@ -222,9 +189,11 @@ class WhatIfOptimizer {
     return ctx.snapshot == nullptr ? 0 : ctx.snapshot->epoch();
   }
 
-  // The sentinel cost returned by the legacy (non-Try) wrappers when the
-  // underlying evaluation fails: +infinity never wins a cost comparison, so
-  // a degraded estimate can only push a search away from the failed config.
+  // The cost a caller substitutes for a failed evaluation when it would
+  // rather keep going than stop (`.value_or(kInfiniteCost)`, with the reason
+  // at the call site): +infinity never wins a cost comparison, so a degraded
+  // estimate can only push a search away from the failed config. Real costs
+  // are finite and non-negative, so it is never mistaken for one.
   static constexpr double kInfiniteCost =
       std::numeric_limits<double>::infinity();
 

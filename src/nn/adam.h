@@ -17,13 +17,10 @@ class Adam {
   // Applies one update from the accumulated gradients, then zeroes them.
   void Step();
 
-  void set_learning_rate(double lr) { lr_ = lr; }
   double learning_rate() const { return lr_; }
 
   // 0 disables clipping.
   void set_max_grad_norm(double norm) { max_grad_norm_ = norm; }
-
-  int64_t num_steps() const { return t_; }
 
  private:
   std::vector<Parameter*> params_;

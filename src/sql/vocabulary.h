@@ -33,14 +33,6 @@ class Vocabulary {
   int TokenToId(const Token& t) const;
   Token IdToToken(int id) const;
 
-  // Region boundaries (half-open id ranges).
-  int FirstAggregatorId() const { return agg_base_; }
-  int FirstOperatorId() const { return op_base_; }
-  int FirstConjunctionId() const { return conj_base_; }
-  int FirstTableId() const { return table_base_; }
-  int FirstColumnId() const { return column_base_; }
-  int FirstValueId() const { return value_base_; }
-
   int ColumnTokenId(ColumnId c) const;
   int ValueTokenId(ColumnId c, int bucket) const;
 

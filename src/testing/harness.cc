@@ -191,14 +191,6 @@ common::Status TryReplayCase(const CaseFile& c, bool shrink, std::FILE* log,
   return common::Status::Ok();
 }
 
-std::optional<FailureReport> ReplayCase(const CaseFile& c, bool shrink,
-                                        std::FILE* log) {
-  std::optional<FailureReport> report;
-  common::Status status = TryReplayCase(c, shrink, log, &report);
-  TRAP_CHECK_MSG(status.ok(), status.message().c_str());
-  return report;
-}
-
 std::optional<std::string> MinimizeCase(const CaseFile& c,
                                         std::string* error) {
   std::optional<catalog::Schema> schema = MakeSchemaByName(c.schema);

@@ -77,11 +77,6 @@ std::optional<CaseFile> LoadCaseFile(const std::string& path,
 common::Status TryReplayCase(const CaseFile& c, bool shrink, std::FILE* log,
                              std::optional<FailureReport>* out);
 
-// Legacy facade over TryReplayCase for callers that pre-validate the case;
-// aborts on an invalid one.
-std::optional<FailureReport> ReplayCase(const CaseFile& c, bool shrink,
-                                        std::FILE* log);
-
 // Deterministic minimization of a failing case: regenerates it, shrinks,
 // and returns the printable minimal reproducer. nullopt (with `error` set)
 // when the case cannot be loaded or no longer fails.

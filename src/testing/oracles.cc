@@ -32,6 +32,12 @@ bool CostIncreased(double before, double after) {
   return after > before * (1.0 + kRelTol) + kAbsTol;
 }
 
+// The cost oracles compare answers that must agree however they were
+// computed. A probe that fails under an injected fault reads as +infinity
+// on every path, so a case with a fault still compares deterministically;
+// the fault-sweep tests skip such cases rather than judge them.
+constexpr double kFailedCost = engine::WhatIfOptimizer::kInfiniteCost;
+
 engine::IndexConfig WithExtras(const Reproducer& r) {
   engine::IndexConfig super = r.config;
   for (const engine::Index& idx : r.extra) super.Add(idx);
@@ -54,8 +60,8 @@ std::optional<std::string> CheckMonotone(OracleEnv& env, const Reproducer& r) {
   if (super == r.config) return std::nullopt;  // no-op superset
   for (size_t i = 0; i < r.workload.queries.size(); ++i) {
     const sql::Query& q = r.workload.queries[i].query;
-    double sub = env.optimizer.QueryCost(q, r.config);
-    double sup = env.optimizer.QueryCost(q, super);
+    double sub = env.optimizer.TryQueryCost(q, r.config).value_or(kFailedCost);
+    double sup = env.optimizer.TryQueryCost(q, super).value_or(kFailedCost);
     if (CostIncreased(sub, sup)) {
       return common::StrFormat(
           "query %zu: cost rose from %.17g to %.17g when indexes were added "
@@ -83,7 +89,8 @@ std::optional<std::string> CheckParallelDeterminism(OracleEnv& env,
   for (const engine::IndexConfig& config : configs) {
     double total = 0.0;
     for (const workload::WorkloadQuery& wq : r.workload.queries) {
-      total += wq.weight * ref.QueryCost(wq.query, config);
+      total += wq.weight *
+               ref.TryQueryCost(wq.query, config).value_or(kFailedCost);
     }
     want.push_back(total);
   }
@@ -95,14 +102,17 @@ std::optional<std::string> CheckParallelDeterminism(OracleEnv& env,
     std::vector<std::vector<double>> got(lanes);
     std::vector<double> scalar(lanes);
     pool->ParallelFor(lanes, [&](size_t lane) {
-      got[lane] = shared.WorkloadCosts(r.workload, configs);
-      scalar[lane] = shared.WorkloadCost(r.workload, configs.back());
+      got[lane] = shared.TryWorkloadCosts(r.workload, configs)
+                      .value_or(std::vector<double>(configs.size(),
+                                                    kFailedCost));
+      scalar[lane] = shared.TryWorkloadCost(r.workload, configs.back())
+                         .value_or(kFailedCost);
     });
     for (size_t lane = 0; lane < lanes; ++lane) {
       for (size_t c = 0; c < configs.size(); ++c) {
         if (got[lane][c] != want[c]) {
           return common::StrFormat(
-              "config %zu: WorkloadCosts from lane %zu of %zu concurrent "
+              "config %zu: TryWorkloadCosts from lane %zu of %zu concurrent "
               "callers returned %.17g, serial fold returned %.17g (must be "
               "bit-identical)",
               c, lane, lanes, got[lane][c], want[c]);
@@ -110,7 +120,7 @@ std::optional<std::string> CheckParallelDeterminism(OracleEnv& env,
       }
       if (scalar[lane] != want.back()) {
         return common::StrFormat(
-            "WorkloadCost from lane %zu of %zu concurrent callers returned "
+            "TryWorkloadCost from lane %zu of %zu concurrent callers returned "
             "%.17g, serial fold returned %.17g",
             lane, lanes, scalar[lane], want.back());
       }
@@ -130,9 +140,11 @@ std::optional<std::string> CheckCacheCoherence(OracleEnv& env,
   for (size_t i = 0; i < r.workload.queries.size(); ++i) {
     const sql::Query& q = r.workload.queries[i].query;
     for (const engine::IndexConfig* config : configs) {
-      double warm = env.optimizer.QueryCost(q, *config);
-      double cold = fresh.QueryCost(q, *config);
-      double again = env.optimizer.QueryCost(q, *config);
+      double warm =
+          env.optimizer.TryQueryCost(q, *config).value_or(kFailedCost);
+      double cold = fresh.TryQueryCost(q, *config).value_or(kFailedCost);
+      double again =
+          env.optimizer.TryQueryCost(q, *config).value_or(kFailedCost);
       if (warm != cold) {
         return common::StrFormat(
             "query %zu: cache-warm optimizer returned %.17g but a fresh one "
@@ -256,7 +268,10 @@ std::optional<std::string> CheckAdvisorContract(OracleEnv& env,
   advisor::TuningConstraint constraint;
   constraint.storage_budget_bytes = r.storage_budget;
   constraint.max_indexes = r.max_indexes;
-  engine::IndexConfig config = adv->Recommend(r.workload, constraint);
+  // A failed recommendation is judged as the empty configuration, which
+  // meets every budget.
+  engine::IndexConfig config = adv->TryRecommend(r.workload, constraint, {})
+                                   .value_or(engine::IndexConfig{});
 
   int64_t total = config.TotalSizeBytes(schema);
   if (total > r.storage_budget) {

@@ -84,13 +84,22 @@ double RlTrainer::CostOf(const workload::Workload& w,
   if (options_.use_learned_utility) {
     return utility_->PredictWorkloadCost(w, config);
   }
-  return optimizer_->WorkloadCost(w, config);
+  // The reward is an estimate the policy only ranks by: a failed probe makes
+  // this configuration look unusable instead of stopping training.
+  return optimizer_->TryWorkloadCost(w, config)
+      .value_or(engine::WhatIfOptimizer::kInfiniteCost);
 }
 
 double RlTrainer::EstimatedUtility(const workload::Workload& w) const {
-  engine::IndexConfig selected = victim_->Recommend(w, tuning_);
+  // A victim that fails to recommend is scored as recommending nothing:
+  // no index, so no improvement over the baseline.
+  engine::IndexConfig selected =
+      victim_->TryRecommend(w, tuning_, {}).value_or(engine::IndexConfig{});
   engine::IndexConfig base;
-  if (baseline_ != nullptr) base = baseline_->Recommend(w, tuning_);
+  if (baseline_ != nullptr) {
+    base = baseline_->TryRecommend(w, tuning_, {})
+               .value_or(engine::IndexConfig{});
+  }
   double base_cost = CostOf(w, base);
   if (base_cost <= 0.0) return 0.0;
   return 1.0 - CostOf(w, selected) / base_cost;
@@ -149,11 +158,9 @@ RlTrace RlTrainer::Train(const std::vector<workload::Workload>& training) {
         sampled.queries.push_back(workload::WorkloadQuery{*pq, wq.weight});
       }
       double reward = EstimatedIudr(w, sampled, &u);
-
-      double baseline_reward = 0.0;
-      if (options_.self_critic) {
-        baseline_reward = EstimatedIudr(w, Perturb(w, {}, &encodings), &u);
-      }
+      // Self-critical baseline: the greedy decode's reward.
+      double baseline_reward =
+          EstimatedIudr(w, Perturb(w, {}, &encodings), &u);
       reward_sum += reward;
       ++reward_count;
 

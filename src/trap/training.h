@@ -42,7 +42,6 @@ struct RlOptions {
   double learning_rate = 1e-3;
   double theta = 0.1;              // utility threshold for usable workloads
   bool use_learned_utility = true; // false = raw what-if reward (Fig. 8a)
-  bool self_critic = true;         // subtract the greedy-decode baseline
   uint64_t seed = 0x9e8;
 };
 

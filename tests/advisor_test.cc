@@ -1,12 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <utility>
 
 #include "advisor/candidates.h"
 #include "advisor/registry.h"
 #include "advisor/evaluation.h"
 #include "catalog/datasets.h"
+#include "common/fault.h"
 #include "obs/obs.h"
 #include "workload/generator.h"
 
@@ -47,7 +50,7 @@ class AdvisorTest : public ::testing::Test {
   }
 
   double Cost(const Workload& w, const IndexConfig& c) const {
-    return optimizer_.WorkloadCost(w, c);
+    return optimizer_.TryWorkloadCost(w, c).value();
   }
 
   catalog::Schema schema_;
@@ -102,7 +105,7 @@ TEST_F(AdvisorTest, FitsConstraintChecksCountAndStorage) {
 TEST_F(AdvisorTest, ExtendReducesCostWithinBudget) {
   auto advisor = *MakeAdvisor("Extend", optimizer_);
   TuningConstraint c = StorageConstraint();
-  IndexConfig config = advisor->Recommend(test_workload_, c);
+  IndexConfig config = advisor->TryRecommend(test_workload_, c, {}).value();
   EXPECT_FALSE(config.empty());
   EXPECT_LE(config.TotalSizeBytes(schema_), c.storage_budget_bytes);
   EXPECT_LT(Cost(test_workload_, config),
@@ -114,7 +117,8 @@ TEST_F(AdvisorTest, ExtendProducesMultiColumnIndexes) {
   // Aggregate over several workloads: extension steps should fire somewhere.
   bool any_multi = false;
   for (const Workload& w : training_) {
-    IndexConfig config = advisor->Recommend(w, StorageConstraint());
+    IndexConfig config =
+        advisor->TryRecommend(w, StorageConstraint(), {}).value();
     for (const Index& i : config.indexes()) {
       if (i.NumColumns() > 1) any_multi = true;
     }
@@ -125,7 +129,7 @@ TEST_F(AdvisorTest, ExtendProducesMultiColumnIndexes) {
 TEST_F(AdvisorTest, Db2AdvisReducesCostWithinBudget) {
   auto advisor = *MakeAdvisor("DB2Advis", optimizer_);
   TuningConstraint c = StorageConstraint();
-  IndexConfig config = advisor->Recommend(test_workload_, c);
+  IndexConfig config = advisor->TryRecommend(test_workload_, c, {}).value();
   EXPECT_FALSE(config.empty());
   EXPECT_LE(config.TotalSizeBytes(schema_), c.storage_budget_bytes);
   EXPECT_LT(Cost(test_workload_, config), Cost(test_workload_, IndexConfig()));
@@ -134,7 +138,7 @@ TEST_F(AdvisorTest, Db2AdvisReducesCostWithinBudget) {
 TEST_F(AdvisorTest, AutoAdminRespectsIndexCount) {
   auto advisor = *MakeAdvisor("AutoAdmin", optimizer_);
   TuningConstraint c = CountConstraint(3);
-  IndexConfig config = advisor->Recommend(test_workload_, c);
+  IndexConfig config = advisor->TryRecommend(test_workload_, c, {}).value();
   EXPECT_LE(config.size(), 3);
   EXPECT_LT(Cost(test_workload_, config), Cost(test_workload_, IndexConfig()));
 }
@@ -142,7 +146,7 @@ TEST_F(AdvisorTest, AutoAdminRespectsIndexCount) {
 TEST_F(AdvisorTest, DropReturnsSingleColumnWithinCount) {
   auto advisor = *MakeAdvisor("Drop", optimizer_);
   TuningConstraint c = CountConstraint(3);
-  IndexConfig config = advisor->Recommend(test_workload_, c);
+  IndexConfig config = advisor->TryRecommend(test_workload_, c, {}).value();
   EXPECT_LE(config.size(), 3);
   for (const Index& i : config.indexes()) {
     EXPECT_TRUE(i.IsSingleColumn());
@@ -154,14 +158,14 @@ TEST_F(AdvisorTest, RelaxationMeetsStorageBudget) {
   auto advisor = *MakeAdvisor("Relaxation", optimizer_);
   // Use a tight budget to force actual relaxation moves.
   TuningConstraint c = TuningConstraint::Storage(schema_.DataSizeBytes() / 20);
-  IndexConfig config = advisor->Recommend(test_workload_, c);
+  IndexConfig config = advisor->TryRecommend(test_workload_, c, {}).value();
   EXPECT_LE(config.TotalSizeBytes(schema_), c.storage_budget_bytes);
 }
 
 TEST_F(AdvisorTest, DtaReducesCostWithinBudget) {
   auto advisor = *MakeAdvisor("DTA", optimizer_);
   TuningConstraint c = StorageConstraint();
-  IndexConfig config = advisor->Recommend(test_workload_, c);
+  IndexConfig config = advisor->TryRecommend(test_workload_, c, {}).value();
   EXPECT_FALSE(config.empty());
   EXPECT_LE(config.TotalSizeBytes(schema_), c.storage_budget_bytes);
   EXPECT_LT(Cost(test_workload_, config), Cost(test_workload_, IndexConfig()));
@@ -173,9 +177,11 @@ TEST_F(AdvisorTest, DtaAtLeastAsGoodAsSingleColumnGreedy) {
   single_only.heuristic.multi_column = false;
   auto extend_single = *MakeAdvisor("Extend", optimizer_, single_only);
   TuningConstraint c = StorageConstraint();
-  double dta_cost = Cost(test_workload_, dta->Recommend(test_workload_, c));
+  double dta_cost =
+      Cost(test_workload_, dta->TryRecommend(test_workload_, c, {}).value());
   double single_cost =
-      Cost(test_workload_, extend_single->Recommend(test_workload_, c));
+      Cost(test_workload_,
+           extend_single->TryRecommend(test_workload_, c, {}).value());
   EXPECT_LE(dta_cost, single_cost * 1.05);
 }
 
@@ -190,8 +196,8 @@ TEST_F(AdvisorTest, InteractionSwitchChangesBehaviour) {
   // and interaction-aware selection must never be (meaningfully) worse.
   bool diverged = false;
   for (const Workload& w : training_) {
-    IndexConfig ca = a->Recommend(w, StorageConstraint());
-    IndexConfig cb = b->Recommend(w, StorageConstraint());
+    IndexConfig ca = a->TryRecommend(w, StorageConstraint(), {}).value();
+    IndexConfig cb = b->TryRecommend(w, StorageConstraint(), {}).value();
     if (!(ca == cb)) diverged = true;
     EXPECT_LE(Cost(w, ca), Cost(w, cb) * 1.01);
   }
@@ -204,7 +210,7 @@ TEST_F(AdvisorTest, MultiColumnSwitchChangesCandidates) {
   auto a = *MakeAdvisor("Extend", optimizer_, RegistryOptions{});
   auto b = *MakeAdvisor("Extend", optimizer_, single);
   for (const Workload& w : training_) {
-    IndexConfig cb = b->Recommend(w, StorageConstraint());
+    IndexConfig cb = b->TryRecommend(w, StorageConstraint(), {}).value();
     for (const Index& i : cb.indexes()) EXPECT_TRUE(i.IsSingleColumn());
   }
   (void)a;
@@ -218,7 +224,8 @@ TEST_F(AdvisorTest, SwirlTrainsAndImproves) {
   opt.max_actions = 24;
   auto advisor = *MakeLearningAdvisor("SWIRL", optimizer_, opt);
   advisor->Train(training_, StorageConstraint());
-  IndexConfig config = advisor->Recommend(test_workload_, StorageConstraint());
+  IndexConfig config =
+      advisor->TryRecommend(test_workload_, StorageConstraint(), {}).value();
   EXPECT_LE(config.TotalSizeBytes(schema_),
             StorageConstraint().storage_budget_bytes);
   EXPECT_LT(Cost(test_workload_, config), Cost(test_workload_, IndexConfig()));
@@ -230,8 +237,10 @@ TEST_F(AdvisorTest, SwirlRecommendIsDeterministic) {
   opt.max_actions = 16;
   auto advisor = *MakeLearningAdvisor("SWIRL", optimizer_, opt);
   advisor->Train(training_, StorageConstraint());
-  IndexConfig a = advisor->Recommend(test_workload_, StorageConstraint());
-  IndexConfig b = advisor->Recommend(test_workload_, StorageConstraint());
+  IndexConfig a =
+      advisor->TryRecommend(test_workload_, StorageConstraint(), {}).value();
+  IndexConfig b =
+      advisor->TryRecommend(test_workload_, StorageConstraint(), {}).value();
   EXPECT_EQ(a, b);
 }
 
@@ -241,7 +250,8 @@ TEST_F(AdvisorTest, DrlIndexRespectsCountAndSingleColumn) {
   opt.max_actions = 16;
   auto advisor = *MakeLearningAdvisor("DRLindex", optimizer_, opt);
   advisor->Train(training_, CountConstraint(3));
-  IndexConfig config = advisor->Recommend(test_workload_, CountConstraint(3));
+  IndexConfig config =
+      advisor->TryRecommend(test_workload_, CountConstraint(3), {}).value();
   EXPECT_LE(config.size(), 3);
   for (const Index& i : config.indexes()) EXPECT_TRUE(i.IsSingleColumn());
 }
@@ -252,7 +262,8 @@ TEST_F(AdvisorTest, DqnAdvisorImprovesCost) {
   opt.max_actions = 24;
   auto advisor = *MakeLearningAdvisor("DQN", optimizer_, opt);
   advisor->Train(training_, CountConstraint(4));
-  IndexConfig config = advisor->Recommend(test_workload_, CountConstraint(4));
+  IndexConfig config =
+      advisor->TryRecommend(test_workload_, CountConstraint(4), {}).value();
   EXPECT_LE(config.size(), 4);
   EXPECT_LT(Cost(test_workload_, config),
             Cost(test_workload_, IndexConfig()) * 1.0001);
@@ -302,11 +313,45 @@ TEST_F(AdvisorTest, LearnerWeightsBitIdenticalToPerSampleTapes) {
   }
 }
 
+// A what-if fault during training ends the episode at the failed probe
+// instead of handing the learner an infinite or NaN reward, so every
+// weight stays finite.
+TEST_F(AdvisorTest, LearnerWeightsStayFiniteUnderWhatIfFaults) {
+  const std::pair<const char*, TuningConstraint> cases[] = {
+      {"DQN", CountConstraint(4)},
+      {"DRLindex", CountConstraint(3)},
+      {"SWIRL", StorageConstraint()},
+  };
+  common::ScopedFaultSpec faults("engine.whatif.cost_error@p=0.05",
+                                 /*seed=*/7);
+  const common::FaultRegistry& reg = common::FaultRegistry::Global();
+  for (const auto& [name, constraint] : cases) {
+    RegistryOptions opt;
+    opt.rl_episodes = 60;
+    opt.max_actions = 16;
+    auto advisor = *MakeLearningAdvisor(name, optimizer_, opt);
+    const int64_t hits = reg.hits(common::FaultSite::kWhatIfCostError);
+    advisor->Train(training_, constraint);
+    EXPECT_GT(reg.hits(common::FaultSite::kWhatIfCostError), hits) << name;
+    int total = 0;
+    int non_finite = 0;
+    for (const nn::Parameter* p : advisor->weights().parameters()) {
+      for (int i = 0; i < p->value.size(); ++i) {
+        ++total;
+        if (!std::isfinite(p->value.data()[i])) ++non_finite;
+      }
+    }
+    EXPECT_EQ(non_finite, 0)
+        << name << ": " << non_finite << "/" << total << " weights";
+  }
+}
+
 TEST_F(AdvisorTest, MctsImprovesCostWithinCount) {
   RegistryOptions opt;
   opt.mcts_iterations = 150;
   auto advisor = *MakeAdvisor("MCTS", optimizer_, opt);
-  IndexConfig config = advisor->Recommend(test_workload_, CountConstraint(4));
+  IndexConfig config =
+      advisor->TryRecommend(test_workload_, CountConstraint(4), {}).value();
   EXPECT_LE(config.size(), 4);
   EXPECT_LT(Cost(test_workload_, config), Cost(test_workload_, IndexConfig()));
 }

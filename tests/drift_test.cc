@@ -122,19 +122,22 @@ TEST_F(DriftTest, SchemaGrowthKeepsPriorQueryCostsBitIdentical) {
   engine::IndexConfig none;
   std::vector<double> want;
   for (const workload::WorkloadQuery& wq : base_.queries) {
-    want.push_back(opt.QueryCost(wq.query, none));
+    want.push_back(opt.TryQueryCost(wq.query, none).value());
   }
   const catalog::Snapshot grown(schema_, ep.overlay);
   common::EvalContext grown_ctx;
   grown_ctx.snapshot = &grown;
   for (size_t i = 0; i < base_.queries.size(); ++i) {
-    EXPECT_EQ(opt.QueryCost(base_.queries[i].query, none, grown_ctx), want[i])
+    EXPECT_EQ(
+        opt.TryQueryCost(base_.queries[i].query, none, grown_ctx).value(),
+        want[i])
         << "query " << i;
   }
   // The appended queries are costable under the grown epoch.
   for (size_t i = base_.queries.size(); i < ep.workload.queries.size(); ++i) {
     EXPECT_TRUE(std::isfinite(
-        opt.QueryCost(ep.workload.queries[i].query, none, grown_ctx)));
+        opt.TryQueryCost(ep.workload.queries[i].query, none, grown_ctx)
+            .value()));
   }
 }
 
@@ -188,8 +191,9 @@ TEST_F(DriftTest, PerturberRespectsBudgetAndDomain) {
 // their catalog state as snapshots; nothing is ever installed).
 TEST_F(DriftTest, ReplayDeterministicRegretNonNegativeBaseUntouched) {
   engine::WhatIfOptimizer opt(schema_);
-  const double before =
-      opt.WorkloadCost(base_, engine::IndexConfig{}, common::EvalContext{});
+  const double before = opt.TryWorkloadCost(base_, engine::IndexConfig{},
+                                            common::EvalContext{})
+                            .value();
 
   EpisodeStream stream(vocab_, base_, DriftSpec{}, 13);
   ReplayOptions ropt;
@@ -215,9 +219,10 @@ TEST_F(DriftTest, ReplayDeterministicRegretNonNegativeBaseUntouched) {
   // The loop never mutates the shared optimizer: snapshot-free probes read
   // baseline costs bit-exactly, warm.
   EXPECT_EQ(opt.EpochOf({}), 0u);
-  EXPECT_EQ(
-      opt.WorkloadCost(base_, engine::IndexConfig{}, common::EvalContext{}),
-      before);
+  EXPECT_EQ(opt.TryWorkloadCost(base_, engine::IndexConfig{},
+                                common::EvalContext{})
+                .value(),
+            before);
 }
 
 // A failing re-advisement callback degrades every episode deterministically:

@@ -360,9 +360,9 @@ TEST_F(EngineTest, WhatIfCachesRepeatedCalls) {
   WhatIfOptimizer optimizer(schema_);
   Query q = LineitemQuery();
   IndexConfig none;
-  const double c1 = optimizer.QueryCost(q, none);
+  const double c1 = optimizer.TryQueryCost(q, none).value();
   for (int64_t calls = 2; calls <= 4; ++calls) {
-    EXPECT_EQ(optimizer.QueryCost(q, none), c1);
+    EXPECT_EQ(optimizer.TryQueryCost(q, none).value(), c1);
     EXPECT_EQ(optimizer.num_calls(), calls);
   }
   EXPECT_EQ(optimizer.cache_size(), 1u);
@@ -404,19 +404,21 @@ TEST_F(EngineTest, SerialAndParallelWorkloadCostBitIdentical) {
   WhatIfOptimizer serial_opt(schema_);
   double serial_total = 0.0;
   for (const auto& wq : w.queries) {
-    serial_total += wq.weight * serial_opt.QueryCost(wq.query, config);
+    serial_total +=
+        wq.weight * serial_opt.TryQueryCost(wq.query, config).value();
   }
 
   for (int lanes : {1, 4, 8}) {
     WhatIfOptimizer shared(schema_);
-    for (double total : FromConcurrentLanes(
-             lanes, [&] { return shared.WorkloadCost(w, config); })) {
+    for (double total : FromConcurrentLanes(lanes, [&] {
+           return shared.TryWorkloadCost(w, config).value();
+         })) {
       EXPECT_EQ(total, serial_total) << "lanes=" << lanes;  // bit-identical
     }
     EXPECT_EQ(shared.num_calls(), lanes * serial_opt.num_calls());
 
     // Re-costing the same workload gives the same total and counts again.
-    EXPECT_EQ(shared.WorkloadCost(w, config), serial_total);
+    EXPECT_EQ(shared.TryWorkloadCost(w, config).value(), serial_total);
     EXPECT_EQ(shared.num_calls(), (lanes + 1) * serial_opt.num_calls());
   }
 }
@@ -442,14 +444,15 @@ TEST_F(EngineTest, BatchedConfigSweepMatchesSerial) {
   for (const IndexConfig& config : configs) {
     double expected = 0.0;
     for (const auto& wq : w.queries) {
-      expected += wq.weight * ref.QueryCost(wq.query, config);
+      expected += wq.weight * ref.TryQueryCost(wq.query, config).value();
     }
     want.push_back(expected);
   }
   for (int lanes : {1, 4, 8}) {
     WhatIfOptimizer shared(schema_);
-    for (const std::vector<double>& swept : FromConcurrentLanes(
-             lanes, [&] { return shared.WorkloadCosts(w, configs); })) {
+    for (const std::vector<double>& swept : FromConcurrentLanes(lanes, [&] {
+           return shared.TryWorkloadCosts(w, configs).value();
+         })) {
       EXPECT_EQ(swept, want) << "lanes=" << lanes;
     }
   }
@@ -470,12 +473,12 @@ TEST_F(EngineTest, CacheSizeAndClear) {
   configs[1].Add(Index{{Col("lineitem", "l_shipdate")}});
   configs[2].Add(Index{{Col("lineitem", "l_quantity")}});
   configs[3].Add(Index{{Col("lineitem", "l_orderkey")}});
-  const std::vector<double> first = opt.WorkloadCosts(w, configs);
+  const std::vector<double> first = opt.TryWorkloadCosts(w, configs).value();
   EXPECT_EQ(opt.cache_size(), w.queries.size());
   EXPECT_EQ(opt.num_calls(),
             static_cast<int64_t>(w.queries.size() * configs.size()));
   // A repeat sweep compiles nothing new and returns the same totals.
-  EXPECT_EQ(opt.WorkloadCosts(w, configs), first);
+  EXPECT_EQ(opt.TryWorkloadCosts(w, configs).value(), first);
   EXPECT_EQ(opt.cache_size(), w.queries.size());
 }
 
@@ -492,13 +495,13 @@ TEST_F(EngineTest, ScratchArenaReusedAcrossRepeatedBatches) {
   configs[2].Add(Index{{Col("lineitem", "l_quantity")}});
   common::EvalContext ctx;
   const BatchScratch& arena = ScratchLease::ThreadLocalForTest();
-  (void)opt.WorkloadCosts(w, configs, ctx);
+  ASSERT_TRUE(opt.TryWorkloadCosts(w, configs, ctx).ok());
   const uint64_t gen_after_first = arena.generation;
   const size_t item_cap = arena.item_to_unique.capacity();
   const size_t unique_cap = arena.uniques.capacity();
   const size_t table_cap = arena.slot_keys.capacity();
-  std::vector<double> a = opt.WorkloadCosts(w, configs, ctx);
-  std::vector<double> b = opt.WorkloadCosts(w, configs, ctx);
+  std::vector<double> a = opt.TryWorkloadCosts(w, configs, ctx).value();
+  std::vector<double> b = opt.TryWorkloadCosts(w, configs, ctx).value();
   EXPECT_EQ(a, b);
   // Each batched call leased (and released) this thread's arena...
   EXPECT_EQ(arena.generation, gen_after_first + 2);
@@ -516,14 +519,16 @@ TEST_F(EngineTest, ShapeCacheCoherentWithFreshComputation) {
   IndexConfig none;
   IndexConfig with;
   with.Add(Index{{Col("lineitem", "l_shipdate")}});
-  double first_none = warm.QueryCost(q, none);
-  double first_with = warm.QueryCost(q, with);
+  double first_none = warm.TryQueryCost(q, none).value();
+  double first_with = warm.TryQueryCost(q, with).value();
   EXPECT_EQ(warm.cache_size(), 1u);  // one shape serves both configs
   // Costs recomputed through the cached shape match a fresh optimizer —
   // and the raw kernel with no shape at all — bit for bit.
   WhatIfOptimizer fresh(schema_);
-  EXPECT_EQ(warm.QueryCost(q, none), fresh.QueryCost(q, none));
-  EXPECT_EQ(warm.QueryCost(q, with), fresh.QueryCost(q, with));
+  EXPECT_EQ(warm.TryQueryCost(q, none).value(),
+            fresh.TryQueryCost(q, none).value());
+  EXPECT_EQ(warm.TryQueryCost(q, with).value(),
+            fresh.TryQueryCost(q, with).value());
   CostModel model(schema_);
   EXPECT_EQ(first_none, model.QueryCost(q, none));
   EXPECT_EQ(first_with, model.QueryCost(q, with));
@@ -589,7 +594,7 @@ TEST_F(EngineTest, BatchDedupMatchesSerialAndKeepsAccounting) {
   for (const IndexConfig& config : configs) {
     double expected = 0.0;
     for (const auto& wq : w.queries) {
-      expected += wq.weight * ref.QueryCost(wq.query, config);
+      expected += wq.weight * ref.TryQueryCost(wq.query, config).value();
     }
     want.push_back(expected);
   }
@@ -599,8 +604,9 @@ TEST_F(EngineTest, BatchDedupMatchesSerialAndKeepsAccounting) {
   const int64_t items = static_cast<int64_t>(w.queries.size() * configs.size());
   for (int lanes : {1, 4, 8}) {
     WhatIfOptimizer shared(schema_);
-    for (const std::vector<double>& swept : FromConcurrentLanes(
-             lanes, [&] { return shared.WorkloadCosts(w, configs); })) {
+    for (const std::vector<double>& swept : FromConcurrentLanes(lanes, [&] {
+           return shared.TryWorkloadCosts(w, configs).value();
+         })) {
       EXPECT_EQ(swept, want) << "lanes=" << lanes;
     }
     // Pre-dedup accounting: every (query, config) item charges one call,
@@ -642,7 +648,7 @@ TEST_F(EngineTest, TrueCostDivergesButCorrelates) {
   IndexConfig with;
   with.Add(Index{{Col("lineitem", "l_shipdate")}});
   Query q = LineitemQuery();
-  double est = optimizer.QueryCost(q, with);
+  double est = optimizer.TryQueryCost(q, with).value();
   double act = truth.QueryCost(q, with);
   EXPECT_NE(est, act);  // systematic divergence
   // Ordering is preserved: indexes that help by a lot in estimate also help
@@ -782,7 +788,7 @@ TEST_F(EngineTest, SnapshotOnContextRekeysCachesAndPreservesBaseline) {
   Query q = LineitemQuery(CmpOp::kEq);
   IndexConfig with;
   with.Add(Index{{Col("lineitem", "l_shipdate")}});
-  const double base = opt.QueryCost(q, with);
+  const double base = opt.TryQueryCost(q, with).value();
   EXPECT_EQ(opt.EpochOf({}), 0u);
 
   catalog::StatsOverlay overlay;
@@ -802,19 +808,19 @@ TEST_F(EngineTest, SnapshotOnContextRekeysCachesAndPreservesBaseline) {
   // the indexed plan gets pricier. The exact value must match a fresh
   // optimizer that never saw the base epoch: a warm shape keyed without
   // the epoch would surface the stale base cost here.
-  const double shifted = opt.QueryCost(q, with, shifted_ctx);
+  const double shifted = opt.TryQueryCost(q, with, shifted_ctx).value();
   EXPECT_NE(shifted, base);
   WhatIfOptimizer fresh(schema_);
-  EXPECT_EQ(fresh.QueryCost(q, with, shifted_ctx), shifted);
+  EXPECT_EQ(fresh.TryQueryCost(q, with, shifted_ctx).value(), shifted);
 
   // The base epoch was never touched: a snapshot-free probe (and an
   // explicit base snapshot) still see baseline costs, warm.
-  EXPECT_EQ(opt.QueryCost(q, with), base);
+  EXPECT_EQ(opt.TryQueryCost(q, with).value(), base);
   const catalog::Snapshot base_snapshot(schema_);
   common::EvalContext base_ctx;
   base_ctx.snapshot = &base_snapshot;
   EXPECT_EQ(base_snapshot.epoch(), 0u);
-  EXPECT_EQ(opt.QueryCost(q, with, base_ctx), base);
+  EXPECT_EQ(opt.TryQueryCost(q, with, base_ctx).value(), base);
 
   // A snapshot rebuilt from the same overlay content lands in the same
   // epoch and is costed from the retained epoch's warm shapes.
@@ -822,7 +828,7 @@ TEST_F(EngineTest, SnapshotOnContextRekeysCachesAndPreservesBaseline) {
   EXPECT_EQ(again.epoch(), shifted_snapshot.epoch());
   common::EvalContext again_ctx;
   again_ctx.snapshot = &again;
-  EXPECT_EQ(opt.QueryCost(q, with, again_ctx), shifted);
+  EXPECT_EQ(opt.TryQueryCost(q, with, again_ctx).value(), shifted);
 }
 
 // Hammers SnapshotManager::Publish against concurrent batched costs. Each
@@ -847,9 +853,10 @@ TEST_F(EngineTest, SnapshotPublishDuringConcurrentBatchedCostsIsAtomic) {
   const catalog::Snapshot ref_snapshot(schema_, overlay);
   common::EvalContext ref_ctx;
   ref_ctx.snapshot = &ref_snapshot;
-  const std::vector<double> want_base = ref_base.WorkloadCosts(w, configs);
+  const std::vector<double> want_base =
+      ref_base.TryWorkloadCosts(w, configs).value();
   const std::vector<double> want_shift =
-      ref_shift.WorkloadCosts(w, configs, ref_ctx);
+      ref_shift.TryWorkloadCosts(w, configs, ref_ctx).value();
   ASSERT_NE(want_base, want_shift);
 
   catalog::SnapshotManager manager(schema_);
@@ -870,7 +877,7 @@ TEST_F(EngineTest, SnapshotPublishDuringConcurrentBatchedCostsIsAtomic) {
     const std::shared_ptr<const catalog::Snapshot> pinned = manager.Current();
     common::EvalContext ctx;
     ctx.snapshot = pinned.get();
-    got[i] = opt.WorkloadCosts(w, configs, ctx);
+    got[i] = opt.TryWorkloadCosts(w, configs, ctx).value();
   });
   for (size_t i = 0; i < kRounds; ++i) {
     if (i % 8 == 0) continue;

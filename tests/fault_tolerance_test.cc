@@ -308,8 +308,33 @@ TEST(FaultSiteTest, LegacyRecommendDegradesToEmptyInsteadOfAborting) {
   ScopedFaultSpec scoped("advisor.recommend.fail@p=1", 7);
   std::unique_ptr<advisor::IndexAdvisor> adv =
       *advisor::MakeAdvisor("Drop", env.optimizer);
+  // NOLINTNEXTLINE(restricted-api): the shim under test
   engine::IndexConfig config = adv->Recommend(env.w, env.constraint);
   EXPECT_TRUE(config.indexes().empty());
+}
+
+// MCTS scores a rollout whose what-if probe fails as +infinity cost, so the
+// search steers around it: under a seeded low-probability cost fault the
+// recommendation is feasible and the same on every run.
+TEST(FaultSiteTest, MctsRolloutFaultsDegradeDeterministically) {
+  FaultEnv env;
+  ScopedFaultSpec scoped("engine.whatif.cost_error@p=0.02", 7);
+  const common::FaultRegistry& reg = common::FaultRegistry::Global();
+  std::vector<engine::IndexConfig> configs;
+  for (int run = 0; run < 2; ++run) {
+    std::unique_ptr<advisor::IndexAdvisor> adv =
+        *advisor::MakeAdvisor("MCTS", env.optimizer);
+    const std::int64_t hits = reg.hits(FaultSite::kWhatIfCostError);
+    StatusOr<engine::IndexConfig> config =
+        adv->TryRecommend(env.w, env.constraint, EvalContext{});
+    ASSERT_TRUE(config.ok()) << config.status().ToString();
+    EXPECT_GT(reg.hits(FaultSite::kWhatIfCostError), hits);
+    EXPECT_LE(config->size(), env.constraint.max_indexes);
+    EXPECT_LE(config->TotalSizeBytes(env.schema),
+              env.constraint.storage_budget_bytes);
+    configs.push_back(*std::move(config));
+  }
+  EXPECT_EQ(configs[0], configs[1]);
 }
 
 TEST(FaultSiteTest, PerturberDegradesFiredQueriesToOriginals) {

@@ -84,7 +84,7 @@ TEST_F(IntegrationTest, FullPipelineProducesBoundedValidPerturbations) {
   int assessed = 0;
   for (const workload::Workload& w : tests_) {
     double u = Utility(*victim, w, Constraint());
-    workload::Workload perturbed = generator.Generate(w);
+    workload::Workload perturbed = generator.TryGenerate(w).value();
     ASSERT_EQ(perturbed.size(), w.size());
     for (int i = 0; i < w.size(); ++i) {
       const sql::Query& original = w.queries[static_cast<size_t>(i)].query;
@@ -131,7 +131,7 @@ TEST_F(IntegrationTest, ValueOnlyPerturbationPreservesTemplates) {
   tc::AdversarialWorkloadGenerator generator(vocab_, config);
   generator.Fit(victim.get(), nullptr, &optimizer_, &utility_, pool_,
                 training_, Constraint());
-  workload::Workload perturbed = generator.Generate(tests_[0]);
+  workload::Workload perturbed = generator.TryGenerate(tests_[0]).value();
   for (int i = 0; i < perturbed.size(); ++i) {
     EXPECT_EQ(workload::TemplateSignature(
                   tests_[0].queries[static_cast<size_t>(i)].query),

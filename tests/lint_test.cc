@@ -411,6 +411,64 @@ TEST(RuleTest, SerialEvaluationClean) {
       "serial-evaluation"));
 }
 
+// --- restricted-api ------------------------------------------------------
+
+TEST(RuleTest, RestrictedApiFlagsEachRowOutsideItsPaths) {
+  const std::pair<const char*, const char*> cases[] = {
+      {"tests/advisor_test.cc", "auto c = adv->Recommend(w, constraint);\n"},
+      {"src/trap/training.cc", "IndexConfig c = victim.Recommend(w, t);\n"},
+      {"tests/trap_test.cc", "workload::Workload out = gen.Generate(w);\n"},
+      {"bench/harness.cc", "auto wp = g->Generate(f(a, b));\n"},
+      {"src/serve/service.cc", "auto s = obs::GlobalSnapshotWithDerived();\n"},
+      {"tests/fault_tolerance_test.cc", "auto a = advisor::MakeMcts(opt);\n"},
+      {"tools/fuzz/trap_fuzz.cc", "advisor::SwirlAdvisor swirl(opt, o);\n"},
+      {"src/testing/oracles.cc", "auto a = MakeDqnAdvisor(opt, o);\n"},
+  };
+  for (const auto& [path, code] : cases) {
+    EXPECT_TRUE(HasRule(LintSnippet(path, code), "restricted-api"))
+        << path << ": " << code;
+  }
+}
+
+TEST(RuleTest, RestrictedApiAllowsItsPathsAndOtherSpellings) {
+  const std::pair<const char*, const char*> cases[] = {
+      // Each row inside its allowed paths.
+      {"perfbench/victim_proxy.h", "return inner_->Recommend(w, c);\n"},
+      {"src/advisor/advisor.cc", "return this->Recommend(w, c);\n"},
+      {"perfbench/assess.cc", "g.perturbed = generator.Generate(w);\n"},
+      {"src/trap/perturber.cc", "return self->Generate(w);\n"},
+      {"perfbench/trace.cc", "before_ = obs::GlobalSnapshotWithDerived();\n"},
+      {"src/obs/metrics.h",
+       "std::vector<MetricSample> GlobalSnapshotWithDerived();\n"},
+      {"src/advisor/registry.cc", "return MakeMcts(optimizer, o);\n"},
+      {"src/advisor/swirl.cc", "SwirlAdvisor::SwirlAdvisor(const W& w) {}\n"},
+      // Spellings the rows do not name.
+      {"tests/workload_test.cc", "sql::Query q = gen.Generate();\n"},
+      {"src/drift/episode.cc", "q = qgen.Generate();\n"},
+      {"tests/advisor_test.cc", "auto c = adv->TryRecommend(w, c, {});\n"},
+      {"tests/trap_test.cc", "auto out = gen.TryGenerate(w);\n"},
+      {"src/assess/assess.cc",
+       "auto r = advisor::RecommendWithRetry(*adv, w, c, ctx, p);\n"},
+      {"tests/advisor_test.cc",
+       "IndexConfig Fake::Recommend(const W& w, const C& c) {}\n"},
+      {"tests/trap_test.cc", "auto w = gen.Generate(w, ctx);\n"},
+      {"tests/advisor_test.cc", "auto a = *MakeAdvisor(\"MCTS\", opt);\n"},
+  };
+  for (const auto& [path, code] : cases) {
+    EXPECT_FALSE(HasRule(LintSnippet(path, code), "restricted-api"))
+        << path << ": " << code;
+  }
+}
+
+TEST(RuleTest, RestrictedApiSuppressedWithReason) {
+  auto f = LintSnippet(
+      "tests/fault_tolerance_test.cc",
+      "auto c = adv->Recommend(w, c);  "
+      "// NOLINT(restricted-api): the shim under test\n");
+  EXPECT_FALSE(HasRule(f, "restricted-api"));
+  EXPECT_FALSE(HasRule(f, "nolint-reason"));
+}
+
 // --- metric-name-style ---------------------------------------------------
 
 TEST(RuleTest, MetricNameStyleViolation) {

@@ -188,11 +188,14 @@ TEST_F(ProptestTest, ReplayCaseAgreesWithHarness) {
   c.oracle = OracleId::kAddIndexMonotone;
   c.seed = 1;
   c.case_index = 2;
-  EXPECT_FALSE(ReplayCase(c, /*shrink=*/false, nullptr).has_value());
+  std::optional<FailureReport> report;
+  ASSERT_TRUE(TryReplayCase(c, /*shrink=*/false, nullptr, &report).ok());
+  EXPECT_FALSE(report.has_value());
   // The same case fails under the injected fault (it is the one the fuzz
   // fault-detection ctest entry finds first).
   common::ScopedFaultSpec fault("engine.whatif.invert_benefit");
-  EXPECT_TRUE(ReplayCase(c, /*shrink=*/false, nullptr).has_value());
+  ASSERT_TRUE(TryReplayCase(c, /*shrink=*/false, nullptr, &report).ok());
+  EXPECT_TRUE(report.has_value());
 }
 
 // Satellite 6: minimization is a pure function of the case file.
@@ -227,10 +230,10 @@ TEST_F(ProptestTest, MinimizeCaseReportsPassingCases) {
 // draws are keyed on the logical work item, so whenever no error-producing
 // site fires the costs are the true costs on every thread count and on warm
 // and cold shape caches alike. Cases where cost_error or timeout fired are
-// skipped — there the legacy batched wrappers deliberately degrade the whole
-// result to +infinity while a per-query fold degrades only the firing pair,
-// so the comparison is between two differently-degraded answers, not
-// evidence of nondeterminism.
+// skipped — there the oracles substitute +infinity for a failed batched
+// call as a whole but only for the firing pair in a per-query fold
+// (kFailedCost in oracles.cc), so the comparison is between two
+// differently-degraded answers, not evidence of nondeterminism.
 TEST_F(ProptestTest, DeterminismOraclesHoldUnderLowProbabilityFaults) {
   common::ScopedFaultSpec faults(
       "engine.whatif.cost_error@p=0.02,engine.whatif.timeout@p=0.02",

@@ -222,7 +222,7 @@ TEST_F(TrapTest, GeneratorMethodsProduceValidBudgetedWorkloads) {
     AdversarialWorkloadGenerator gen(vocab_, cfg);
     gen.Fit(victim.get(), nullptr, &optimizer_, &utility, pool_, training_,
             Constraint());
-    workload::Workload out = gen.Generate(test_);
+    workload::Workload out = gen.TryGenerate(test_).value();
     ASSERT_EQ(out.size(), test_.size()) << MethodName(m);
     for (int i = 0; i < out.size(); ++i) {
       const sql::Query& pq = out.queries[static_cast<size_t>(i)].query;
@@ -254,7 +254,7 @@ TEST_F(TrapTest, RandomPerturberRespectsEveryConstraintBudget) {
     AdversarialWorkloadGenerator gen(vocab_, cfg);
     gen.Fit(victim.get(), nullptr, &optimizer_, &utility, pool_, training_,
             Constraint());
-    workload::Workload out = gen.Generate(test_);
+    workload::Workload out = gen.TryGenerate(test_).value();
     ASSERT_EQ(out.size(), test_.size()) << ConstraintName(constraint);
     int max_dist = 0;
     for (int i = 0; i < out.size(); ++i) {
@@ -401,8 +401,8 @@ class PretrainMemoTest : public TrapTest {
     EXPECT_TRUE(SameBits(a.pretrain_trace(), b.pretrain_trace()));
     EXPECT_TRUE(SameBits(a.rl_trace().mean_reward_per_epoch,
                          b.rl_trace().mean_reward_per_epoch));
-    const workload::Workload wa = a.Generate(test_);
-    const workload::Workload wb = b.Generate(test_);
+    const workload::Workload wa = a.TryGenerate(test_).value();
+    const workload::Workload wb = b.TryGenerate(test_).value();
     ASSERT_EQ(wa.size(), wb.size());
     for (size_t i = 0; i < wa.queries.size(); ++i) {
       EXPECT_TRUE(wa.queries[i].query == wb.queries[i].query) << i;
@@ -541,7 +541,11 @@ TEST_F(PretrainMemoTest, TrapMethodOutputsBitIdentical) {
   }
   uint64_t generated = kFnvBasis;
   for (const workload::Workload* w : {&test_, &training_[0], &training_[1]}) {
-    for (const workload::WorkloadQuery& wq : gen->Generate(*w).queries) {
+    // Bound first: a range-for over TryGenerate(...).value().queries would
+    // iterate a destroyed temporary.
+    common::StatusOr<workload::Workload> out = gen->TryGenerate(*w);
+    ASSERT_TRUE(out.ok()) << out.status().ToString();
+    for (const workload::WorkloadQuery& wq : out->queries) {
       generated = Fnv(generated, sql::Fingerprint(wq.query));
     }
   }
@@ -593,7 +597,7 @@ TEST_F(PretrainMemoTest, GenerationEncodesEachQueryOnce) {
   obs::Counter* reused = reg.counter("trap.agent.encodes_reused");
   const int64_t encodes_before = encodes->value();
   const int64_t reused_before = reused->value();
-  gen->Generate(test_);
+  ASSERT_TRUE(gen->TryGenerate(test_).ok());
   const int64_t n = static_cast<int64_t>(test_.queries.size());
   EXPECT_EQ(encodes->value() - encodes_before,
             static_cast<int64_t>(distinct.size()));

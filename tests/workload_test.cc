@@ -109,8 +109,8 @@ TEST_F(WorkloadTest, WorkloadCostIsWeightedSum) {
   sql::Query q = gen.Generate();
   w.queries.push_back(WorkloadQuery{q, 2.0});
   engine::IndexConfig none;
-  EXPECT_DOUBLE_EQ(optimizer.WorkloadCost(w, none),
-                   2.0 * optimizer.QueryCost(q, none));
+  EXPECT_DOUBLE_EQ(optimizer.TryWorkloadCost(w, none).value(),
+                   2.0 * optimizer.TryQueryCost(q, none).value());
 }
 
 TEST_F(WorkloadTest, TemplateSignatureIgnoresLiterals) {

@@ -352,6 +352,86 @@ void CheckSerialEvaluation(const SourceFile& f, std::vector<Finding>* out) {
   }
 }
 
+void CheckRestrictedApi(const SourceFile& f, std::vector<Finding>* out) {
+  // APIs that may be used only under the listed path prefixes. A row
+  // matches an identifier from `names` in one of these forms.
+  enum class Form {
+    kMemberCall,        // .name( or ->name(
+    kOneArgMemberCall,  // .name(x) or ->name(x): one argument
+    kMention,           // any use of the name
+  };
+  struct Row {
+    std::set<std::string> names;
+    Form form;
+    std::vector<std::string> allowed;
+    const char* hint;
+  };
+  static const Row kRows[] = {
+      {{"Recommend"},
+       Form::kMemberCall,
+       {"perfbench/", "src/advisor/advisor."},
+       "call TryRecommend and handle its Status at the call site; the "
+       "infallible shim stays only for perfbench/"},
+      {{"Generate"},
+       Form::kOneArgMemberCall,
+       {"perfbench/", "src/trap/perturber."},
+       "call TryGenerate and handle its Status at the call site; the "
+       "infallible shim stays only for perfbench/"},
+      {{"GlobalSnapshotWithDerived"},
+       Form::kMention,
+       {"perfbench/", "src/obs/metrics."},
+       "read obs::MetricRegistry::Global().Snapshot(); the derived form "
+       "stays only for perfbench/"},
+      {{"MakeExtend", "MakeDb2Advis", "MakeAutoAdmin", "MakeDrop",
+        "MakeRelaxation", "MakeDta", "MakeDrlIndex", "MakeDqnAdvisor",
+        "MakeMcts", "SwirlAdvisor"},
+       Form::kMention,
+       {"src/advisor/"},
+       "construct advisors via advisor::MakeAdvisor / MakeLearningAdvisor "
+       "(advisor/registry.h)"},
+  };
+  // True when the parenthesized list opening at `open` holds exactly one
+  // argument: non-empty, with no comma outside nested brackets.
+  auto one_argument = [&f](size_t open) {
+    int depth = 0;
+    for (size_t j = open; j < f.tokens.size(); ++j) {
+      const std::string& t = f.tokens[j].text;
+      if (t == "(" || t == "[" || t == "{") ++depth;
+      if (t == ")" || t == "]" || t == "}") {
+        if (--depth == 0) return j > open + 1;
+      }
+      if (t == "," && depth == 1) return false;
+    }
+    return false;
+  };
+  for (const Row& row : kRows) {
+    if (std::any_of(
+            row.allowed.begin(), row.allowed.end(),
+            [&f](const std::string& p) { return StartsWith(f.path, p); })) {
+      continue;
+    }
+    for (size_t i = 0; i < f.tokens.size(); ++i) {
+      const Token& t = f.tokens[i];
+      if (t.kind != TokKind::kIdentifier || row.names.count(t.text) == 0) {
+        continue;
+      }
+      const std::string& prev = At(f, i - 1).text;
+      const bool member = prev == "." || prev == "->";
+      bool hit = false;
+      switch (row.form) {
+        case Form::kMemberCall: hit = member && IsCall(f, i); break;
+        case Form::kOneArgMemberCall:
+          hit = member && IsCall(f, i) && one_argument(i + 1);
+          break;
+        case Form::kMention: hit = true; break;
+      }
+      if (!hit) continue;
+      Add(f, "restricted-api", t.line,
+          "'" + t.text + "' is not allowed here; " + row.hint, out);
+    }
+  }
+}
+
 void CheckAbortInLibrary(const SourceFile& f, std::vector<Finding>* out) {
   // Only the Status-converted evaluation paths: these files promised that
   // every externally-reachable failure is a trap::Status, so any process-
@@ -621,6 +701,7 @@ std::vector<Finding> Lint(const SourceFile& f) {
   CheckFloatAccumulation(f, &raw);
   CheckHeapOnHotPath(f, &raw);
   CheckSerialEvaluation(f, &raw);
+  CheckRestrictedApi(f, &raw);
   CheckAbortInLibrary(f, &raw);
   CheckMetricNameStyle(f, &raw);
   CheckNondeterministicIteration(f, {}, &raw);

@@ -57,6 +57,13 @@ struct Finding {
 //                           src/advisor/ -- what-if costing, true cost and
 //                           advisor loops run on their caller; fanning
 //                           them out measured slower than one thread.
+//   restricted-api          a table of APIs allowed only under given
+//                           paths: member calls of the infallible
+//                           Recommend / one-argument Generate shims and any
+//                           use of GlobalSnapshotWithDerived outside
+//                           perfbench/ and their definition files, and
+//                           direct advisor construction (MakeExtend ...
+//                           MakeMcts, SwirlAdvisor) outside src/advisor/.
 //   no-abort-in-library     abort()/exit()/_Exit()/quick_exit() and
 //                           TRAP_CHECK/TRAP_CHECK_MSG on the
 //                           Status-converted evaluation paths (what-if
@@ -88,6 +95,7 @@ void CheckHeaderHygiene(const SourceFile& f, std::vector<Finding>* out);
 void CheckFloatAccumulation(const SourceFile& f, std::vector<Finding>* out);
 void CheckHeapOnHotPath(const SourceFile& f, std::vector<Finding>* out);
 void CheckSerialEvaluation(const SourceFile& f, std::vector<Finding>* out);
+void CheckRestrictedApi(const SourceFile& f, std::vector<Finding>* out);
 void CheckAbortInLibrary(const SourceFile& f, std::vector<Finding>* out);
 void CheckMetricNameStyle(const SourceFile& f, std::vector<Finding>* out);
 // Names declared in `f` whose type iterates in hash (or pointer-address)

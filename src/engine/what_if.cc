@@ -1,6 +1,5 @@
 #include "engine/what_if.h"
 
-#include <algorithm>
 #include <cmath>
 
 #include "common/fault.h"
@@ -17,8 +16,6 @@ struct WhatIfMetrics {
   obs::Counter* calls;
   obs::Counter* shape_misses;
   obs::Counter* batches;
-  obs::Counter* dup_configs;
-  obs::Counter* dup_pairs;
   obs::Histogram* batch_items;
 };
 
@@ -29,8 +26,6 @@ const WhatIfMetrics& Metrics() {
         r.counter("trap.whatif.calls"),
         r.counter("trap.whatif.shape.misses"),
         r.counter("trap.whatif.batch.count"),
-        r.counter("trap.whatif.batch.dup_configs"),
-        r.counter("trap.whatif.batch.dup_pairs"),
         r.histogram("trap.whatif.batch.items"),
     };
   }();
@@ -140,172 +135,83 @@ common::Status WhatIfOptimizer::CostStatus(
   return common::Status::Ok();
 }
 
-void WhatIfOptimizer::RecordBatchMetrics(
-    size_t items, const std::vector<uint64_t>& config_fps,
-    std::vector<uint64_t>* sort_scratch, obs::TraceSpan* span) {
-  // Duplicate configurations in a candidate sweep measure how much work
-  // in-batch deduplication absorbs.
-  std::vector<uint64_t>& fps = *sort_scratch;
-  fps.assign(config_fps.begin(), config_fps.end());
-  std::sort(fps.begin(), fps.end());
-  size_t dups = 0;
-  for (size_t i = 1; i < fps.size(); ++i) {
-    if (fps[i] == fps[i - 1]) ++dups;
-  }
-  const WhatIfMetrics& m = Metrics();
-  m.batches->Add();
-  m.batch_items->Record(static_cast<int64_t>(items));
-  if (dups > 0) m.dup_configs->Add(static_cast<int64_t>(dups));
-  span->AddArg("items", static_cast<int64_t>(items));
-  span->AddArg("configs", static_cast<int64_t>(config_fps.size()));
-  if (dups > 0) span->AddArg("dup_configs", static_cast<int64_t>(dups));
-}
-
 common::Status WhatIfOptimizer::BatchCostCore(
-    BatchScratch& sc, size_t nq, const IndexConfig* configs, size_t nc,
-    bool weighted, BatchKind kind, const common::EvalContext& ctx,
-    double* totals) const {
+    std::vector<BatchQuery>& queries, const IndexConfig* configs, size_t nc,
+    BatchKind kind, const common::EvalContext& ctx, double* totals) const {
   // One epoch resolution per batch: every item of this batch costs against
   // ctx.snapshot's statistics, whatever other snapshots concurrent callers
   // carry (the hammer tests assert exactly this all-or-nothing property).
   const std::shared_ptr<const StatsEpoch> epoch = epochs_.Resolve(ctx.snapshot);
-  const size_t items = nq * nc;
-  // Fingerprint every query and configuration exactly once per batch (the
-  // pre-batched path refingerprinted the query on every item).
-  sc.query_fps.resize(nq);
-  for (size_t i = 0; i < nq; ++i) {
-    sc.query_fps[i] = sql::Fingerprint(*sc.query_ptrs[i]);
-  }
-  sc.config_fps.resize(nc);
-  for (size_t c = 0; c < nc; ++c) sc.config_fps[c] = configs[c].Fingerprint();
+  const size_t nq = queries.size();
+  // Fingerprint every query and configuration exactly once per batch.
+  for (BatchQuery& bq : queries) bq.fp = sql::Fingerprint(*bq.query);
+  std::vector<uint64_t> config_fps(nc);
+  for (size_t c = 0; c < nc; ++c) config_fps[c] = configs[c].Fingerprint();
 
   // Span keys are derived exactly as the per-entry-point code always did,
   // so golden trace digests are unchanged.
   uint64_t span_key = 0;
   switch (kind) {
     case BatchKind::kWorkloadCost:
-      span_key = common::HashCombine(sc.config_fps[0], nq);
+      span_key = common::HashCombine(config_fps[0], nq);
       break;
     case BatchKind::kWorkloadCosts: {
       uint64_t k = nq;
-      for (uint64_t fp : sc.config_fps) k = common::HashCombine(k, fp);
+      for (uint64_t fp : config_fps) k = common::HashCombine(k, fp);
       span_key = k;
       break;
     }
     case BatchKind::kQueryCosts: {
       uint64_t k = nc;
-      for (uint64_t fp : sc.config_fps) k = common::HashCombine(k, fp);
-      span_key = common::HashCombine(sc.query_fps[0], k);
+      for (uint64_t fp : config_fps) k = common::HashCombine(k, fp);
+      span_key = common::HashCombine(queries[0].fp, k);
       break;
     }
   }
   obs::TraceSpan span(ctx, "whatif.batch", span_key);
-  RecordBatchMetrics(items, sc.config_fps, &sc.sorted_config_fps, &span);
+  const int64_t items = static_cast<int64_t>(nq * nc);
+  Metrics().batches->Add();
+  Metrics().batch_items->Record(items);
+  span.AddArg("items", items);
+  span.AddArg("configs", static_cast<int64_t>(nc));
 
   // Resolve each query's precompiled shape once per batch, not per item.
   // A nullptr entry (verified fingerprint collision) degrades that query to
   // shape-free costing.
-  sc.shapes.resize(nq);
-  for (size_t i = 0; i < nq; ++i) {
-    sc.shapes[i] = ResolveShape(*epoch, sc.query_fps[i], *sc.query_ptrs[i]);
+  for (BatchQuery& bq : queries) {
+    bq.shape = ResolveShape(*epoch, bq.fp, *bq.query);
   }
 
-  // Collapse identical (query_fp, config_fp) items: only the first
-  // occurrence (the "primary") is costed; duplicates copy its result at
-  // fold time. Candidate sweeps routinely repeat configurations.
-  sc.uniques.clear();
-  sc.item_to_unique.resize(items);
-  // Re-arm the flat probe table: grow to the next power of two holding the
-  // batch at <= 0.5 load (a one-time allocation per high-water mark), then
-  // blanket-fill the value lane — no rehash, no node allocations.
-  size_t table = 16;
-  while (table < items * 2) table <<= 1;
-  if (sc.slot_keys.size() < table) {
-    sc.slot_keys.resize(table);
-    sc.slot_vals.resize(table);
-  }
-  const size_t mask = sc.slot_keys.size() - 1;
-  std::fill(sc.slot_vals.begin(), sc.slot_vals.end(),
-            BatchScratch::kEmptySlot);
-  for (size_t c = 0; c < nc; ++c) {
-    for (size_t i = 0; i < nq; ++i) {
-      const uint64_t pair_key =
-          common::HashCombine(sc.query_fps[i], sc.config_fps[c]);
-      const uint32_t next_slot = static_cast<uint32_t>(sc.uniques.size());
-      uint32_t slot = next_slot;
-      bool primary = true;
-      for (size_t pos = pair_key & mask;; pos = (pos + 1) & mask) {
-        if (sc.slot_vals[pos] == BatchScratch::kEmptySlot) {
-          sc.slot_keys[pos] = pair_key;
-          sc.slot_vals[pos] = next_slot;
-          break;
-        }
-        if (sc.slot_keys[pos] != pair_key) continue;
-        const BatchScratch::UniquePair& u = sc.uniques[sc.slot_vals[pos]];
-        if (sc.query_fps[u.qi] == sc.query_fps[i] &&
-            sc.config_fps[u.ci] == sc.config_fps[c]) {
-          slot = sc.slot_vals[pos];
-          primary = false;
-        }
-        // else: HashCombine collision between two *distinct* pairs — give
-        // this item its own unregistered slot (it just loses dedup against
-        // later twins).
-        break;
-      }
-      if (primary) {
-        sc.uniques.push_back(
-            {static_cast<uint32_t>(i), static_cast<uint32_t>(c)});
-      }
-      sc.item_to_unique[c * nq + i] =
-          primary ? (slot | BatchScratch::kPrimaryBit) : slot;
-    }
-  }
-  const size_t dup_pairs = items - sc.uniques.size();
-  if (dup_pairs > 0) {
-    Metrics().dup_pairs->Add(static_cast<int64_t>(dup_pairs));
-  }
-
-  // Evaluate the unique set on the calling thread into pre-sized slots.
-  // Statuses are pre-filled kCancelled, so items skipped once ctx.cancel
-  // trips stay accounted for.
-  sc.unique_costs.assign(sc.uniques.size(), 0.0);
-  sc.unique_statuses.assign(
-      sc.uniques.size(),
-      common::Status::Cancelled("skipped: evaluation cancelled"));
+  // Cost every item in config-major input order, folding each total in
+  // query order. A failed item keeps the batch going, so every item is
+  // charged its step and counted as a call; the first error in input order
+  // is returned. Only a cancelled or spent token stops the batch early.
+  common::Status first_error;
   CallTally calls(&num_calls_);
-  for (size_t u = 0; u < sc.uniques.size(); ++u) {
-    if (ctx.cancel != nullptr &&
-        (ctx.cancel->cancelled() || ctx.cancel->expired())) {
-      break;
-    }
-    const BatchScratch::UniquePair p = sc.uniques[u];
-    sc.unique_statuses[u] = CostStatus(
-        *epoch, *sc.query_ptrs[p.qi], sc.query_fps[p.qi], sc.shapes[p.qi],
-        sc.config_fps[p.ci], configs[p.ci], ctx, &calls.count,
-        &sc.unique_costs[u]);
-  }
-
-  // Fold in input order: totals and the first error match an undeduplicated
-  // per-item loop bit for bit.
   for (size_t c = 0; c < nc; ++c) {
     double total = 0.0;
-    for (size_t i = 0; i < nq; ++i) {
-      const uint32_t entry = sc.item_to_unique[c * nq + i];
-      const uint32_t u = entry & ~BatchScratch::kPrimaryBit;
-      if ((entry & BatchScratch::kPrimaryBit) == 0) {
-        // Deduplicated item: keep the pre-dedup accounting — one step
-        // charged, one call counted — and inherit the primary's Status
-        // (fault draws key on the (query_fp, config_fp) pair, so this item
-        // would have drawn the same fate).
-        TRAP_RETURN_IF_ERROR(ctx.CheckContinue());
-        ++calls.count;
+    for (const BatchQuery& bq : queries) {
+      if (ctx.cancel != nullptr &&
+          (ctx.cancel->cancelled() || ctx.cancel->expired())) {
+        if (first_error.ok()) {
+          first_error =
+              common::Status::Cancelled("skipped: evaluation cancelled");
+        }
+        return first_error;
       }
-      TRAP_RETURN_IF_ERROR(sc.unique_statuses[u]);
-      total += (weighted ? sc.weights[i] : 1.0) * sc.unique_costs[u];
+      double cost = 0.0;
+      common::Status status =
+          CostStatus(*epoch, *bq.query, bq.fp, bq.shape, config_fps[c],
+                     configs[c], ctx, &calls.count, &cost);
+      if (!status.ok()) {
+        if (first_error.ok()) first_error = std::move(status);
+        continue;
+      }
+      total += bq.weight * cost;
     }
     totals[c] = total;
   }
-  return common::Status::Ok();
+  return first_error;
 }
 
 common::StatusOr<double> WhatIfOptimizer::TryQueryCost(
@@ -323,12 +229,9 @@ common::StatusOr<double> WhatIfOptimizer::TryQueryCost(
 common::StatusOr<std::vector<double>> WhatIfOptimizer::TryQueryCosts(
     const sql::Query& q, const std::vector<IndexConfig>& configs,
     const common::EvalContext& ctx) const {
-  ScratchLease scratch;
-  BatchScratch& sc = *scratch;
-  sc.query_ptrs.assign(1, &q);
+  std::vector<BatchQuery> queries = {BatchQuery{&q, 1.0}};
   std::vector<double> costs(configs.size(), 0.0);
-  TRAP_RETURN_IF_ERROR(BatchCostCore(sc, 1, configs.data(), configs.size(),
-                                     /*weighted=*/false,
+  TRAP_RETURN_IF_ERROR(BatchCostCore(queries, configs.data(), configs.size(),
                                      BatchKind::kQueryCosts, ctx,
                                      costs.data()));
   return costs;

@@ -17,7 +17,6 @@
 #include "common/status.h"
 #include "engine/cost_model.h"
 #include "engine/query_shape.h"
-#include "engine/scratch.h"
 #include "engine/stats_epoch.h"
 #include "obs/obs.h"
 
@@ -39,13 +38,12 @@ namespace trap::engine {
 //     which is cheaper than a lookup in a per-pair memo large enough to
 //     matter (DESIGN.md §3f), and keeps the optimizer's memory at one
 //     shape per distinct query.
-//   * Batched entry points fingerprint each query and configuration once,
-//     deduplicate identical (query_fp, config_fp) items, and cost only the
-//     unique set, serially on the calling thread. Fanning batches out over
-//     a thread pool measured slower than one thread (DESIGN.md §3a).
-//   * All per-batch bookkeeping lives in a per-thread scratch arena
-//     (engine/scratch.h), so a steady-state batch performs no heap
-//     allocation outside the shape cache.
+//   * Batched entry points fingerprint each query and configuration and
+//     resolve each query's shape once per batch, then cost every (query,
+//     config) item serially on the calling thread in config-major input
+//     order. Per item the path does no heap allocation; a batch allocates
+//     only a few small per-batch vectors. Fanning batches out over a thread
+//     pool measured slower than one thread (DESIGN.md §3a).
 //
 // Thread safety: every const method is safe to call concurrently. The shape
 // cache is the only shared mutable state besides the call counter. It is
@@ -63,16 +61,13 @@ namespace trap::engine {
 // decides what a failure means for it (propagate, stop an episode, or
 // substitute kInfiniteCost). Batched calls aggregate per-item Statuses by
 // picking the first error in *input order*, so the returned Status is
-// bit-identical across runs. Deduplicated items keep the accounting of the
-// pre-dedup path: every item still charges one step and counts one call,
-// and duplicates inherit their primary's Status (fault draws key on the
-// (query_fp, config_fp) pair, so a duplicate would have drawn the same
-// fate).
+// bit-identical across runs. A batch tries every item even after one fails
+// (each charges one step and counts one call), and stops early only when
+// ctx.cancel is cancelled or spent.
 //
-// Observability: calls, shape-cache misses, batch sizes, duplicate
-// configurations and deduplicated pairs per batch feed the global
-// obs::MetricRegistry under trap.whatif.*. With a trace sink in the
-// context, each batched call records a whatif.batch span.
+// Observability: calls, shape-cache misses, batch counts and batch sizes
+// feed the global obs::MetricRegistry under trap.whatif.*. With a trace
+// sink in the context, each batched call records a whatif.batch span.
 //
 // Statistics epochs: every evaluation reads its catalog state from the
 // immutable catalog::Snapshot on ctx.snapshot (nullptr = the base epoch;
@@ -121,41 +116,24 @@ class WhatIfOptimizer {
   common::StatusOr<double> TryWorkloadCost(
       const WorkloadT& w, const IndexConfig& config,
       const common::EvalContext& ctx = {}) const {
-    ScratchLease scratch;
-    BatchScratch& sc = *scratch;
-    const size_t n = w.queries.size();
-    sc.query_ptrs.resize(n);
-    sc.weights.resize(n);
-    for (size_t i = 0; i < n; ++i) {
-      sc.query_ptrs[i] = &w.queries[i].query;
-      sc.weights[i] = w.queries[i].weight;
-    }
+    std::vector<BatchQuery> queries = BatchQueries(w);
     double total = 0.0;
-    TRAP_RETURN_IF_ERROR(BatchCostCore(sc, n, &config, 1,
-                                       /*weighted=*/true,
+    TRAP_RETURN_IF_ERROR(BatchCostCore(queries, &config, 1,
                                        BatchKind::kWorkloadCost, ctx, &total));
     return total;
   }
 
   // Batched candidate-benefit sweep: weighted workload cost under each of
-  // `configs`, each unique (query, config) pair evaluated once.
+  // `configs`, one what-if call per (query, config) item.
   // Entry k of the result corresponds to configs[k].
   template <typename WorkloadT>
   common::StatusOr<std::vector<double>> TryWorkloadCosts(
       const WorkloadT& w, const std::vector<IndexConfig>& configs,
       const common::EvalContext& ctx = {}) const {
-    ScratchLease scratch;
-    BatchScratch& sc = *scratch;
-    const size_t nq = w.queries.size();
-    sc.query_ptrs.resize(nq);
-    sc.weights.resize(nq);
-    for (size_t i = 0; i < nq; ++i) {
-      sc.query_ptrs[i] = &w.queries[i].query;
-      sc.weights[i] = w.queries[i].weight;
-    }
+    std::vector<BatchQuery> queries = BatchQueries(w);
     std::vector<double> totals(configs.size(), 0.0);
-    TRAP_RETURN_IF_ERROR(BatchCostCore(sc, nq, configs.data(), configs.size(),
-                                       /*weighted=*/true,
+    TRAP_RETURN_IF_ERROR(BatchCostCore(queries, configs.data(),
+                                       configs.size(),
                                        BatchKind::kWorkloadCosts, ctx,
                                        totals.data()));
     return totals;
@@ -197,8 +175,8 @@ class WhatIfOptimizer {
   static constexpr double kInfiniteCost =
       std::numeric_limits<double>::infinity();
 
-  // Number of what-if calls answered (including batch duplicates) — the
-  // paper's efficiency discussions count optimizer invocations.
+  // Number of what-if calls answered: one per costed (query, config) item —
+  // the paper's efficiency discussions count optimizer invocations.
   int64_t num_calls() const {
     return num_calls_.load(std::memory_order_relaxed);
   }
@@ -225,13 +203,24 @@ class WhatIfOptimizer {
   // code so golden trace digests are unchanged).
   enum class BatchKind { kWorkloadCost, kWorkloadCosts, kQueryCosts };
 
-  // Records batch size / duplicate-config metrics for a batched call of
-  // `items` what-if items over `config_fps`, and annotates `span`.
-  // `sort_scratch` is clobbered.
-  static void RecordBatchMetrics(size_t items,
-                                 const std::vector<uint64_t>& config_fps,
-                                 std::vector<uint64_t>* sort_scratch,
-                                 obs::TraceSpan* span);
+  // One query of a batch: the caller sets `query` and its fold `weight`;
+  // BatchCostCore fills in the fingerprint and the resolved shape.
+  struct BatchQuery {
+    const sql::Query* query = nullptr;
+    double weight = 1.0;
+    uint64_t fp = 0;
+    const QueryShape* shape = nullptr;  // null on a fingerprint collision
+  };
+
+  template <typename WorkloadT>
+  static std::vector<BatchQuery> BatchQueries(const WorkloadT& w) {
+    std::vector<BatchQuery> queries;
+    queries.reserve(w.queries.size());
+    for (const auto& wq : w.queries) {
+      queries.push_back(BatchQuery{&wq.query, wq.weight});
+    }
+    return queries;
+  }
 
   // The precompiled shape for (epoch, query_fp, q): served from the shape
   // cache, computed against `epoch`'s cost model and inserted on first
@@ -241,14 +230,13 @@ class WhatIfOptimizer {
                                  const sql::Query& q) const;
 
   // The shared batched core behind TryWorkloadCost / TryWorkloadCosts /
-  // TryQueryCosts: fingerprints queries (sc.query_ptrs, size nq) and
-  // configs once, dedups identical (query_fp, config_fp) items, evaluates
-  // the unique set on the calling thread, and folds totals[0..nc) in input
-  // order (weights from sc.weights when `weighted`).
-  common::Status BatchCostCore(BatchScratch& sc, size_t nq,
+  // TryQueryCosts: fingerprints the queries and the nc configs and resolves
+  // each query's shape once, then costs every item in config-major input
+  // order and folds totals[0..nc) as the sum of weight * cost in query
+  // order. Returns the first failing item's Status in that order.
+  common::Status BatchCostCore(std::vector<BatchQuery>& queries,
                                const IndexConfig* configs, size_t nc,
-                               bool weighted, BatchKind kind,
-                               const common::EvalContext& ctx,
+                               BatchKind kind, const common::EvalContext& ctx,
                                double* totals) const;
 
   // The fallible per-pair core: charges one step against ctx, counts one

@@ -325,14 +325,18 @@ common::StatusOr<workload::Workload> AdversarialWorkloadGenerator::TryGenerate(
   TrapAgent::Encodings encodings;
   TRAP_RETURN_IF_ERROR(sctx.CheckContinue());
   workload::Workload best = trainer_->Perturb(w, sctx, &encodings);
-  std::optional<double> u;  // u(W), shared by every candidate
-  double best_score = trainer_->EstimatedIudr(w, best, &u);
+  RlTrainer::UtilityMemo u;  // u(W), shared by every candidate
+  std::optional<double> best_score = trainer_->EstimatedIudr(w, best, &u);
   for (int i = 1; i < config_.model_attempts; ++i) {
     TRAP_RETURN_IF_ERROR(sctx.CheckContinue());
     workload::Workload attempt =
         trainer_->PerturbSampled(w, rng_, sctx, &encodings);
-    double score = trainer_->EstimatedIudr(w, attempt, &u);
-    if (score > best_score) {
+    // An unscored candidate (a failed probe) is never picked; with none
+    // scored the greedy decode stands.
+    const std::optional<double> score =
+        trainer_->EstimatedIudr(w, attempt, &u);
+    if (score.has_value() &&
+        (!best_score.has_value() || *score > *best_score)) {
       best_score = score;
       best = std::move(attempt);
     }

@@ -79,18 +79,19 @@ RlTrainer::RlTrainer(TrapAgent* agent, advisor::IndexAdvisor* victim,
   }
 }
 
-double RlTrainer::CostOf(const workload::Workload& w,
-                         const engine::IndexConfig& config) const {
+std::optional<double> RlTrainer::CostOf(
+    const workload::Workload& w, const engine::IndexConfig& config) const {
   if (options_.use_learned_utility) {
     return utility_->PredictWorkloadCost(w, config);
   }
-  // The reward is an estimate the policy only ranks by: a failed probe makes
-  // this configuration look unusable instead of stopping training.
-  return optimizer_->TryWorkloadCost(w, config)
-      .value_or(engine::WhatIfOptimizer::kInfiniteCost);
+  // A failed probe leaves the cost unknown: no utility is estimated from it.
+  common::StatusOr<double> cost = optimizer_->TryWorkloadCost(w, config);
+  if (!cost.ok()) return std::nullopt;
+  return *cost;
 }
 
-double RlTrainer::EstimatedUtility(const workload::Workload& w) const {
+std::optional<double> RlTrainer::EstimatedUtility(
+    const workload::Workload& w) const {
   // A victim that fails to recommend is scored as recommending nothing:
   // no index, so no improvement over the baseline.
   engine::IndexConfig selected =
@@ -100,23 +101,32 @@ double RlTrainer::EstimatedUtility(const workload::Workload& w) const {
     base = baseline_->TryRecommend(w, tuning_, {})
                .value_or(engine::IndexConfig{});
   }
-  double base_cost = CostOf(w, base);
-  if (base_cost <= 0.0) return 0.0;
-  return 1.0 - CostOf(w, selected) / base_cost;
+  const std::optional<double> base_cost = CostOf(w, base);
+  if (!base_cost.has_value()) return std::nullopt;
+  if (*base_cost <= 0.0) return 0.0;
+  const std::optional<double> selected_cost = CostOf(w, selected);
+  if (!selected_cost.has_value()) return std::nullopt;
+  return 1.0 - *selected_cost / *base_cost;
 }
 
-double RlTrainer::EstimatedIudr(const workload::Workload& w,
-                                const workload::Workload& perturbed) const {
-  std::optional<double> u;
+std::optional<double> RlTrainer::EstimatedIudr(
+    const workload::Workload& w, const workload::Workload& perturbed) const {
+  UtilityMemo u;
   return EstimatedIudr(w, perturbed, &u);
 }
 
-double RlTrainer::EstimatedIudr(const workload::Workload& w,
-                                const workload::Workload& perturbed,
-                                std::optional<double>* u) const {
-  if (!u->has_value() || !pure_recommend_) *u = EstimatedUtility(w);
-  if (**u == 0.0) return 0.0;
-  return 1.0 - EstimatedUtility(perturbed) / **u;
+std::optional<double> RlTrainer::EstimatedIudr(
+    const workload::Workload& w, const workload::Workload& perturbed,
+    UtilityMemo* u) const {
+  if (!u->asked || !pure_recommend_) {
+    u->value = EstimatedUtility(w);
+    u->asked = true;
+  }
+  if (!u->value.has_value()) return std::nullopt;
+  if (*u->value == 0.0) return 0.0;
+  const std::optional<double> perturbed_u = EstimatedUtility(perturbed);
+  if (!perturbed_u.has_value()) return std::nullopt;
+  return 1.0 - *perturbed_u / *u->value;
 }
 
 RlTrace RlTrainer::Train(const std::vector<workload::Workload>& training) {
@@ -133,9 +143,10 @@ RlTrace RlTrainer::Train(const std::vector<workload::Workload>& training) {
     for (int k = 0; k < options_.workloads_per_epoch; ++k) {
       const workload::Workload& w = training[static_cast<size_t>(
           rng.UniformInt(0, static_cast<int64_t>(training.size()) - 1))];
-      // Definition 3.3: only properly-operating workloads are usable.
-      std::optional<double> u = EstimatedUtility(w);
-      if (*u <= options_.theta) continue;
+      // Definition 3.3: only properly-operating workloads are usable, and a
+      // workload whose u(W) could not be estimated is not one.
+      UtilityMemo u{true, EstimatedUtility(w)};
+      if (!u.value.has_value() || *u.value <= options_.theta) continue;
 
       // Sampled trajectory over every query of the workload. Its encodings
       // serve the greedy baseline: the weights change only after the step.
@@ -157,14 +168,17 @@ RlTrace RlTrainer::Train(const std::vector<workload::Workload>& training) {
         TRAP_CHECK(pq.has_value());
         sampled.queries.push_back(workload::WorkloadQuery{*pq, wq.weight});
       }
-      double reward = EstimatedIudr(w, sampled, &u);
+      const std::optional<double> reward = EstimatedIudr(w, sampled, &u);
       // Self-critical baseline: the greedy decode's reward.
-      double baseline_reward =
+      const std::optional<double> baseline_reward =
           EstimatedIudr(w, Perturb(w, {}, &encodings), &u);
-      reward_sum += reward;
+      // A reward a failed probe left unknown gives no step.
+      if (!reward.has_value() || !baseline_reward.has_value()) continue;
+      reward_sum += *reward;
       ++reward_count;
 
-      nn::Graph::VarId loss = g.Scale(logp_sum, -(reward - baseline_reward));
+      nn::Graph::VarId loss =
+          g.Scale(logp_sum, -(*reward - *baseline_reward));
       g.Backward(loss);
       optimizer.Step();
     }

@@ -47,7 +47,8 @@ struct RlOptions {
 
 struct RlTrace {
   // Mean (estimated) IUDR of sampled perturbations per epoch; none for an
-  // epoch in which no drawn workload passed u(W) > theta.
+  // epoch in which no drawn workload passed u(W) > theta with both rewards
+  // estimated.
   std::vector<std::optional<double>> mean_reward_per_epoch;
 };
 
@@ -83,9 +84,17 @@ class RlTrainer {
       TrapAgent::Encodings* encodings = nullptr) const;
 
   // Estimated IUDR of perturbing `w` into `perturbed` from the victim's
-  // perspective (used as the reward signal).
-  double EstimatedIudr(const workload::Workload& w,
-                       const workload::Workload& perturbed) const;
+  // perspective (used as the reward signal). Empty when a what-if probe
+  // behind it failed, which only the raw what-if reward can do: the
+  // candidate then has no score.
+  std::optional<double> EstimatedIudr(
+      const workload::Workload& w, const workload::Workload& perturbed) const;
+
+  // u(W) as EstimatedIudr keeps it across calls on one W.
+  struct UtilityMemo {
+    bool asked = false;           // false until u(W) is first asked
+    std::optional<double> value;  // empty when asking it failed
+  };
 
   // The same, with u(W) kept in `*u` across calls on one `w`: the first
   // call fills it and later ones reuse it, so scoring k perturbations of W
@@ -93,18 +102,20 @@ class RlTrainer {
   // baseline is not pure (IndexAdvisor::RecommendIsPure) u(W) is asked
   // again on every call, as the overload above does, so the advisor's
   // random stream sees the same calls.
-  double EstimatedIudr(const workload::Workload& w,
-                       const workload::Workload& perturbed,
-                       std::optional<double>* u) const;
+  std::optional<double> EstimatedIudr(const workload::Workload& w,
+                                      const workload::Workload& perturbed,
+                                      UtilityMemo* u) const;
 
  private:
   // Decodes every query of `w` in `mode` on its own inference tape.
   workload::Workload Decode(const workload::Workload& w, TrapAgent::Mode mode,
                             common::Rng* rng, const common::EvalContext& ctx,
                             TrapAgent::Encodings* encodings) const;
-  double EstimatedUtility(const workload::Workload& w) const;
-  double CostOf(const workload::Workload& w,
-                const engine::IndexConfig& config) const;
+  // u(W) = 1 - cost(selected) / cost(baseline); empty when a raw what-if
+  // probe fails.
+  std::optional<double> EstimatedUtility(const workload::Workload& w) const;
+  std::optional<double> CostOf(const workload::Workload& w,
+                               const engine::IndexConfig& config) const;
 
   TrapAgent* agent_;
   advisor::IndexAdvisor* victim_;

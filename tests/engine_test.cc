@@ -8,11 +8,11 @@
 #include "catalog/snapshot.h"
 #include "catalog/stats_overlay.h"
 #include "common/deadline.h"
+#include "common/fault.h"
 #include "common/thread_pool.h"
 #include "engine/cost_model.h"
 #include "engine/index.h"
 #include "engine/plan.h"
-#include "engine/scratch.h"
 #include "engine/selectivity.h"
 #include "engine/true_cost.h"
 #include "engine/what_if.h"
@@ -482,37 +482,6 @@ TEST_F(EngineTest, CacheSizeAndClear) {
   EXPECT_EQ(opt.cache_size(), w.queries.size());
 }
 
-TEST_F(EngineTest, ScratchArenaReusedAcrossRepeatedBatches) {
-  WhatIfOptimizer opt(schema_);
-  MiniWorkload w;
-  for (int i = 0; i < 8; ++i) {
-    sql::Query q = LineitemQuery(CmpOp::kLt);
-    q.filters[0].value = Value::Int(10 + 20 * i);
-    w.queries.push_back({q, 1.0});
-  }
-  std::vector<IndexConfig> configs(3);
-  configs[1].Add(Index{{Col("lineitem", "l_shipdate")}});
-  configs[2].Add(Index{{Col("lineitem", "l_quantity")}});
-  common::EvalContext ctx;
-  const BatchScratch& arena = ScratchLease::ThreadLocalForTest();
-  ASSERT_TRUE(opt.TryWorkloadCosts(w, configs, ctx).ok());
-  const uint64_t gen_after_first = arena.generation;
-  const size_t item_cap = arena.item_to_unique.capacity();
-  const size_t unique_cap = arena.uniques.capacity();
-  const size_t table_cap = arena.slot_keys.capacity();
-  std::vector<double> a = opt.TryWorkloadCosts(w, configs, ctx).value();
-  std::vector<double> b = opt.TryWorkloadCosts(w, configs, ctx).value();
-  EXPECT_EQ(a, b);
-  // Each batched call leased (and released) this thread's arena...
-  EXPECT_EQ(arena.generation, gen_after_first + 2);
-  EXPECT_FALSE(arena.in_use);
-  // ...and steady-state batches run inside the capacity the first batch
-  // grew: the generational-pool contract of zero reallocation on repeat.
-  EXPECT_EQ(arena.item_to_unique.capacity(), item_cap);
-  EXPECT_EQ(arena.uniques.capacity(), unique_cap);
-  EXPECT_EQ(arena.slot_keys.capacity(), table_cap);
-}
-
 TEST_F(EngineTest, ShapeCacheCoherentWithFreshComputation) {
   WhatIfOptimizer warm(schema_);
   Query q = LineitemQuery(CmpOp::kLt);
@@ -574,10 +543,11 @@ TEST_F(EngineTest, PlanCostMatchesShapeKernelBitForBit) {
   }
 }
 
-TEST_F(EngineTest, BatchDedupMatchesSerialAndKeepsAccounting) {
+TEST_F(EngineTest, BatchWithRepeatedItemsMatchesSerialAndKeepsAccounting) {
   // Every query appears twice (same fingerprint, different weights) and one
-  // config is duplicated outright: dedup must collapse the evaluations yet
-  // keep per-item call accounting and bit-identical weighted folds.
+  // config is duplicated outright: every repeated item is costed and counted
+  // like any other, and the weighted folds match the serial reference bit
+  // for bit.
   MiniWorkload w;
   for (int i = 0; i < 5; ++i) {
     sql::Query q = LineitemQuery(CmpOp::kEq);
@@ -609,28 +579,27 @@ TEST_F(EngineTest, BatchDedupMatchesSerialAndKeepsAccounting) {
          })) {
       EXPECT_EQ(swept, want) << "lanes=" << lanes;
     }
-    // Pre-dedup accounting: every (query, config) item charges one call,
-    // and one shape is compiled per distinct query.
+    // Every (query, config) item charges one call, and one shape is
+    // compiled per distinct query.
     EXPECT_EQ(shared.num_calls(), lanes * items);
     EXPECT_EQ(shared.cache_size(), 5u);
   }
 }
 
 // A batch that runs out of step budget returns early with an error; the
-// calls granted a step before that are still counted, in the unique-pair
-// loop and in the fold that accounts for deduplicated items alike.
+// calls granted a step before that are still counted, repeated pairs
+// included.
 TEST_F(EngineTest, ExpiredBudgetStillCountsGrantedCalls) {
   MiniWorkload w;
   for (int i = 0; i < 6; ++i) {
     sql::Query q = LineitemQuery(CmpOp::kLt);
     q.filters[0].value = Value::Int(25 + 30 * i);
     w.queries.push_back({q, 1.0});
-    w.queries.push_back({q, 2.0});  // a duplicate pair, charged at fold time
+    w.queries.push_back({q, 2.0});  // the same pair again, costed again
   }
   IndexConfig config;
   config.Add(Index{{Col("lineitem", "l_shipdate")}});
-  // 6 unique pairs, 12 items: a budget of 4 expires in the unique loop, a
-  // budget of 8 in the fold.
+  // 6 distinct pairs, 12 items: budgets of 4 and 8 both expire mid-batch.
   for (uint64_t budget : {4u, 8u}) {
     WhatIfOptimizer opt(schema_);
     common::CancelToken token(budget);
@@ -639,6 +608,67 @@ TEST_F(EngineTest, ExpiredBudgetStillCountsGrantedCalls) {
     EXPECT_FALSE(opt.TryWorkloadCost(w, config, ctx).ok()) << budget;
     EXPECT_EQ(opt.num_calls(), static_cast<int64_t>(budget)) << budget;
   }
+}
+
+// With engine.whatif.timeout and engine.whatif.cost_error armed together, a
+// sweep fails at several items with different codes. The batch returns the
+// code of its first failing item in config-major order, as per-item calls
+// under the same fault salt find it; it still costs and counts every item,
+// and charges each one a step on the caller's token.
+TEST_F(EngineTest, BatchReturnsFirstErrorInInputOrderAndChargesEveryItem) {
+  MiniWorkload w;
+  for (int i = 0; i < 8; ++i) {
+    sql::Query q = LineitemQuery(i % 2 == 0 ? CmpOp::kEq : CmpOp::kLt);
+    q.filters[0].value = Value::Int(40 + 45 * i);
+    w.queries.push_back({q, 1.0 + 0.25 * i});
+  }
+  std::vector<IndexConfig> configs(3);
+  configs[1].Add(Index{{Col("lineitem", "l_shipdate")}});
+  configs[2].Add(Index{{Col("lineitem", "l_quantity")}});
+  const int64_t items =
+      static_cast<int64_t>(w.queries.size() * configs.size());
+
+  WhatIfOptimizer opt(schema_);
+  // One step more than the batch needs.
+  common::CancelToken token(static_cast<uint64_t>(items) + 1);
+  common::EvalContext ctx;
+  ctx.cancel = &token;
+  ctx.fault_salt = 5;
+  {
+    common::ScopedFaultSpec faults(
+        "engine.whatif.timeout@p=0.15,engine.whatif.cost_error@p=0.15", 7);
+    WhatIfOptimizer ref(schema_);
+    common::EvalContext ref_ctx;
+    ref_ctx.fault_salt = ctx.fault_salt;
+    std::vector<common::StatusCode> failures;  // config-major order
+    for (const IndexConfig& config : configs) {
+      for (const MiniWorkload::Item& wq : w.queries) {
+        common::StatusOr<double> cost =
+            ref.TryQueryCost(wq.query, config, ref_ctx);
+        if (!cost.ok()) failures.push_back(cost.status().code());
+      }
+    }
+    ASSERT_GE(failures.size(), 2u);
+    ASSERT_NE(std::count(failures.begin(), failures.end(),
+                         common::StatusCode::kDeadlineExceeded),
+              0);
+    ASSERT_NE(std::count(failures.begin(), failures.end(),
+                         common::StatusCode::kInternal),
+              0);
+
+    const common::StatusOr<std::vector<double>> swept =
+        opt.TryWorkloadCosts(w, configs, ctx);
+    ASSERT_FALSE(swept.ok());
+    EXPECT_EQ(swept.status().code(), failures[0]);
+    EXPECT_EQ(opt.num_calls(), items);
+  }
+  // Faults disarmed: the one step left on the token grants a later batch
+  // exactly one call, so the failed batch charged every item.
+  const common::StatusOr<double> later =
+      opt.TryWorkloadCost(w, configs[0], ctx);
+  ASSERT_FALSE(later.ok());
+  EXPECT_EQ(later.status().code(), common::StatusCode::kDeadlineExceeded);
+  EXPECT_EQ(opt.num_calls(), items + 1);
 }
 
 TEST_F(EngineTest, TrueCostDivergesButCorrelates) {

@@ -343,16 +343,16 @@ TEST(RuleTest, HeapOnHotPathViolation) {
                   "auto s = std::make_shared<CacheShard>();\n"),
       "no-heap-on-hot-path"));
   EXPECT_TRUE(HasRule(
-      LintSnippet("src/engine/scratch.cc",
+      LintSnippet("src/engine/selectivity.cc",
                   "std::function<void(size_t)> fn = body;\n"),
       "no-heap-on-hot-path"));
 }
 
 TEST(RuleTest, HeapOnHotPathClean) {
-  // Reusing arena capacity is the sanctioned idiom.
+  // Per-batch vectors are not what the rule flags.
   EXPECT_FALSE(HasRule(
       LintSnippet("src/engine/what_if.cc",
-                  "sc.unique_costs.assign(n, 0.0);\n"),
+                  "std::vector<uint64_t> config_fps(nc);\n"),
       "no-heap-on-hot-path"));
   // Cold engine files (the plan-tree module) and everything outside the
   // cost kernels are out of scope.

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <memory>
 #include <optional>
@@ -9,6 +10,7 @@
 
 #include "advisor/registry.h"
 #include "catalog/datasets.h"
+#include "common/fault.h"
 #include "common/thread_pool.h"
 #include "obs/metrics.h"
 #include "sql/query.h"
@@ -195,7 +197,10 @@ TEST_F(TrapTest, RlTrainingImprovesEstimatedIudr) {
   // on at least one training workload.
   double best = -1e9;
   for (const workload::Workload& w : training_) {
-    best = std::max(best, trainer.EstimatedIudr(w, trainer.Perturb(w)));
+    const std::optional<double> iudr =
+        trainer.EstimatedIudr(w, trainer.Perturb(w));
+    ASSERT_TRUE(iudr.has_value());
+    best = std::max(best, *iudr);
   }
   EXPECT_GT(best, 0.0);
 }
@@ -577,6 +582,37 @@ TEST_F(PretrainMemoTest, EpochWithoutUsableWorkloadHasNoMeanReward) {
   const std::vector<nn::Parameter*> after = agent.store().parameters();
   for (size_t i = 0; i < after.size(); ++i) {
     EXPECT_TRUE(SameBits(after[i]->value, before[i])) << i;
+  }
+}
+
+// The raw what-if reward under injected cost errors: a failed probe leaves
+// u(W) or u(W') unknown, so that workload gives no step and that candidate
+// no score. Fitting finishes with every weight finite, each epoch's mean
+// reward is finite or absent, and best-of-3 generation still answers.
+TEST_F(PretrainMemoTest, RawWhatIfRewardSkipsFailedProbes) {
+  GeneratorConfig cfg = Config();
+  cfg.rl.use_learned_utility = false;
+  cfg.model_attempts = 3;
+  common::ScopedFaultSpec faults("engine.whatif.cost_error@p=0.3", 7);
+  std::unique_ptr<AdversarialWorkloadGenerator> gen =
+      Fit(vocab_, cfg, Victim("Extend"));
+
+  for (const nn::Parameter* p : gen->agent()->store().parameters()) {
+    for (const nn::Matrix* m : {&p->value, &p->m, &p->v}) {
+      for (int i = 0; i < m->size(); ++i) {
+        ASSERT_TRUE(std::isfinite(m->data()[i]));
+      }
+    }
+  }
+  ASSERT_EQ(gen->rl_trace().mean_reward_per_epoch.size(),
+            static_cast<size_t>(cfg.rl.epochs));
+  for (const std::optional<double>& r : gen->rl_trace().mean_reward_per_epoch) {
+    EXPECT_TRUE(!r.has_value() || std::isfinite(*r)) << *r;
+  }
+  for (const workload::Workload* w : {&test_, &training_[0], &training_[1]}) {
+    common::StatusOr<workload::Workload> out = gen->TryGenerate(*w);
+    ASSERT_TRUE(out.ok()) << out.status().ToString();
+    EXPECT_EQ(out->size(), w->size());
   }
 }
 

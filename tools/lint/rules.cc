@@ -288,17 +288,15 @@ void CheckFloatAccumulation(const SourceFile& f, std::vector<Finding>* out) {
 }
 
 void CheckHeapOnHotPath(const SourceFile& f, std::vector<Finding>* out) {
-  // The batched what-if cost path promises zero steady-state heap
-  // allocations (DESIGN.md section 3f): per-item allocation and
-  // std::function type erasure there are throughput bugs, not style. Cold
-  // paths that legitimately allocate (plan-tree construction, one-time
-  // static init, once-per-distinct-query shape builds, the reentrant
-  // scratch fallback) carry audited suppression markers naming this rule.
+  // The what-if cost path promises no per-item heap allocation (DESIGN.md
+  // section 3f): per-item allocation and std::function type erasure there
+  // are throughput bugs, not style. Cold paths that legitimately allocate
+  // (plan-tree construction, one-time static init, once-per-distinct-query
+  // shape builds) carry audited suppression markers naming this rule.
   static const char* kHotPrefixes[] = {
       "src/engine/cost_model.",
       "src/engine/selectivity.",
       "src/engine/what_if.",
-      "src/engine/scratch.",
   };
   bool hot = false;
   for (const char* prefix : kHotPrefixes) {
@@ -315,14 +313,14 @@ void CheckHeapOnHotPath(const SourceFile& f, std::vector<Finding>* out) {
       const std::string& prev = At(f, i - 1).text;
       if (prev == "." || prev == "->") continue;  // member access, not operator new
       Add(f, "no-heap-on-hot-path", t.line,
-          "'new' in a what-if cost kernel; reuse BatchScratch capacity (or "
-          "justify a cold path with a NOLINT reason)",
+          "'new' in a what-if cost kernel; keep per-item work free of heap "
+          "allocation (or justify a cold path with a NOLINT reason)",
           out);
     } else if (t.text == "make_unique" || t.text == "make_shared") {
       Add(f, "no-heap-on-hot-path", t.line,
-          "'" + t.text + "' allocates in a what-if cost kernel; reuse "
-          "BatchScratch capacity (or justify a cold path with a NOLINT "
-          "reason)",
+          "'" + t.text + "' allocates in a what-if cost kernel; keep "
+          "per-item work free of heap allocation (or justify a cold path "
+          "with a NOLINT reason)",
           out);
     } else if (t.text == "function" && IsStdQualified(f, i)) {
       Add(f, "no-heap-on-hot-path", t.line,

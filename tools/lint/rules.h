@@ -47,9 +47,9 @@ struct Finding {
 //                           root plus at least two lower-case segments.
 //   no-heap-on-hot-path     new / make_unique / make_shared /
 //                           std::function inside the what-if cost kernels
-//                           (src/engine/ cost_model, selectivity, what_if,
-//                           scratch) -- the batched cost path promises
-//                           zero steady-state heap allocations; cold paths
+//                           (src/engine/ cost_model, selectivity,
+//                           what_if) -- the cost path promises no
+//                           per-item heap allocation; cold paths
 //                           (plan construction, one-time static init,
 //                           once-per-query shape builds) carry audited
 //                           suppression markers.

@@ -49,6 +49,10 @@
 #      scripts/perf_gate.py. Single-thread whatif_pairs_per_sec must stay
 #      inside the baseline's tolerance band; concurrent_callers_4_vs_1 is
 #      printed, not gated.
+#   7b. A perfbench stage (plain flavor only): perfbench/selftest.py builds
+#      the frozen end-to-end benchmark from src/ into build-check/perfbench
+#      and runs every workload at reduced scale, so a src/ change that
+#      breaks the benchmark's build or its output checks fails here.
 #   8. An exemption audit: the property-testing trees (src/testing,
 #      tools/fuzz) must lint clean without a single NOLINT escape hatch.
 #   9. A clang-format check on src/ tests/ bench/ tools/ (skipped with a
@@ -206,6 +210,15 @@ perf_gate_stage() {
     bench/baselines/engine_micro_baseline.json
 }
 
+# Builds the end-to-end benchmark (its own CMake package over src/) and runs
+# its reduced-scale self-test: thread-count and proxy digest equality plus
+# the traced runs' output checks.
+perfbench_stage() {
+  local dir="$1"
+  echo "==> perfbench selftest ${dir}/perfbench"
+  CARGO_TARGET_DIR="${dir}/perfbench" python3 perfbench/selftest.py
+}
+
 # Fast fail: build just the linter (in the plain flavor's build dir, so the
 # configure work is reused by run_suite below) and run the whole-project
 # analysis plus the suppression-baseline diff before the first full build.
@@ -237,6 +250,7 @@ trace_digest_stage build-check "1 4 8"
 drift_digest_stage build-check "1 4 8"
 serve_digest_stage build-check "1 4 8" report
 perf_gate_stage build-check
+perfbench_stage build-check
 
 TRAP_THREADS=4 run_suite build-check-tsan 600 -DTRAP_WERROR=ON \
   -DTRAP_SANITIZE=thread

@@ -104,11 +104,11 @@ class DqnAdvisorBase : public LearningAdvisor {
                                              ": Train must be called first");
     }
     TRAP_RETURN_IF_ERROR(EnterRecommend(name(), w, ctx));
+    // The greedy walk reads no reward, so it builds without cost probes;
+    // the state encoding carries ctx so a fine-grained state is costed
+    // against the snapshot a drifted workload arrived with.
     IndexSelectionEnv env(optimizer_, &actions_);
-    // The frozen policy is probed under the caller's stats epoch: the
-    // episode and the state encoding both carry ctx so drifted workloads
-    // are costed against the snapshot they arrived with.
-    TRAP_RETURN_IF_ERROR(env.TryReset(&w, constraint, ctx));
+    env.Reset(&w, constraint);
     while (!env.Done()) {
       TRAP_RETURN_IF_ERROR(ctx.CheckContinue());
       std::vector<bool> valid = env.ValidActions(false);
@@ -122,7 +122,7 @@ class DqnAdvisorBase : public LearningAdvisor {
       // Stop early when the best remaining Q-value predicts no improvement
       // (but always recommend at least one index).
       if (!env.built().empty() && BestQ(qnet_, state, valid) <= 0.0) break;
-      TRAP_RETURN_IF_ERROR(env.TryStep(a).status());
+      env.Build(a);
     }
     return env.built();
   }

@@ -2,8 +2,6 @@
 
 #include <array>
 
-#include "advisor/remote.h"
-
 namespace trap::advisor {
 
 namespace {
@@ -84,17 +82,6 @@ common::StatusOr<std::unique_ptr<IndexAdvisor>> MakeAdvisor(
     return std::unique_ptr<IndexAdvisor>(std::move(learner));
   }
   if (name == "MCTS") return MakeMcts(optimizer, ResolveMcts(options));
-  if (name == "Remote") {
-    // Out-of-process proxy: recommendations are computed by the host
-    // process named in options.remote.argv (never by `optimizer`, which is
-    // unused here -- the remote host owns its own catalog + engine).
-    if (options.remote.argv.empty()) {
-      return common::Status::InvalidArgument(
-          "Remote advisor requires RegistryOptions.remote.argv");
-    }
-    return std::unique_ptr<IndexAdvisor>(
-        std::make_unique<RemoteAdvisor>(options.remote));
-  }
   return common::Status::InvalidArgument("unknown advisor name: " +
                                          std::string(name));
 }

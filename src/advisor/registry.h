@@ -10,7 +10,6 @@
 #include "advisor/dqn_advisors.h"
 #include "advisor/heuristic_advisors.h"
 #include "advisor/mcts.h"
-#include "advisor/remote.h"
 #include "advisor/swirl.h"
 
 namespace trap::advisor {
@@ -48,7 +47,7 @@ struct AdvisorSpec {
 // The ten assessed advisors, in Table III order.
 std::span<const AdvisorSpec> AdvisorTable();
 
-// The row named `name`, or nullptr: "Remote" and unknown names have none.
+// The row named `name`, or nullptr for an unknown name.
 const AdvisorSpec* FindAdvisorSpec(std::string_view name);
 
 struct RegistryOptions {
@@ -71,10 +70,6 @@ struct RegistryOptions {
   int rl_episodes = 0;
   int max_actions = 0;
   int mcts_iterations = 0;
-
-  // Out-of-process advisor ("Remote"): argv of the host process and the
-  // registry advisor it runs per request. Ignored by every other name.
-  RemoteAdvisorOptions remote;
 };
 
 // Builds the advisor registered under `name` (Table III names, e.g.

@@ -9,6 +9,39 @@
 #include "obs/obs.h"
 
 namespace trap::advisor {
+namespace {
+
+// Weighted fraction of `w`'s queries for which every column of `candidate`
+// is syntactically relevant (appears among the query's indexable columns).
+double CandidateRelevance(const engine::Index& candidate,
+                          const workload::Workload& w) {
+  double total = 0.0;
+  double hit = 0.0;
+  for (const workload::WorkloadQuery& wq : w.queries) {
+    total += wq.weight;
+    workload::Workload single;
+    single.queries.push_back(wq);
+    std::vector<IndexableColumn> cols = IndexableColumns(single);
+    bool all = true;
+    for (catalog::ColumnId c : candidate.columns) {
+      bool found = false;
+      for (const IndexableColumn& ic : cols) {
+        if (ic.column == c) {
+          found = true;
+          break;
+        }
+      }
+      if (!found) {
+        all = false;
+        break;
+      }
+    }
+    if (all) hit += wq.weight;
+  }
+  return total > 0.0 ? hit / total : 0.0;
+}
+
+}  // namespace
 
 void CountLearnerUpdate(int rows) {
   obs::MetricRegistry& reg = obs::MetricRegistry::Global();
@@ -49,34 +82,6 @@ ActionSpace BuildActionSpace(const std::vector<workload::Workload>& training,
     }
   }
   return space;
-}
-
-double CandidateRelevance(const engine::Index& candidate,
-                          const workload::Workload& w) {
-  double total = 0.0;
-  double hit = 0.0;
-  for (const workload::WorkloadQuery& wq : w.queries) {
-    total += wq.weight;
-    workload::Workload single;
-    single.queries.push_back(wq);
-    std::vector<IndexableColumn> cols = IndexableColumns(single);
-    bool all = true;
-    for (catalog::ColumnId c : candidate.columns) {
-      bool found = false;
-      for (const IndexableColumn& ic : cols) {
-        if (ic.column == c) {
-          found = true;
-          break;
-        }
-      }
-      if (!found) {
-        all = false;
-        break;
-      }
-    }
-    if (all) hit += wq.weight;
-  }
-  return total > 0.0 ? hit / total : 0.0;
 }
 
 StateEncoder::StateEncoder(StateGranularity granularity,
@@ -165,14 +170,19 @@ IndexSelectionEnv::IndexSelectionEnv(const engine::WhatIfOptimizer* optimizer,
                                      const ActionSpace* actions)
     : optimizer_(optimizer), actions_(actions) {}
 
+void IndexSelectionEnv::Reset(const workload::Workload* w,
+                              const TuningConstraint& constraint) {
+  workload_ = w;
+  constraint_ = constraint;
+  built_ = engine::IndexConfig();
+  steps_ = 0;
+}
+
 common::Status IndexSelectionEnv::TryReset(const workload::Workload* w,
                                            const TuningConstraint& constraint,
                                            const common::EvalContext& ctx) {
-  workload_ = w;
-  constraint_ = constraint;
+  Reset(w, constraint);
   ctx_ = ctx;
-  built_ = engine::IndexConfig();
-  steps_ = 0;
   TRAP_ASSIGN_OR_RETURN(base_cost_,
                         optimizer_->TryWorkloadCost(*w, built_, ctx_));
   current_cost_ = base_cost_;
@@ -194,15 +204,19 @@ std::vector<bool> IndexSelectionEnv::ValidActions(bool mask_irrelevant) const {
   return valid;
 }
 
-common::StatusOr<double> IndexSelectionEnv::TryStep(int a) {
+void IndexSelectionEnv::Build(int a) {
   TRAP_CHECK(a >= 0 && a < actions_->size());
   built_.Add(actions_->candidates[static_cast<size_t>(a)]);
+  ++steps_;
+}
+
+common::StatusOr<double> IndexSelectionEnv::TryStep(int a) {
+  Build(a);
   TRAP_ASSIGN_OR_RETURN(double new_cost,
                         optimizer_->TryWorkloadCost(*workload_, built_, ctx_));
   double reward =
       base_cost_ > 0.0 ? (current_cost_ - new_cost) / base_cost_ : 0.0;
   current_cost_ = new_cost;
-  ++steps_;
   return reward;
 }
 

@@ -50,11 +50,6 @@ ActionSpace BuildActionSpace(const std::vector<workload::Workload>& training,
                              bool prune_candidates, int max_actions,
                              int max_width = 3);
 
-// Weighted fraction of `w`'s queries for which every column of `candidate`
-// is syntactically relevant (appears among the query's indexable columns).
-double CandidateRelevance(const engine::Index& candidate,
-                          const workload::Workload& w);
-
 // Encodes (workload, built configuration, constraint) into a feature vector.
 class StateEncoder {
  public:
@@ -85,13 +80,19 @@ class StateEncoder {
 // The index-selection episode shared by all RL advisors: starting from the
 // empty configuration, each action builds one candidate; the reward is the
 // workload cost reduction of that step normalized by the no-index cost.
+// Training episodes read rewards (TryReset + TryStep); greedy policy walks
+// read none, so they build without a single what-if probe (Reset + Build).
 class IndexSelectionEnv {
  public:
   IndexSelectionEnv(const engine::WhatIfOptimizer* optimizer,
                     const ActionSpace* actions);
 
+  // Starts an episode from the empty configuration; probes nothing.
+  void Reset(const workload::Workload* w, const TuningConstraint& constraint);
+
+  // Reset, then probes the no-index cost the rewards are normalized by.
   // `ctx` is pinned for the episode: every cost probe (the base cost here,
-  // each Step's what-if probe) runs against the epoch it carries. It must
+  // each TryStep's what-if probe) runs against the epoch it carries. It must
   // outlive the episode. Fails when the base-cost probe fails; the episode
   // cannot run then.
   common::Status TryReset(const workload::Workload* w,
@@ -103,16 +104,17 @@ class IndexSelectionEnv {
   // (SWIRL's invalid action masking).
   std::vector<bool> ValidActions(bool mask_irrelevant) const;
 
-  // Applies action `a` (index into the action space); returns the reward,
-  // or the what-if probe's error (the episode should end there: its cost
+  // Builds candidate `a` (index into the action space) without probing its
+  // cost.
+  void Build(int a);
+
+  // Build(a) in an episode started by TryReset; returns the reward, or the
+  // what-if probe's error (the episode should end there: its cost
   // bookkeeping no longer holds).
   common::StatusOr<double> TryStep(int a);
 
   bool Done() const;
   const engine::IndexConfig& built() const { return built_; }
-  const TuningConstraint& constraint() const { return constraint_; }
-  double base_cost() const { return base_cost_; }
-  double current_cost() const { return current_cost_; }
 
  private:
   const engine::WhatIfOptimizer* optimizer_;

@@ -69,14 +69,18 @@ struct SwirlAdvisor::Impl {
 
   // Runs one episode and returns the configuration it built; when `sample`
   // the policy is stochastic and the episode contributes to the
-  // policy-gradient update, otherwise greedy. A failed what-if probe ends
-  // the episode with its error; a sampled episode first learns from the
-  // steps before the failed one.
+  // policy-gradient update, otherwise greedy and (reading no reward) free of
+  // env cost probes. A failed what-if probe ends the episode with its error;
+  // a sampled episode first learns from the steps before the failed one.
   common::StatusOr<engine::IndexConfig> Rollout(
       const workload::Workload& w, const TuningConstraint& constraint,
       bool sample, const common::EvalContext& ctx = {}) {
     IndexSelectionEnv env(optimizer, &actions);
-    TRAP_RETURN_IF_ERROR(env.TryReset(&w, constraint, ctx));
+    if (sample) {
+      TRAP_RETURN_IF_ERROR(env.TryReset(&w, constraint, ctx));
+    } else {
+      env.Reset(&w, constraint);
+    }
     int k = actions.size();
     struct StepRecord {
       std::vector<double> state;
@@ -108,12 +112,16 @@ struct SwirlAdvisor::Impl {
         }
         break;
       }
+      if (!sample) {
+        env.Build(a);
+        continue;
+      }
       common::StatusOr<double> r = env.TryStep(a);
       if (!r.ok()) {
         status = r.status();
         break;
       }
-      if (sample) steps.push_back(StepRecord{*std::move(state), valid, a, *r});
+      steps.push_back(StepRecord{*std::move(state), valid, a, *r});
     }
 
     if (sample && !steps.empty()) {

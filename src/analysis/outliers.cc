@@ -211,8 +211,7 @@ std::vector<double> OneClassScores(const Data& data) {
   return scores;
 }
 
-}  // namespace
-
+// Raw anomaly scores (higher = more anomalous).
 std::vector<double> AnomalyScores(OutlierDetector detector, const Data& data,
                                   uint64_t seed) {
   TRAP_CHECK(!data.empty());
@@ -226,6 +225,8 @@ std::vector<double> AnomalyScores(OutlierDetector detector, const Data& data,
   }
   return {};
 }
+
+}  // namespace
 
 std::vector<bool> DetectOutliers(OutlierDetector detector, const Data& data,
                                  double contamination, uint64_t seed) {

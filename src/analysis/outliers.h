@@ -20,11 +20,6 @@ std::vector<bool> DetectOutliers(OutlierDetector detector,
                                  const std::vector<std::vector<double>>& data,
                                  double contamination, uint64_t seed = 17);
 
-// Raw anomaly scores (higher = more anomalous), useful for tests.
-std::vector<double> AnomalyScores(OutlierDetector detector,
-                                  const std::vector<std::vector<double>>& data,
-                                  uint64_t seed = 17);
-
 }  // namespace trap::analysis
 
 #endif  // TRAP_ANALYSIS_OUTLIERS_H_

@@ -60,14 +60,6 @@ std::optional<ColumnId> Schema::FindColumn(const std::string& table_name,
   return std::nullopt;
 }
 
-std::vector<JoinEdge> Schema::EdgesOfTable(int t) const {
-  std::vector<JoinEdge> out;
-  for (const JoinEdge& e : join_edges_) {
-    if (e.left.table == t || e.right.table == t) out.push_back(e);
-  }
-  return out;
-}
-
 int64_t Schema::DataSizeBytes() const {
   int64_t total = 0;
   for (const Table& t : tables_) {

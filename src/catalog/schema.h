@@ -85,9 +85,6 @@ class Schema {
   std::optional<ColumnId> FindColumn(const std::string& table_name,
                                      const std::string& column_name) const;
 
-  // Join edges incident to table `t`.
-  std::vector<JoinEdge> EdgesOfTable(int t) const;
-
   // Sum over tables of rows * row width, in bytes. Used to size storage
   // budgets ("half of the dataset size" in the paper's setup).
   int64_t DataSizeBytes() const;

@@ -1,9 +1,7 @@
 #include "common/frame.h"
 
-#include <cerrno>
+#include <cstdio>
 #include <cstring>
-
-#include <unistd.h>
 
 namespace trap::common {
 
@@ -78,48 +76,6 @@ FrameDecoder::Result FrameDecoder::Next(std::string* payload,
     pos_ = 0;
   }
   return Result::kFrame;
-}
-
-Status ReadFrame(std::FILE* in, FrameDecoder* decoder, std::string* payload) {
-  for (;;) {
-    std::string error;
-    switch (decoder->Next(payload, &error)) {
-      case FrameDecoder::Result::kFrame:
-        return Status::Ok();
-      case FrameDecoder::Result::kMalformed:
-        return Status::Internal("malformed frame: " + error);
-      case FrameDecoder::Result::kNeedMore:
-        break;
-    }
-    // A raw read(), not fread(): stdio would block trying to fill the whole
-    // buffer, but a pipe delivers frames in short bursts and the sender is
-    // waiting for our reply.
-    char buf[1 << 12];
-    ssize_t n;
-    do {
-      n = read(fileno(in), buf, sizeof buf);
-    } while (n < 0 && errno == EINTR);
-    if (n < 0) {
-      return Status::Internal(std::string("frame read: ") +
-                              std::strerror(errno));
-    }
-    if (n == 0) {
-      if (decoder->buffered() > 0) {
-        return Status::Internal("frame stream truncated mid-frame");
-      }
-      return Status::Unavailable("frame stream ended");
-    }
-    decoder->Append(buf, static_cast<std::size_t>(n));
-  }
-}
-
-Status WriteFrame(std::FILE* out, std::string_view payload) {
-  const std::string frame = EncodeFrame(payload);
-  if (std::fwrite(frame.data(), 1, frame.size(), out) != frame.size() ||
-      std::fflush(out) != 0) {
-    return Status::Unavailable("frame write failed (peer gone?)");
-  }
-  return Status::Ok();
 }
 
 }  // namespace trap::common

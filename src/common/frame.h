@@ -1,16 +1,13 @@
 #ifndef TRAP_COMMON_FRAME_H_
 #define TRAP_COMMON_FRAME_H_
 
-#include <cstdio>
+#include <cstddef>
 #include <string>
 #include <string_view>
 
-#include "common/status.h"
-
 namespace trap::common {
 
-// Length-prefixed frame codec for the serve runtime's sockets and the
-// Remote advisor's stdio pipes: each frame is
+// Length-prefixed frame codec for the serve runtime's sockets: each frame is
 //
 //   "TRAPF <decimal payload length>\n<payload bytes>"
 //
@@ -20,7 +17,7 @@ namespace trap::common {
 // before the declared payload is classified as malformed/truncated rather
 // than silently resynchronized. A transport that can be corrupted must fail
 // loudly -- the server answers a malformed frame with an error and closes
-// that connection; Remote kills its child and fails the call.
+// that connection.
 
 // Upper bound on a single payload; a longer declared length is malformed.
 inline constexpr std::size_t kMaxFramePayload = std::size_t{16} << 20;
@@ -50,12 +47,6 @@ class FrameDecoder {
   bool malformed_ = false;
   std::string malformed_error_;
 };
-
-// Blocking helpers over stdio streams (Remote and `trap_serve --stdio`).
-// ReadFrame returns kUnavailable on clean EOF between frames, kInternal on
-// EOF mid-frame or malformed input. WriteFrame flushes.
-Status ReadFrame(std::FILE* in, FrameDecoder* decoder, std::string* payload);
-Status WriteFrame(std::FILE* out, std::string_view payload);
 
 }  // namespace trap::common
 

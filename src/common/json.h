@@ -12,12 +12,11 @@
 
 namespace trap::common {
 
-// Minimal JSON document model shared by every frame dialect in the tree
-// (the serve runtime, remote advisors) and by the BENCH_*.json reports.
-// Self-contained by design: each wire format crosses a process boundary the
-// system deliberately distrusts (a remote advisor can die mid-reply, serve
-// clients are arbitrary), so every frame is parsed defensively into this
-// tree and then field-checked, never pointer-cast.
+// Minimal JSON document model shared by the serve runtime's frames and the
+// BENCH_*.json reports. Self-contained by design: a serve frame crosses a
+// process boundary the system deliberately distrusts (clients are
+// arbitrary), so every frame is parsed defensively into this tree and then
+// field-checked, never pointer-cast.
 struct JsonValue {
   enum class Kind { kNull, kBool, kNumber, kString, kObject, kArray };
   Kind kind = Kind::kNull;
@@ -53,9 +52,9 @@ struct JsonValue {
 StatusOr<JsonValue> ParseJson(std::string_view text);
 
 // Serializes a tree in member/item order, with no whitespace. Numbers use
-// %.17g so strtod round-trips the exact bits: serve responses and Remote
-// advisor frames carry costs and budgets that must survive the process
-// boundary bit-exactly.
+// %.17g so strtod round-trips the exact bits: serve requests and responses
+// carry weights, costs and budgets that must survive the process boundary
+// bit-exactly.
 std::string WriteJson(const JsonValue& v);
 
 // Quotes and escapes `s` as a JSON string literal.

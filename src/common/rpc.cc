@@ -31,11 +31,6 @@ StatusCode ParseStatusCode(std::string_view name) {
 
 }  // namespace
 
-Status Response::ToStatus() const {
-  if (status == StatusCode::kOk) return Status::Ok();
-  return Status(status, message);
-}
-
 std::string EncodeRequest(const Request& req) {
   JsonValue v = JsonValue::Object();
   v.Set("rpc", JsonValue::Number(kProtocolVersion));

@@ -10,13 +10,12 @@
 
 namespace trap::common::rpc {
 
-// One versioned request/response envelope for every frame dialect in the
-// tree: the serve runtime's client sessions and remote out-of-process
-// advisors. Frames are length-prefixed
-// (common/frame.*); the payload is a JSON object that always carries the
-// protocol version under "rpc", so a peer built against a different
-// protocol is rejected on the very first frame instead of misparsing
-// fields. 64-bit ids ride as "0x..." strings (see JsonValue::HexAt).
+// The versioned request/response envelope of the serve runtime's client
+// sessions. Frames are length-prefixed (common/frame.*); the payload is a
+// JSON object that always carries the protocol version under "rpc", so a
+// peer built against a different protocol is rejected on the very first
+// frame instead of misparsing fields. 64-bit ids ride as "0x..." strings
+// (see JsonValue::HexAt).
 //
 //   request:  {"rpc":1,"id":"0x..","method":"...","params":{...}}
 //   response: {"rpc":1,"id":"0x..","status":"OK","result":{...}}
@@ -44,8 +43,6 @@ struct Response {
   JsonValue result;     // kObject or kNull
 
   bool ok() const { return status == StatusCode::kOk; }
-  // The carried status as a Status (kOk -> OkStatus).
-  Status ToStatus() const;
 };
 
 std::string EncodeRequest(const Request& req);

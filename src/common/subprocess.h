@@ -10,9 +10,9 @@ namespace trap::common {
 
 // A spawned child process with pipes to its stdin/stdout (stderr passes
 // through to the parent's, so child diagnostics stay visible). Plain POSIX
-// fork/exec -- the owner (advisor::Remote, trap_serve's spawned servers)
-// drives the lifecycle: spawn, exchange frames, and on any protocol
-// violation Kill + Reap unconditionally.
+// fork/exec -- the owner (trap_serve's script client, which spawns its own
+// --listen server) drives the lifecycle: spawn, and on shutdown or any
+// failure Kill + Reap unconditionally.
 struct Subprocess {
   int pid = -1;
   int stdin_fd = -1;   // write end: parent -> child stdin

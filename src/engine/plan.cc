@@ -2,23 +2,7 @@
 
 #include <algorithm>
 
-#include "common/string_util.h"
-
 namespace trap::engine {
-
-const char* PlanNodeTypeName(PlanNodeType t) {
-  switch (t) {
-    case PlanNodeType::kSeqScan: return "Seq Scan";
-    case PlanNodeType::kIndexScan: return "Index Scan";
-    case PlanNodeType::kIndexOnlyScan: return "Index Only Scan";
-    case PlanNodeType::kHashJoin: return "Hash Join";
-    case PlanNodeType::kIndexNestedLoopJoin: return "Index NL Join";
-    case PlanNodeType::kSort: return "Sort";
-    case PlanNodeType::kHashAggregate: return "Hash Aggregate";
-    case PlanNodeType::kResult: return "Result";
-  }
-  return "?";
-}
 
 void PlanNode::AddChild(std::unique_ptr<PlanNode> child) {
   height = std::max(height, child->height + 1);
@@ -28,31 +12,6 @@ void PlanNode::AddChild(std::unique_ptr<PlanNode> child) {
 void CollectNodes(const PlanNode& root, std::vector<const PlanNode*>* out) {
   out->push_back(&root);
   for (const auto& c : root.children) CollectNodes(*c, out);
-}
-
-namespace {
-void AppendNode(const PlanNode& n, const catalog::Schema& schema, int depth,
-                std::string* out) {
-  out->append(static_cast<size_t>(depth) * 2, ' ');
-  out->append(PlanNodeTypeName(n.type));
-  if (n.table >= 0) {
-    out->append(" on ");
-    out->append(schema.table(n.table).name);
-  }
-  if (n.index != nullptr) {
-    out->append(" using ");
-    out->append(IndexName(*n.index, schema));
-  }
-  out->append(common::StrFormat("  (cost=%.2f rows=%.0f height=%d)\n", n.cost,
-                                n.cardinality, n.height));
-  for (const auto& c : n.children) AppendNode(*c, schema, depth + 1, out);
-}
-}  // namespace
-
-std::string PlanToString(const PlanNode& root, const catalog::Schema& schema) {
-  std::string out;
-  AppendNode(root, schema, 0, &out);
-  return out;
 }
 
 }  // namespace trap::engine

@@ -2,7 +2,6 @@
 #define TRAP_ENGINE_PLAN_H_
 
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "catalog/schema.h"
@@ -24,8 +23,6 @@ enum class PlanNodeType {
 };
 constexpr int kNumPlanNodeTypes = 8;
 
-const char* PlanNodeTypeName(PlanNodeType t);
-
 // A node of a physical query plan. `cost` is the node's *total* (cumulative)
 // cost including its subtree, matching the statistics the paper extracts
 // ("Cost", "Cardinality", "Height" per node).
@@ -44,9 +41,6 @@ struct PlanNode {
 
 // Depth-first collection of all nodes (pre-order).
 void CollectNodes(const PlanNode& root, std::vector<const PlanNode*>* out);
-
-// Pretty-printed plan tree for diagnostics.
-std::string PlanToString(const PlanNode& root, const catalog::Schema& schema);
 
 }  // namespace trap::engine
 

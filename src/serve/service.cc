@@ -8,7 +8,6 @@
 
 #include "advisor/evaluation.h"
 #include "advisor/registry.h"
-#include "advisor/remote.h"
 #include "catalog/datasets.h"
 #include "common/deadline.h"
 #include "drift/episode.h"
@@ -62,9 +61,8 @@ JsonValue Finish(JsonValue result, const RequestEnv& env, uint64_t epoch) {
 }
 
 // The registry advisor this request runs. Learning advisors need a training
-// phase the session API does not expose, and "Remote" would recurse into
-// another process; both are rejected as unservable rather than silently
-// substituted.
+// phase the session API does not expose; they are rejected as unservable
+// rather than silently substituted.
 StatusOr<std::string> ResolveAdvisorName(const JsonValue& params) {
   std::string name = params.StringAt("advisor").value_or("Extend");
   if (name == "greedy") name = "Extend";  // the trap_drift alias
@@ -73,16 +71,13 @@ StatusOr<std::string> ResolveAdvisorName(const JsonValue& params) {
     return Status::InvalidArgument("advisor not servable (needs training): " +
                                    name);
   }
-  if (name == "Remote") {
-    return Status::InvalidArgument("advisor not servable (recursive): Remote");
-  }
   return name;
 }
 
 StatusOr<advisor::TuningConstraint> ResolveConstraint(
     const JsonValue& params, const catalog::Schema& schema) {
   if (const JsonValue* shipped = params.Find("constraint")) {
-    return advisor::DecodeConstraint(*shipped);
+    return DecodeConstraint(*shipped);
   }
   return advisor::TuningConstraint::Storage(schema.DataSizeBytes() / 2);
 }
@@ -226,7 +221,7 @@ StatusOr<workload::Workload> ServeService::ResolveWorkload(
     const JsonValue& params, const catalog::Schema& schema) const {
   workload::Workload w;
   if (const JsonValue* shipped = params.Find("workload")) {
-    TRAP_ASSIGN_OR_RETURN(w, advisor::DecodeWorkload(*shipped));
+    TRAP_ASSIGN_OR_RETURN(w, DecodeWorkload(*shipped));
   } else {
     std::optional<std::int64_t> seed_param = params.IntAt("workload_seed");
     const uint64_t seed = seed_param.has_value() && *seed_param >= 0
@@ -277,7 +272,7 @@ StatusOr<JsonValue> ServeService::Advise(const JsonValue& params,
                         adv->TryRecommend(w, constraint, env.ctx));
   JsonValue result = JsonValue::Object();
   result.Set("advisor", JsonValue::Str(adv->name()));
-  result.Set("config", advisor::EncodeIndexConfig(config));
+  result.Set("config", EncodeIndexConfig(config));
   return Finish(std::move(result), env, snap.epoch());
 }
 
@@ -308,7 +303,7 @@ StatusOr<JsonValue> ServeService::Assess(const JsonValue& params,
   result.Set("utility", JsonValue::Number(utility));
   if (const JsonValue* perturbed_doc = params.Find("perturbed")) {
     TRAP_ASSIGN_OR_RETURN(workload::Workload perturbed,
-                          advisor::DecodeWorkload(*perturbed_doc));
+                          DecodeWorkload(*perturbed_doc));
     std::string error;
     for (size_t i = 0; i < perturbed.queries.size(); ++i) {
       if (!sql::ValidateQuery(perturbed.queries[i].query, schema_, &error)) {
@@ -342,8 +337,7 @@ StatusOr<JsonValue> ServeService::WhatIfBatch(const JsonValue& params,
   std::vector<engine::IndexConfig> configs;
   configs.reserve(configs_doc->items.size());
   for (const JsonValue& item : configs_doc->items) {
-    TRAP_ASSIGN_OR_RETURN(engine::IndexConfig config,
-                          advisor::DecodeIndexConfig(item));
+    TRAP_ASSIGN_OR_RETURN(engine::IndexConfig config, DecodeIndexConfig(item));
     configs.push_back(std::move(config));
   }
   TRAP_ASSIGN_OR_RETURN(std::vector<double> costs,
@@ -414,7 +408,7 @@ StatusOr<JsonValue> ServeService::DriftReplay(const JsonValue& params) {
   result.Set("regret_digest", JsonValue::Hex(replay.series_fp));
   result.Set("adoptions", JsonValue::Number(adoptions));
   result.Set("degradations", JsonValue::Number(degradations));
-  result.Set("final_config", advisor::EncodeIndexConfig(replay.final_config));
+  result.Set("final_config", EncodeIndexConfig(replay.final_config));
   return Finish(std::move(result), env, /*epoch=*/0);
 }
 

@@ -98,12 +98,6 @@ int Vocabulary::ColumnTokenId(ColumnId c) const {
   return column_base_ + schema_->GlobalColumnIndex(c);
 }
 
-int Vocabulary::ValueTokenId(ColumnId c, int bucket) const {
-  TRAP_CHECK(bucket >= 0 && bucket < values_per_column_);
-  return value_base_ + schema_->GlobalColumnIndex(c) * values_per_column_ +
-         bucket;
-}
-
 Value Vocabulary::BucketValue(ColumnId c, int bucket) const {
   TRAP_CHECK(bucket >= 0 && bucket < values_per_column_);
   const catalog::Column& col = schema_->column(c);

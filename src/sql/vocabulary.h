@@ -34,7 +34,6 @@ class Vocabulary {
   Token IdToToken(int id) const;
 
   int ColumnTokenId(ColumnId c) const;
-  int ValueTokenId(ColumnId c, int bucket) const;
 
   // The literal value denoted by bucket `k` of column `c`.
   Value BucketValue(ColumnId c, int bucket) const;

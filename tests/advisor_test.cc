@@ -313,6 +313,62 @@ TEST_F(AdvisorTest, LearnerWeightsBitIdenticalToPerSampleTapes) {
   }
 }
 
+// A greedy DQN walk reads the coarse state (column counts and built flags)
+// and the Q-network, never a cost: recommending makes no what-if call.
+TEST_F(AdvisorTest, CoarseDqnRecommendMakesNoWhatIfCalls) {
+  RegistryOptions opt;
+  opt.rl_episodes = 60;
+  opt.max_actions = 16;
+  auto advisor = *MakeLearningAdvisor("DQN", optimizer_, opt);
+  advisor->Train(training_, CountConstraint(4));
+  const int64_t calls = optimizer_.num_calls();
+  IndexConfig config =
+      advisor->TryRecommend(test_workload_, CountConstraint(4), {}).value();
+  EXPECT_EQ(optimizer_.num_calls(), calls);
+  EXPECT_FALSE(config.empty());
+}
+
+// The greedy walks of the three learners, pinned while they still probed
+// the cost of every step: dropping the probes must not move a
+// recommendation.
+TEST_F(AdvisorTest, LearnerRecommendationsMatchPinnedFingerprints) {
+  struct Case {
+    const char* name;
+    TuningConstraint constraint;
+    uint64_t fingerprints[3];
+  };
+  const Case cases[] = {
+      {"DQN",
+       CountConstraint(4),
+       {0x23c63ac83cad6a9dULL, 0xa5bf75478be9a05dULL, 0x0ed5531648c15093ULL}},
+      {"DRLindex",
+       CountConstraint(3),
+       {0xfc4800fe76b43430ULL, 0x490cc4333ee8dcf5ULL, 0xc2845d29d5aaa155ULL}},
+      {"SWIRL",
+       StorageConstraint(),
+       {0xf7ab79372220feb6ULL, 0x4e66e6f8b104aef1ULL, 0x3fbfd068c9ffc603ULL}},
+  };
+  common::Rng rng(11);
+  const Workload workloads[] = {test_workload_,
+                                workload::SampleWorkload(pool_, 8, rng),
+                                workload::SampleWorkload(pool_, 5, rng)};
+  for (const Case& c : cases) {
+    RegistryOptions opt;
+    opt.rl_episodes = 60;
+    opt.max_actions = 16;
+    auto advisor = *MakeLearningAdvisor(c.name, optimizer_, opt);
+    advisor->Train(training_, c.constraint);
+    for (int i = 0; i < 3; ++i) {
+      const uint64_t fp =
+          advisor->TryRecommend(workloads[i], c.constraint, {})
+              .value()
+              .Fingerprint();
+      EXPECT_EQ(fp, c.fingerprints[i])
+          << c.name << " workload " << i << " 0x" << std::hex << fp;
+    }
+  }
+}
+
 // A what-if fault during training ends the episode at the failed probe
 // instead of handing the learner an infinite or NaN reward, so every
 // weight stays finite.

@@ -1,5 +1,5 @@
-// Tests for the advisor-as-a-service runtime (src/serve): the overlay wire
-// codec, the session API's epoch-pinning and deadline contracts (direct
+// Tests for the advisor-as-a-service runtime (src/serve): the wire codecs,
+// the session API's epoch-pinning and deadline contracts (direct
 // ServeService::Handle calls), and the socket server's admission control,
 // malformed-frame isolation, and scripted-session determinism (spawning the
 // real trap_serve binary, TRAP_SERVE_BIN, injected by CMake).
@@ -11,6 +11,7 @@
 #include <time.h>
 #include <unistd.h>
 
+#include <bit>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -44,7 +45,13 @@ using common::StatusCode;
 namespace rpc = common::rpc;
 
 // ---------------------------------------------------------------------------
-// Overlay wire codec.
+// Wire codecs.
+
+JsonValue Params(const std::string& text) {
+  common::StatusOr<JsonValue> v = common::ParseJson(text);
+  TRAP_CHECK(v.ok());
+  return *std::move(v);
+}
 
 catalog::StatsOverlay SampleOverlay() {
   catalog::StatsOverlay overlay;
@@ -114,14 +121,147 @@ TEST(WireTest, DecodeRejectsMalformedOverlays) {
   }
 }
 
+// A workload exercising every query field the codec carries, with weights
+// that have no short decimal form.
+workload::Workload SampleWorkload(const catalog::Schema& schema,
+                                  const sql::Vocabulary& vocab) {
+  workload::GeneratorOptions gopt;
+  gopt.max_tables = 3;
+  gopt.max_filters = 3;
+  workload::QueryGenerator gen(vocab, gopt, 1);
+  workload::Workload w;
+  std::vector<sql::Query> pool = gen.GeneratePool(6);
+  for (size_t i = 0; i < pool.size(); ++i) {
+    const double weight = 1.0 / 3.0 + 0.1 * static_cast<double>(i);
+    w.queries.push_back(workload::WorkloadQuery{std::move(pool[i]), weight});
+  }
+  // Every enum at its largest value, grouping and ordering, and a literal
+  // that %g at default precision would round.
+  const catalog::ColumnId a{2, 5};  // supplier.s_acctbal, a double
+  const catalog::ColumnId b{2, 1};  // supplier.s_name, a string
+  sql::Query q;
+  q.select = {{sql::AggFunc::kMax, a}, {sql::AggFunc::kNone, b}};
+  q.tables = {2};
+  q.filters = {{a, sql::CmpOp::kGe, sql::Value::Double(0.1 + 0.2)},
+               {b, sql::CmpOp::kNe, sql::Value::StringCode(3)}};
+  q.conjunction = sql::Conjunction::kOr;
+  q.group_by = {b};
+  q.order_by = {b, a};
+  std::string error;
+  EXPECT_TRUE(sql::ValidateQuery(q, schema, &error)) << error;
+  w.queries.push_back(workload::WorkloadQuery{std::move(q), 1e-7});
+  return w;
+}
+
+// Encode, serialize, reparse: the path every shipped document takes.
+JsonValue ThroughText(const JsonValue& v) {
+  common::StatusOr<JsonValue> parsed = common::ParseJson(common::WriteJson(v));
+  TRAP_CHECK(parsed.ok());
+  return *std::move(parsed);
+}
+
+TEST(WireTest, DomainCodecsRoundTripExactly) {
+  const catalog::Schema schema = catalog::MakeTpcH();
+  sql::Vocabulary vocab(schema, 8);
+  const workload::Workload w = SampleWorkload(schema, vocab);
+
+  common::StatusOr<sql::Query> query =
+      DecodeQuery(ThroughText(EncodeQuery(w.queries.back().query)));
+  ASSERT_TRUE(query.ok()) << query.status().ToString();
+  EXPECT_EQ(*query, w.queries.back().query);
+
+  common::StatusOr<workload::Workload> workload =
+      DecodeWorkload(ThroughText(EncodeWorkload(w)));
+  ASSERT_TRUE(workload.ok()) << workload.status().ToString();
+  ASSERT_EQ(workload->size(), w.size());
+  for (size_t i = 0; i < w.queries.size(); ++i) {
+    EXPECT_EQ(workload->queries[i].query, w.queries[i].query) << i;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(workload->queries[i].weight),
+              std::bit_cast<std::uint64_t>(w.queries[i].weight))
+        << i;
+  }
+
+  const engine::IndexConfig config(
+      {engine::Index{{{0, 1}}}, engine::Index{{{2, 0}, {2, 3}, {2, 1}}}});
+  common::StatusOr<engine::IndexConfig> decoded_config =
+      DecodeIndexConfig(ThroughText(EncodeIndexConfig(config)));
+  ASSERT_TRUE(decoded_config.ok()) << decoded_config.status().ToString();
+  EXPECT_EQ(*decoded_config, config);
+  common::StatusOr<engine::IndexConfig> empty_config =
+      DecodeIndexConfig(ThroughText(EncodeIndexConfig({})));
+  ASSERT_TRUE(empty_config.ok());
+  EXPECT_TRUE(empty_config->empty());
+
+  for (const advisor::TuningConstraint& c :
+       {advisor::TuningConstraint::Storage(schema.DataSizeBytes() / 3),
+        advisor::TuningConstraint::IndexCount(5, std::int64_t{1} << 52)}) {
+    common::StatusOr<advisor::TuningConstraint> decoded =
+        DecodeConstraint(ThroughText(EncodeConstraint(c)));
+    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+    EXPECT_EQ(decoded->storage_budget_bytes, c.storage_budget_bytes);
+    EXPECT_EQ(decoded->max_indexes, c.max_indexes);
+  }
+}
+
+TEST(WireTest, DecodeRejectsMalformedDomainDocuments) {
+  using Decoder = common::Status (*)(const JsonValue&);
+  const Decoder query = [](const JsonValue& v) {
+    return DecodeQuery(v).status();
+  };
+  const Decoder workload = [](const JsonValue& v) {
+    return DecodeWorkload(v).status();
+  };
+  const Decoder config = [](const JsonValue& v) {
+    return DecodeIndexConfig(v).status();
+  };
+  const Decoder constraint = [](const JsonValue& v) {
+    return DecodeConstraint(v).status();
+  };
+  // A well-formed query document, edited below into malformed ones.
+  const std::string q =
+      "{\"select\":[{\"agg\":0,\"col\":[0,1]}],\"tables\":[0],\"joins\":[],"
+      "\"filters\":[],\"conj\":0,\"group_by\":[],\"order_by\":[]}";
+  ASSERT_TRUE(query(Params(q)).ok());
+  const struct {
+    Decoder decode;
+    std::string text;
+  } bad[] = {
+      // Not an object.
+      {query, "[1,2]"},
+      {workload, "\"w\""},
+      {config, "[]"},
+      {constraint, "7"},
+      // A missing field.
+      {query, "{\"select\":[],\"tables\":[0],\"joins\":[],\"filters\":[],"
+              "\"conj\":0,\"group_by\":[]}"},
+      {workload, "{\"queries\":[{\"query\":" + q + "}]}"},
+      {workload, "{}"},
+      {config, "{\"indexes\":[{}]}"},
+      {constraint, "{\"max_indexes\":3}"},
+      // Out-of-range column ids and enums.
+      {query, "{\"select\":[{\"agg\":0,\"col\":[-1,1]}],\"tables\":[0],"
+              "\"joins\":[],\"filters\":[],\"conj\":0,\"group_by\":[],"
+              "\"order_by\":[]}"},
+      {query, "{\"select\":[{\"agg\":0,\"col\":[0,1e12]}],\"tables\":[0],"
+              "\"joins\":[],\"filters\":[],\"conj\":0,\"group_by\":[],"
+              "\"order_by\":[]}"},
+      {query, "{\"select\":[{\"agg\":6,\"col\":[0,1]}],\"tables\":[0],"
+              "\"joins\":[],\"filters\":[],\"conj\":0,\"group_by\":[],"
+              "\"order_by\":[]}"},
+      {config, "{\"indexes\":[{\"columns\":[[0,0.5]]}]}"},
+      {config, "{\"indexes\":[{\"columns\":[[0,1],[1,1]]}]}"},
+      // Negative budgets.
+      {constraint, "{\"storage_budget_bytes\":-1,\"max_indexes\":0}"},
+      {constraint, "{\"storage_budget_bytes\":100,\"max_indexes\":-2}"},
+  };
+  for (const auto& [decode, text] : bad) {
+    EXPECT_EQ(decode(Params(text)).code(), StatusCode::kInvalidArgument)
+        << text;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Session API (direct Handle calls -- no socket).
-
-JsonValue Params(const std::string& text) {
-  common::StatusOr<JsonValue> v = common::ParseJson(text);
-  TRAP_CHECK(v.ok());
-  return *std::move(v);
-}
 
 rpc::Response Call(ServeService* svc,
                    const std::shared_ptr<const catalog::Snapshot>& snap,
@@ -229,6 +369,10 @@ TEST(ServiceTest, RejectsUnservableInputWithoutAborting) {
   EXPECT_EQ(Call(svc.get(), snap, 2, "advise", "{\"advisor\":\"SWIRL\"}")
                 .status,
             StatusCode::kInvalidArgument);
+  // Unknown advisor names are rejected by the registry.
+  EXPECT_EQ(Call(svc.get(), snap, 2, "advise", "{\"advisor\":\"Remote\"}")
+                .status,
+            StatusCode::kInvalidArgument);
   // whatif_batch without configurations has nothing to cost.
   EXPECT_EQ(Call(svc.get(), snap, 3, "whatif_batch",
                  "{\"workload_seed\":1,\"workload_size\":2,\"configs\":[]}")
@@ -245,6 +389,42 @@ TEST(ServiceTest, RejectsUnservableInputWithoutAborting) {
   // All four were answered, none published, and the service still serves.
   EXPECT_EQ(svc->snapshots().publications(), 0u);
   EXPECT_TRUE(Call(svc.get(), snap, 5, "health").ok());
+}
+
+// An advise call that ships its workload and constraint gets exactly the
+// configuration in-process Extend computes for them: the workload, the
+// constraint and the returned config all cross the wire codecs.
+TEST(ServiceTest, AdviseShippedWorkloadMatchesInProcessExtend) {
+  std::unique_ptr<ServeService> svc = MakeService();
+  const catalog::Schema schema = catalog::MakeTpcH();
+  sql::Vocabulary vocab(schema, 8);
+  const workload::Workload w = SampleWorkload(schema, vocab);
+  // Not the service's default budget (half the data), so a constraint the
+  // codec dropped would show.
+  const advisor::TuningConstraint constraint =
+      advisor::TuningConstraint::Storage(schema.DataSizeBytes() / 5);
+
+  JsonValue params = JsonValue::Object();
+  params.Set("advisor", JsonValue::Str("Extend"));
+  params.Set("workload", EncodeWorkload(w));
+  params.Set("constraint", EncodeConstraint(constraint));
+  rpc::Response resp = Call(svc.get(), svc->snapshots().Current(), 1,
+                            "advise", common::WriteJson(params));
+  ASSERT_TRUE(resp.ok()) << resp.message;
+  const JsonValue* config_doc = resp.result.Find("config");
+  ASSERT_NE(config_doc, nullptr);
+  common::StatusOr<engine::IndexConfig> served = DecodeIndexConfig(*config_doc);
+  ASSERT_TRUE(served.ok()) << served.status().ToString();
+
+  engine::WhatIfOptimizer optimizer(schema);
+  common::StatusOr<std::unique_ptr<advisor::IndexAdvisor>> local =
+      advisor::MakeAdvisor("Extend", optimizer);
+  ASSERT_TRUE(local.ok());
+  common::StatusOr<engine::IndexConfig> direct =
+      (*local)->TryRecommend(w, constraint, common::EvalContext{});
+  ASSERT_TRUE(direct.ok()) << direct.status().ToString();
+  EXPECT_EQ(*served, *direct);
+  EXPECT_FALSE(direct->indexes().empty());
 }
 
 // ---------------------------------------------------------------------------
@@ -518,47 +698,6 @@ TEST(ServerTest, ScriptedSessionDigestIsStable) {
   const std::string first = RunScriptedSession();
   EXPECT_EQ(RunScriptedSession(), first);
   EXPECT_NE(first.find("0x"), std::string::npos) << first;
-}
-
-// The registry's "Remote" advisor proxies TryRecommend to a trap_serve
-// --stdio child over the frame protocol; for the same workload and
-// constraint it must land on exactly the configuration the in-process
-// advisor it hosts (Extend) computes locally.
-TEST(ServerTest, RemoteAdvisorMatchesLocalExtend) {
-  ASSERT_FALSE(ServeBinary().empty());
-  const catalog::Schema schema = catalog::MakeTpcH();
-  sql::Vocabulary vocab(schema, 8);
-  engine::WhatIfOptimizer optimizer(schema);
-  workload::GeneratorOptions gopt;
-  gopt.max_tables = 3;
-  gopt.max_filters = 3;
-  workload::QueryGenerator gen(vocab, gopt, 1);
-  workload::Workload w;
-  std::vector<sql::Query> pool = gen.GeneratePool(12);
-  for (int i = 0; i < 6; ++i) {
-    w.queries.push_back(workload::WorkloadQuery{std::move(pool[i]), 1.0});
-  }
-  const advisor::TuningConstraint constraint =
-      advisor::TuningConstraint::Storage(schema.DataSizeBytes() / 2);
-  common::EvalContext ctx;
-
-  advisor::RegistryOptions options;
-  options.remote.argv = {ServeBinary(), "--stdio"};
-  common::StatusOr<std::unique_ptr<advisor::IndexAdvisor>> remote =
-      advisor::MakeAdvisor("Remote", optimizer, options);
-  ASSERT_TRUE(remote.ok()) << remote.status().ToString();
-  common::StatusOr<engine::IndexConfig> via_wire =
-      (*remote)->TryRecommend(w, constraint, ctx);
-  ASSERT_TRUE(via_wire.ok()) << via_wire.status().ToString();
-
-  common::StatusOr<std::unique_ptr<advisor::IndexAdvisor>> local =
-      advisor::MakeAdvisor("Extend", optimizer);
-  ASSERT_TRUE(local.ok());
-  common::StatusOr<engine::IndexConfig> direct =
-      (*local)->TryRecommend(w, constraint, ctx);
-  ASSERT_TRUE(direct.ok());
-  EXPECT_EQ(*via_wire, *direct);
-  EXPECT_FALSE(direct->indexes().empty());
 }
 
 }  // namespace

@@ -1,14 +1,10 @@
-// trap_serve: the advisor-as-a-service runtime. One binary, three modes:
+// trap_serve: the advisor-as-a-service runtime. One binary, two modes:
 //
 //   trap_serve --listen PATH [--schema S] [--seed N] [--max-inflight N]
 //     Poll()-driven Unix-domain-socket server speaking the common::rpc
 //     envelope in length-prefixed frames. Methods: health, snapshot_stats,
 //     advise, assess, whatif_batch, drift_replay (src/serve/service.h),
 //     plus "shutdown" (handled by the server itself).
-//
-//   trap_serve --stdio [--schema S] [--seed N]
-//     The same session API over stdin/stdout frames -- the host process for
-//     advisor::RemoteAdvisor (registry name "Remote").
 //
 //   trap_serve --script FILE [--connections N] [--digest] [--socket PATH]
 //     Scripted multi-connection client. Without --socket it spawns itself
@@ -58,7 +54,6 @@ struct ToolOptions {
   unsigned long long seed = 1;
   long long max_inflight = 64;
   std::string listen_path;   // server mode
-  bool stdio = false;        // stdio mode
   std::string script_path;   // client mode
   std::string socket_path;   // client mode: connect instead of spawning
   long long connections = 1;
@@ -69,7 +64,7 @@ struct ToolOptions {
 int Usage(std::FILE* out) {
   std::fprintf(
       out,
-      "usage: trap_serve (--listen PATH | --stdio | --script FILE) [options]\n"
+      "usage: trap_serve (--listen PATH | --script FILE) [options]\n"
       "  --schema NAME       tpch | tpcds | transaction (default tpch)\n"
       "  --seed S            default workload seed (default 1)\n"
       "  --max-inflight N    admission bound, server mode (default 64)\n"
@@ -92,16 +87,12 @@ uint64_t HashPayload(const std::string& payload) {
   return h;
 }
 
-trap::serve::ServiceOptions MakeServiceOptions(const ToolOptions& options) {
-  trap::serve::ServiceOptions sopt;
-  sopt.schema = options.schema;
-  sopt.seed = options.seed;
-  return sopt;
-}
-
 int ServerMain(const ToolOptions& options) {
+  trap::serve::ServiceOptions service_options;
+  service_options.schema = options.schema;
+  service_options.seed = options.seed;
   trap::common::StatusOr<std::unique_ptr<trap::serve::ServeService>> service =
-      trap::serve::ServeService::Create(MakeServiceOptions(options));
+      trap::serve::ServeService::Create(service_options);
   if (!service.ok()) {
     std::fprintf(stderr, "trap_serve: %s\n",
                  service.status().ToString().c_str());
@@ -118,45 +109,6 @@ int ServerMain(const ToolOptions& options) {
     return 1;
   }
   return 0;
-}
-
-// The RemoteAdvisor host loop: hello first, then one response per request.
-// Clean EOF on stdin (the parent closed the pipe) is the shutdown signal.
-int StdioMain(const ToolOptions& options) {
-  trap::common::StatusOr<std::unique_ptr<trap::serve::ServeService>> service =
-      trap::serve::ServeService::Create(MakeServiceOptions(options));
-  if (!service.ok()) {
-    std::fprintf(stderr, "trap_serve: %s\n",
-                 service.status().ToString().c_str());
-    return 1;
-  }
-  trap::common::Status status = trap::common::WriteFrame(
-      stdout, trap::common::rpc::EncodeHello("trap-serve"));
-  if (!status.ok()) {
-    std::fprintf(stderr, "trap_serve: %s\n", status.ToString().c_str());
-    return 1;
-  }
-  trap::common::FrameDecoder decoder;
-  std::string payload;
-  while (true) {
-    status = trap::common::ReadFrame(stdin, &decoder, &payload);
-    if (status.code() == trap::common::StatusCode::kUnavailable) return 0;
-    if (!status.ok()) {
-      std::fprintf(stderr, "trap_serve: %s\n", status.ToString().c_str());
-      return 1;
-    }
-    trap::common::StatusOr<trap::common::rpc::Request> req =
-        trap::common::rpc::DecodeRequest(payload);
-    trap::common::rpc::Response resp =
-        req.ok() ? (*service)->Handle(*req, (*service)->snapshots().Current())
-                 : trap::common::rpc::ErrorResponse(0, req.status());
-    status = trap::common::WriteFrame(
-        stdout, trap::common::rpc::EncodeResponse(resp));
-    if (!status.ok()) {
-      std::fprintf(stderr, "trap_serve: %s\n", status.ToString().c_str());
-      return 1;
-    }
-  }
 }
 
 // One scripted client connection: a blocking socket plus the bookkeeping to
@@ -437,10 +389,6 @@ int main(int argc, char** argv) {
   trap::cli::FlagParser flags(argc, argv, "trap_serve");
   while (flags.Next()) {
     if (flags.Switch("--help") || flags.Switch("-h")) return Usage(stdout);
-    if (flags.Switch("--stdio")) {
-      options.stdio = true;
-      continue;
-    }
     if (flags.Switch("--digest")) {
       options.digest_only = true;
       continue;
@@ -458,11 +406,10 @@ int main(int argc, char** argv) {
   }
   if (flags.failed()) return Usage(stderr);
   const int modes = (options.listen_path.empty() ? 0 : 1) +
-                    (options.stdio ? 1 : 0) +
                     (options.script_path.empty() ? 0 : 1);
   if (modes != 1) {
     std::fprintf(stderr,
-                 "trap_serve: exactly one of --listen, --stdio, --script\n");
+                 "trap_serve: exactly one of --listen, --script\n");
     return Usage(stderr);
   }
   if (options.max_inflight < 1) {
@@ -474,7 +421,6 @@ int main(int argc, char** argv) {
     return 2;
   }
   if (!options.listen_path.empty()) return ServerMain(options);
-  if (options.stdio) return StdioMain(options);
   return ClientMain(options, [&] {
     char buf[4096];
     const ssize_t n = ::readlink("/proc/self/exe", buf, sizeof buf - 1);

@@ -560,6 +560,55 @@ TEST_F(PretrainMemoTest, TrapMethodOutputsBitIdentical) {
   EXPECT_EQ(generated, 0x93d3dd47a44f6258ULL) << std::hex << generated;
 }
 
+// The TRAP method with the raw what-if reward, on an agent whose GRU input
+// and hidden widths differ (embedding 16, encoder directions 10 wide, the
+// decoder 20): pretraining, RL against DB2Advis, then best-of-3 generation
+// on two workloads. Every parameter's value/m/v bits, the RL reward trace
+// and the generated queries' fingerprints are pinned, so no change to the
+// nn kernels or to how a GRU step is taped may move a bit of them.
+TEST_F(TrapTest, RawRewardGeneratorMatchesPinnedBits) {
+  GeneratorConfig cfg;
+  cfg.method = GenerationMethod::kTrap;
+  cfg.constraint = PerturbationConstraint::kSharedTable;
+  cfg.epsilon = 5;
+  cfg.agent.embed_dim = 16;
+  cfg.agent.hidden_dim = 20;
+  cfg.pretrain.num_pairs = 16;
+  cfg.pretrain.epochs = 2;
+  cfg.rl.epochs = 2;
+  cfg.rl.workloads_per_epoch = 2;
+  cfg.rl.theta = 0.0;
+  cfg.rl.use_learned_utility = false;
+  cfg.model_attempts = 3;
+  cfg.seed = 17;
+  auto victim = *advisor::MakeAdvisor("DB2Advis", optimizer_);
+  AdversarialWorkloadGenerator gen(vocab_, cfg);
+  gen.Fit(victim.get(), nullptr, &optimizer_, nullptr, pool_, training_,
+          Constraint());
+
+  uint64_t params = kFnvBasis;
+  for (const nn::Parameter* p : gen.agent()->store().parameters()) {
+    for (const nn::Matrix* m : {&p->value, &p->m, &p->v}) {
+      for (int i = 0; i < m->size(); ++i) params = Fnv(params, m->data()[i]);
+    }
+  }
+  uint64_t rewards = kFnvBasis;
+  for (const std::optional<double>& r : gen.rl_trace().mean_reward_per_epoch) {
+    rewards = Fnv(rewards, r.has_value() ? *r : -1.0);
+  }
+  uint64_t generated = kFnvBasis;
+  for (const workload::Workload* w : {&test_, &training_[2]}) {
+    common::StatusOr<workload::Workload> out = gen.TryGenerate(*w);
+    ASSERT_TRUE(out.ok()) << out.status().ToString();
+    for (const workload::WorkloadQuery& wq : out->queries) {
+      generated = Fnv(generated, sql::Fingerprint(wq.query));
+    }
+  }
+  EXPECT_EQ(params, 0xed5edc90b3bea212ULL) << std::hex << params;
+  EXPECT_EQ(rewards, 0x0a416035c55e2f4bULL) << std::hex << rewards;
+  EXPECT_EQ(generated, 0x52c791c3da529512ULL) << std::hex << generated;
+}
+
 // An epoch in which every drawn workload fails u(W) > theta has no mean
 // reward, not a reward of zero, and leaves the weights as they were.
 TEST_F(PretrainMemoTest, EpochWithoutUsableWorkloadHasNoMeanReward) {

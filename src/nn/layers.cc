@@ -69,20 +69,19 @@ Graph::VarId Embedding::Forward(Graph& g, const std::vector<int>& ids) const {
 
 GruCell::GruCell(ParameterStore* store, int input, int hidden,
                  common::Rng& rng)
-    : xz_(store, input, hidden, rng),
-      hz_(store, hidden, hidden, rng),
-      xr_(store, input, hidden, rng),
-      hr_(store, hidden, hidden, rng),
-      xn_(store, input, hidden, rng),
-      hn_(store, hidden, hidden, rng),
-      hidden_(hidden) {}
+    : hidden_(hidden) {
+  // Gates z, r, n; per gate the input map, then the hidden map (a braced
+  // list evaluates left to right, so the weight draws before the bias).
+  for (int gate = 0; gate < 3; ++gate) {
+    w_.x[gate] = {store->Create(input, hidden, rng),
+                  store->CreateZero(1, hidden)};
+    w_.h[gate] = {store->Create(hidden, hidden, rng),
+                  store->CreateZero(1, hidden)};
+  }
+}
 
 Graph::VarId GruCell::Step(Graph& g, Graph::VarId x, Graph::VarId h) const {
-  Graph::VarId z = g.Sigmoid(g.Add(xz_.Forward(g, x), hz_.Forward(g, h)));
-  Graph::VarId r = g.Sigmoid(g.Add(xr_.Forward(g, x), hr_.Forward(g, h)));
-  Graph::VarId n =
-      g.Tanh(g.Add(xn_.Forward(g, x), hn_.Forward(g, g.Mul(r, h))));
-  return g.Add(h, g.Mul(z, g.Sub(n, h)));
+  return g.GruStep(x, h, w_);
 }
 
 Mlp::Mlp(ParameterStore* store, const std::vector<int>& dims,

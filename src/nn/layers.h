@@ -63,21 +63,22 @@ class Embedding {
 };
 
 // Standard GRU cell (update gate z, reset gate r, candidate n):
-//   z = sigmoid(x Wxz + h Whz + bz)
-//   r = sigmoid(x Wxr + h Whr + br)
-//   n = tanh(x Wxn + (r*h) Whn + bn)
+//   z = sigmoid(x Wxz + bxz + h Whz + bhz)
+//   r = sigmoid(x Wxr + bxr + h Whr + bhr)
+//   n = tanh(x Wxn + bxn + (r*h) Whn + bhn)
 //   h' = h + z * (n - h)
 class GruCell {
  public:
   GruCell() = default;
   GruCell(ParameterStore* store, int input, int hidden, common::Rng& rng);
 
+  // One fused Graph::GruStep node.
   Graph::VarId Step(Graph& g, Graph::VarId x, Graph::VarId h) const;
 
   int hidden() const { return hidden_; }
 
  private:
-  Linear xz_, hz_, xr_, hr_, xn_, hn_;
+  GruWeights w_;
   int hidden_ = 0;
 };
 

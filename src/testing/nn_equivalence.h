@@ -20,6 +20,19 @@ namespace trap::proptest {
 // must still agree bit for bit. Returns the first mismatch, or nullopt.
 std::optional<std::string> CheckNnKernelEquivalence(uint64_t seed, int ops);
 
+// The nn-gru-equivalence property. Builds one random chain of `steps` GRU
+// steps, seeded by `seed`: nn::Graph::GruStep nodes on nn::Graph, and on
+// ReferenceGraph the unfused chain of Param, MatMul, Add, Sigmoid, Tanh, Mul
+// and Sub nodes each step stands for. Shapes are 1..5 rows, inputs and
+// hidden widths; values carry signed zeros and, in some chains, rare
+// infinities; inputs are reused across steps (x == h when the widths
+// agree), x and h sometimes feed another op too, and now and then one
+// parameter fills two slots. Every var's value and gradient, and every
+// Parameter::grad, must agree bit for bit after one Backward and, in half
+// the chains, after a second one; then two Adam steps as above. Returns the
+// first mismatch, or nullopt.
+std::optional<std::string> CheckNnGruEquivalence(uint64_t seed, int steps);
+
 }  // namespace trap::proptest
 
 #endif  // TRAP_TESTING_NN_EQUIVALENCE_H_

@@ -576,6 +576,7 @@ constexpr OracleEntry kOracles[] = {
     {OracleId::kRegretSanity, "regret-sanity"},
     {OracleId::kStatsBudget, "stats-budget"},
     {OracleId::kNnKernelEquivalence, "nn-kernel-equivalence"},
+    {OracleId::kNnGruEquivalence, "nn-gru-equivalence"},
 };
 static_assert([] {
   for (size_t i = 1; i < std::size(kOracles); ++i) {
@@ -648,6 +649,8 @@ std::optional<std::string> CheckReproducer(OracleId id, OracleEnv& env,
       return CheckStatsBudget(env, r);
     case OracleId::kNnKernelEquivalence:
       return CheckNnKernelEquivalence(r.walk_seed, r.epsilon);
+    case OracleId::kNnGruEquivalence:
+      return CheckNnGruEquivalence(r.walk_seed, r.epsilon);
   }
   return std::nullopt;
 }
@@ -735,6 +738,14 @@ std::optional<OracleFailure> RunOracle(OracleId id, OracleEnv& env,
       r.walk_seed = gen.rng().engine()();  // tape seed
       break;
     }
+    case OracleId::kNnGruEquivalence: {
+      // As above; the budget pass drops steps.
+      sql::Query q = gen.Query();
+      r.workload.queries.push_back(workload::WorkloadQuery{q, 1.0});
+      r.epsilon = static_cast<int>(gen.rng().UniformInt(1, 6));  // steps
+      r.walk_seed = gen.rng().engine()();  // tape seed
+      break;
+    }
   }
   std::optional<std::string> message = CheckReproducer(id, env, r);
   if (!message.has_value()) return std::nullopt;
@@ -783,6 +794,10 @@ std::string DescribeReproducer(OracleId id, const OracleEnv& env,
   }
   if (id == OracleId::kNnKernelEquivalence) {
     out += common::StrFormat("tape: ops=%d seed=%llu\n", r.epsilon,
+                             static_cast<unsigned long long>(r.walk_seed));
+  }
+  if (id == OracleId::kNnGruEquivalence) {
+    out += common::StrFormat("gru chain: steps=%d seed=%llu\n", r.epsilon,
                              static_cast<unsigned long long>(r.walk_seed));
   }
   return out;

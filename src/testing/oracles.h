@@ -18,7 +18,7 @@ namespace trap::proptest {
 
 using PerturbationConstraint = ::trap::trap::PerturbationConstraint;
 
-// The ten metamorphic / differential oracle families. Each one states an
+// The eleven metamorphic / differential oracle families. Each one states an
 // invariant the engine, an advisor, the drift runtime or the nn kernels
 // must hold for *every* input, so the harness can hammer them with
 // generated cases instead of hand-picked ones:
@@ -59,7 +59,12 @@ using PerturbationConstraint = ::trap::trap::PerturbationConstraint;
 //                          aliasing, reused Param leaves) matches the
 //                          at()-based ReferenceGraph bit for bit in forward
 //                          values, every gradient and two Adam steps with
-//                          and without clipping (differential).
+//                          and without clipping (differential);
+//   nn-gru-equivalence     a random chain of fused Graph::GruStep nodes
+//                          (1..5 rows, x == h, x/h with other consumers,
+//                          shared parameters, a second Backward) matches
+//                          the unfused chain it stands for on ReferenceGraph
+//                          bit for bit, in the same terms (differential).
 //
 // An id's value salts its case streams (RunOracle), so the values are frozen
 // once an oracle exists and committed corpus cases keep building the same
@@ -75,6 +80,7 @@ enum class OracleId {
   kRegretSanity = 7,
   kStatsBudget = 8,
   kNnKernelEquivalence = 10,
+  kNnGruEquivalence = 11,
 };
 
 const char* OracleName(OracleId id);
@@ -108,9 +114,10 @@ struct Reproducer {
   int epsilon = 0;        // perturbation-budget; drift oracles: episodes
                           // (episode-determinism, regret-sanity) or L1
                           // budget quarters (stats-budget);
-                          // nn-kernel-equivalence: tape length in ops
+                          // nn-kernel-equivalence: tape length in ops;
+                          // nn-gru-equivalence: GRU steps
   uint64_t walk_seed = 0;  // perturbation walk / drift episode-stream seed;
-                           // nn-kernel-equivalence: tape seed
+                           // nn-*-equivalence: tape seed
   int advisor = 0;        // advisor-contract + drift: advisor id in [0,6)
   int64_t storage_budget = 0;
   int max_indexes = 0;                // 0 = unconstrained count

@@ -88,9 +88,9 @@ struct TrapAgent::Impl {
   nn::Graph::VarId Encode(nn::Graph& g, const std::vector<int>& ids) const {
     if (options.encoder == EncoderKind::kNone) return -1;
     Metrics().encodes->Add();
-    nn::Graph::VarId x = embed.Forward(g, ids);  // n x e
     int n = static_cast<int>(ids.size());
     if (options.encoder == EncoderKind::kTransformer) {
+      nn::Graph::VarId x = embed.Forward(g, ids);  // n x e
       nn::Graph::VarId pe = g.Input(nn::PositionalEncoding(n, options.embed_dim));
       return transformer->Forward(g, g.Add(x, pe));
     }

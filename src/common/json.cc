@@ -1,5 +1,6 @@
 #include "common/json.h"
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
@@ -250,8 +251,13 @@ std::optional<double> JsonValue::NumberAt(std::string_view key) const {
 }
 
 std::optional<std::int64_t> JsonValue::IntAt(std::string_view key) const {
+  // -2^63 is a double; 2^63 is the first one past int64's top.
+  constexpr double kTwo63 = 9223372036854775808.0;
   std::optional<double> d = NumberAt(key);
-  if (!d.has_value()) return std::nullopt;
+  if (!d.has_value() || !std::isfinite(*d) || std::trunc(*d) != *d ||
+      *d < -kTwo63 || *d >= kTwo63) {
+    return std::nullopt;
+  }
   return static_cast<std::int64_t>(*d);
 }
 

@@ -29,6 +29,7 @@ struct JsonValue {
   // Object member lookup; nullptr when absent or not an object.
   const JsonValue* Find(std::string_view key) const;
   std::optional<double> NumberAt(std::string_view key) const;
+  // nullopt also when the number is not an integer that int64 holds.
   std::optional<std::int64_t> IntAt(std::string_view key) const;
   std::optional<bool> BoolAt(std::string_view key) const;
   std::optional<std::string> StringAt(std::string_view key) const;

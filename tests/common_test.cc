@@ -362,6 +362,26 @@ TEST(JsonTest, WriteParseRoundTripIsBitExact) {
   }
 }
 
+// IntAt answers only for integers int64 holds; any other number reads as
+// absent instead of being cast.
+TEST(JsonTest, IntAtRejectsNumbersOutsideInt64) {
+  StatusOr<JsonValue> v = ParseJson(
+      "{\"neg_huge\": -1e300, \"huge\": 1e30, \"inf\": 1e400, "
+      "\"half\": 1.5, \"neg_zero\": -0.0, \"whole\": 42.0, "
+      "\"min\": -9223372036854775808, \"top\": 9223372036854774784, "
+      "\"past_top\": 9223372036854775808, "
+      "\"below_min\": -9223372036854777856}");
+  ASSERT_TRUE(v.ok()) << v.status().ToString();
+  for (const char* key : {"neg_huge", "huge", "inf", "half", "past_top",
+                          "below_min", "missing"}) {
+    EXPECT_FALSE(v->IntAt(key).has_value()) << key;
+  }
+  EXPECT_EQ(v->IntAt("neg_zero"), 0);
+  EXPECT_EQ(v->IntAt("whole"), 42);
+  EXPECT_EQ(v->IntAt("min"), std::numeric_limits<std::int64_t>::min());
+  EXPECT_EQ(v->IntAt("top"), std::int64_t{9223372036854774784});
+}
+
 TEST(FrameTest, EncodeDecodeRoundTrips) {
   FrameDecoder decoder;
   const std::string a = EncodeFrame("{\"x\":1}");

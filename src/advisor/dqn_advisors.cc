@@ -68,7 +68,7 @@ class DqnAdvisorBase : public LearningAdvisor {
           break;
         }
         common::StatusOr<std::vector<double>> state =
-            encoder_->TryEncode(w, env.built(), constraint);
+            encoder_->TryEncode(env);
         if (!state.ok()) break;
         int a = rng_.Bernoulli(eps) ? RandomValid(valid)
                                     : GreedyAction(qnet_, *state, valid);
@@ -76,7 +76,7 @@ class DqnAdvisorBase : public LearningAdvisor {
         if (!r.ok()) break;
         bool done = env.Done();
         common::StatusOr<std::vector<double>> next_state =
-            encoder_->TryEncode(w, env.built(), constraint);
+            encoder_->TryEncode(env);
         if (!next_state.ok()) break;
         std::vector<bool> next_valid = env.ValidActions(false);
         replay_.push_back(Transition{*std::move(state), a, *r,
@@ -117,7 +117,7 @@ class DqnAdvisorBase : public LearningAdvisor {
       }
       TRAP_ASSIGN_OR_RETURN(
           std::vector<double> state,
-          encoder_->TryEncode(w, env.built(), constraint, ctx));
+          encoder_->TryEncode(env, ctx));
       int a = GreedyAction(qnet_, state, valid);
       // Stop early when the best remaining Q-value predicts no improvement
       // (but always recommend at least one index).

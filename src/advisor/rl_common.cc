@@ -101,9 +101,10 @@ int StateEncoder::dim() const {
 }
 
 common::StatusOr<std::vector<double>> StateEncoder::TryEncode(
-    const workload::Workload& w, const engine::IndexConfig& built,
-    const TuningConstraint& constraint,
-    const common::EvalContext& ctx) const {
+    IndexSelectionEnv& env, const common::EvalContext& ctx) const {
+  const workload::Workload& w = env.workload();
+  const engine::IndexConfig& built = env.built();
+  const TuningConstraint& constraint = env.constraint();
   int k = actions_->size();
   std::vector<double> state;
   state.reserve(static_cast<size_t>(dim()));
@@ -122,9 +123,7 @@ common::StatusOr<std::vector<double>> StateEncoder::TryEncode(
     }
     double norm = std::max(1.0, static_cast<double>(w.size()));
     for (double v : agg) state.push_back(v / norm);
-    TRAP_ASSIGN_OR_RETURN(
-        double base,
-        optimizer_->TryWorkloadCost(w, engine::IndexConfig(), ctx));
+    TRAP_ASSIGN_OR_RETURN(double base, env.TryBaseCost(ctx));
     state.push_back(std::log1p(cost) / 20.0);
     state.push_back(base > 0.0 ? 1.0 - cost / base : 0.0);
     double used = constraint.storage_budget_bytes > 0
@@ -175,6 +174,7 @@ void IndexSelectionEnv::Reset(const workload::Workload* w,
   workload_ = w;
   constraint_ = constraint;
   built_ = engine::IndexConfig();
+  base_cost_.reset();
   steps_ = 0;
 }
 
@@ -183,10 +183,21 @@ common::Status IndexSelectionEnv::TryReset(const workload::Workload* w,
                                            const common::EvalContext& ctx) {
   Reset(w, constraint);
   ctx_ = ctx;
-  TRAP_ASSIGN_OR_RETURN(base_cost_,
+  TRAP_ASSIGN_OR_RETURN(current_cost_,
                         optimizer_->TryWorkloadCost(*w, built_, ctx_));
-  current_cost_ = base_cost_;
+  base_cost_ = current_cost_;
   return common::Status::Ok();
+}
+
+common::StatusOr<double> IndexSelectionEnv::TryBaseCost(
+    const common::EvalContext& ctx) {
+  if (!base_cost_.has_value()) {
+    TRAP_ASSIGN_OR_RETURN(
+        double base,
+        optimizer_->TryWorkloadCost(*workload_, engine::IndexConfig(), ctx));
+    base_cost_ = base;
+  }
+  return *base_cost_;
 }
 
 std::vector<bool> IndexSelectionEnv::ValidActions(bool mask_irrelevant) const {
@@ -214,8 +225,9 @@ common::StatusOr<double> IndexSelectionEnv::TryStep(int a) {
   Build(a);
   TRAP_ASSIGN_OR_RETURN(double new_cost,
                         optimizer_->TryWorkloadCost(*workload_, built_, ctx_));
-  double reward =
-      base_cost_ > 0.0 ? (current_cost_ - new_cost) / base_cost_ : 0.0;
+  TRAP_CHECK(base_cost_.has_value());
+  const double base = *base_cost_;
+  double reward = base > 0.0 ? (current_cost_ - new_cost) / base : 0.0;
   current_cost_ = new_cost;
   return reward;
 }

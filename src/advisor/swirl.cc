@@ -96,7 +96,7 @@ struct SwirlAdvisor::Impl {
       // (an empty recommendation is never useful).
       valid.push_back(!env.built().empty());
       common::StatusOr<std::vector<double>> state =
-          encoder->TryEncode(w, env.built(), constraint, ctx);
+          encoder->TryEncode(env, ctx);
       if (!state.ok()) {
         status = state.status();
         break;

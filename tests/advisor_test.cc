@@ -328,6 +328,23 @@ TEST_F(AdvisorTest, CoarseDqnRecommendMakesNoWhatIfCalls) {
   EXPECT_FALSE(config.empty());
 }
 
+// A greedy SWIRL walk reads the fine state at every step, and with it the
+// workload's no-index cost. No step changes that cost, so the walk costs it
+// once: one what-if call per query, however many indexes it builds.
+TEST_F(AdvisorTest, FineSwirlRecommendCostsTheEmptyConfigurationOnce) {
+  RegistryOptions opt;
+  opt.rl_episodes = 60;
+  opt.max_actions = 16;
+  auto advisor = *MakeLearningAdvisor("SWIRL", optimizer_, opt);
+  advisor->Train(training_, StorageConstraint());
+  const int64_t calls = optimizer_.num_calls();
+  IndexConfig config =
+      advisor->TryRecommend(test_workload_, StorageConstraint(), {}).value();
+  EXPECT_EQ(optimizer_.num_calls() - calls,
+            static_cast<int64_t>(test_workload_.size()));
+  EXPECT_GT(config.size(), 1);
+}
+
 // The greedy walks of the three learners, pinned while they still probed
 // the cost of every step: dropping the probes must not move a
 // recommendation.

@@ -1,6 +1,6 @@
 // trap_fuzz: metamorphic / differential fuzzing driver for the TRAP engine,
 // perturber, advisors, drift runtime and nn kernels. Runs seeded generated
-// cases against the ten oracle families in src/testing/oracles.h, shrinks
+// cases against the eleven oracle families in src/testing/oracles.h, shrinks
 // failures to minimal reproducers, and replays the committed regression
 // corpus.
 //

@@ -380,7 +380,7 @@ StatusOr<advisor::TuningConstraint> DecodeConstraint(const JsonValue& v) {
   std::optional<std::int64_t> storage = v.IntAt("storage_budget_bytes");
   std::optional<std::int64_t> count = v.IntAt("max_indexes");
   if (!storage.has_value() || !count.has_value() || *storage < 0 ||
-      *count < 0) {
+      *count < 0 || *count > std::numeric_limits<int>::max()) {
     return Status::InvalidArgument("constraint: bad budget fields");
   }
   c.storage_budget_bytes = *storage;

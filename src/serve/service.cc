@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <memory>
 #include <optional>
+#include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -25,31 +27,44 @@ using common::JsonValue;
 using common::Status;
 using common::StatusOr;
 
+// An integer request param: `fallback` when absent, INVALID_ARGUMENT when
+// present but not an integral number in int64 range (1.5, -1e300, "4").
+StatusOr<std::int64_t> IntParam(const JsonValue& params, std::string_view key,
+                                std::int64_t fallback) {
+  if (params.Find(key) == nullptr) return fallback;
+  std::optional<std::int64_t> value = params.IntAt(key);
+  if (!value.has_value()) {
+    return Status::InvalidArgument(std::string(key) + " must be an integer");
+  }
+  return *value;
+}
+
+// The request's step budget (param "step_budget"; absent or <= 0 =
+// unbounded), validated before a RequestEnv is built from it.
+StatusOr<std::uint64_t> StepBudget(const JsonValue& params) {
+  TRAP_ASSIGN_OR_RETURN(std::int64_t budget,
+                        IntParam(params, "step_budget", 0));
+  return budget > 0 ? static_cast<std::uint64_t>(budget)
+                    : common::CancelToken::kUnbounded;
+}
+
 // Per-request evaluation environment: a deterministic step-budget deadline
-// (params "step_budget"; absent or 0 = unbounded), a private TraceSink whose
-// digest rides back in the result, and the pinned snapshot. The trace sink
-// is per-request so the digest a client sees depends only on its own
-// request, never on what other sessions ran first.
+// (see StepBudget), a private TraceSink whose digest rides back in the
+// result, and the pinned snapshot. The trace sink is per-request so the
+// digest a client sees depends only on its own request, never on what other
+// sessions ran first.
 struct RequestEnv {
   common::CancelToken cancel;
   obs::TraceSink trace;
   obs::ObsSink obs;
   common::EvalContext ctx;
 
-  RequestEnv(const JsonValue& params, const catalog::Snapshot* snapshot)
-      : cancel(BudgetOf(params)) {
+  RequestEnv(std::uint64_t step_budget, const catalog::Snapshot* snapshot)
+      : cancel(step_budget) {
     obs.trace = &trace;
     ctx.cancel = &cancel;
     ctx.obs = &obs;
     ctx.snapshot = snapshot;
-  }
-
-  static std::uint64_t BudgetOf(const JsonValue& params) {
-    std::optional<std::int64_t> budget = params.IntAt("step_budget");
-    if (budget.has_value() && *budget > 0) {
-      return static_cast<std::uint64_t>(*budget);
-    }
-    return common::CancelToken::kUnbounded;
   }
 };
 
@@ -116,6 +131,22 @@ Status ValidateOverlay(const catalog::StatsOverlay& overlay,
     if (table < 0 || table >= total_tables) {
       return Status::InvalidArgument(
           "overlay: row-count override out of range");
+    }
+  }
+  return Status::Ok();
+}
+
+// DecodeIndexConfig checks a config's shape, not the schema. A column the
+// pinned epoch does not have (added tables included) would be costed as if
+// its index were absent, so refuse it instead.
+Status ValidateConfig(const engine::IndexConfig& config,
+                      const catalog::Schema& schema) {
+  for (const engine::Index& index : config.indexes()) {
+    for (const catalog::ColumnId& c : index.columns) {
+      if (c.table < 0 || c.table >= schema.num_tables() || c.column < 0 ||
+          c.column >= static_cast<int>(schema.table(c.table).columns.size())) {
+        return Status::InvalidArgument("config column out of range");
+      }
     }
   }
   return Status::Ok();
@@ -223,12 +254,13 @@ StatusOr<workload::Workload> ServeService::ResolveWorkload(
   if (const JsonValue* shipped = params.Find("workload")) {
     TRAP_ASSIGN_OR_RETURN(w, DecodeWorkload(*shipped));
   } else {
-    std::optional<std::int64_t> seed_param = params.IntAt("workload_seed");
-    const uint64_t seed = seed_param.has_value() && *seed_param >= 0
-                              ? static_cast<uint64_t>(*seed_param)
-                              : options_.seed;
-    const std::int64_t size =
-        params.IntAt("workload_size").value_or(options_.workload_size);
+    TRAP_ASSIGN_OR_RETURN(const std::int64_t seed_param,
+                          IntParam(params, "workload_seed", -1));
+    const uint64_t seed = seed_param >= 0 ? static_cast<uint64_t>(seed_param)
+                                          : options_.seed;
+    TRAP_ASSIGN_OR_RETURN(
+        const std::int64_t size,
+        IntParam(params, "workload_size", options_.workload_size));
     if (size < 1 || size > options_.pool_size) {
       return Status::InvalidArgument("workload_size out of range");
     }
@@ -260,7 +292,8 @@ StatusOr<workload::Workload> ServeService::ResolveWorkload(
 
 StatusOr<JsonValue> ServeService::Advise(const JsonValue& params,
                                          const catalog::Snapshot& snap) {
-  RequestEnv env(params, &snap);
+  TRAP_ASSIGN_OR_RETURN(const std::uint64_t budget, StepBudget(params));
+  RequestEnv env(budget, &snap);
   TRAP_ASSIGN_OR_RETURN(std::string name, ResolveAdvisorName(params));
   TRAP_ASSIGN_OR_RETURN(workload::Workload w,
                         ResolveWorkload(params, optimizer_.SchemaFor(env.ctx)));
@@ -278,7 +311,8 @@ StatusOr<JsonValue> ServeService::Advise(const JsonValue& params,
 
 StatusOr<JsonValue> ServeService::Assess(const JsonValue& params,
                                          const catalog::Snapshot& snap) {
-  RequestEnv env(params, &snap);
+  TRAP_ASSIGN_OR_RETURN(const std::uint64_t budget, StepBudget(params));
+  RequestEnv env(budget, &snap);
   TRAP_ASSIGN_OR_RETURN(std::string name, ResolveAdvisorName(params));
   // The true-cost oracle measures under the construction-time base schema,
   // so assessed workloads must validate against it (the pinned snapshot
@@ -324,7 +358,8 @@ StatusOr<JsonValue> ServeService::Assess(const JsonValue& params,
 
 StatusOr<JsonValue> ServeService::WhatIfBatch(const JsonValue& params,
                                               const catalog::Snapshot& snap) {
-  RequestEnv env(params, &snap);
+  TRAP_ASSIGN_OR_RETURN(const std::uint64_t budget, StepBudget(params));
+  RequestEnv env(budget, &snap);
   TRAP_ASSIGN_OR_RETURN(workload::Workload w,
                         ResolveWorkload(params, optimizer_.SchemaFor(env.ctx)));
   const JsonValue* configs_doc = params.Find("configs");
@@ -338,6 +373,8 @@ StatusOr<JsonValue> ServeService::WhatIfBatch(const JsonValue& params,
   configs.reserve(configs_doc->items.size());
   for (const JsonValue& item : configs_doc->items) {
     TRAP_ASSIGN_OR_RETURN(engine::IndexConfig config, DecodeIndexConfig(item));
+    TRAP_RETURN_IF_ERROR(
+        ValidateConfig(config, optimizer_.SchemaFor(env.ctx)));
     configs.push_back(std::move(config));
   }
   TRAP_ASSIGN_OR_RETURN(std::vector<double> costs,
@@ -353,7 +390,8 @@ StatusOr<JsonValue> ServeService::DriftReplay(const JsonValue& params) {
   // Drift replay always starts from the base epoch: the episode stream
   // builds its own cumulative overlays over the base schema, independent of
   // whatever snapshot the session pinned.
-  RequestEnv env(params, nullptr);
+  TRAP_ASSIGN_OR_RETURN(const std::uint64_t budget, StepBudget(params));
+  RequestEnv env(budget, nullptr);
   TRAP_ASSIGN_OR_RETURN(std::string name, ResolveAdvisorName(params));
   TRAP_ASSIGN_OR_RETURN(workload::Workload base,
                         ResolveWorkload(params, schema_));
@@ -362,16 +400,17 @@ StatusOr<JsonValue> ServeService::DriftReplay(const JsonValue& params) {
   TRAP_ASSIGN_OR_RETURN(std::unique_ptr<advisor::IndexAdvisor> adv,
                         advisor::MakeAdvisor(name, optimizer_));
 
-  const std::int64_t episodes = params.IntAt("episodes").value_or(4);
+  TRAP_ASSIGN_OR_RETURN(const std::int64_t episodes,
+                        IntParam(params, "episodes", 4));
   if (episodes < 1 || episodes > 64) {
     return Status::InvalidArgument("episodes must be in [1, 64]");
   }
-  std::optional<std::int64_t> seed_param = params.IntAt("seed");
-  const uint64_t seed = seed_param.has_value() && *seed_param >= 0
-                            ? static_cast<uint64_t>(*seed_param)
-                            : options_.seed;
-  const std::int64_t episode_budget =
-      params.IntAt("episode_step_budget").value_or(0);
+  TRAP_ASSIGN_OR_RETURN(const std::int64_t seed_param,
+                        IntParam(params, "seed", -1));
+  const uint64_t seed = seed_param >= 0 ? static_cast<uint64_t>(seed_param)
+                                        : options_.seed;
+  TRAP_ASSIGN_OR_RETURN(const std::int64_t episode_budget,
+                        IntParam(params, "episode_step_budget", 0));
   if (episode_budget < 0) {
     return Status::InvalidArgument("episode_step_budget must be >= 0");
   }

@@ -12,7 +12,11 @@
 #      without showing up in review.
 #   1. Release build with TRAP_WERROR=ON (-Wall -Wextra -Wshadow -Werror)
 #      and the full test suite -- which includes the lint_src entry, so
-#      trap_lint runs over src/ tests/ bench/ examples/ tools/ here.
+#      trap_lint runs over src/ tests/ bench/ examples/ tools/ here, and the
+#      golden.* rows of tests/golden/digests.txt: the fault campaign, trace,
+#      drift and serve scenarios, each at TRAP_THREADS=1/4/8, with stdout
+#      compared byte for byte against the committed .out files. Stages 2
+#      and 3 run the same rows under their sanitizers.
 #   2. The same suite under TSan (TRAP_SANITIZE=thread) at TRAP_THREADS=4,
 #      vetting concurrent callers on shared state: the what-if caches and
 #      counters, snapshot publishes, metrics and trace sinks.
@@ -22,40 +26,19 @@
 #      families at a fixed seed (smaller case counts under sanitizers so the
 #      stage stays near 30 seconds end to end), then replays the committed
 #      regression corpus.
-#   5. A fault-injection campaign per flavor (plain + TSan): trap_fuzz
-#      --fault-campaign sweeps every registered fault site at p=1.0 and
-#      p=0.05 across the advisor suite; any crash, unaccounted fault, or
-#      silent wrong answer fails the stage. The plain flavor additionally
-#      reruns the campaign at TRAP_THREADS=1/4/8 and requires the reported
-#      campaign digest to be bit-identical across thread counts.
-#   6. An observability stage per flavor (plain + TSan): trap_trace replays
-#      the deterministic trace scenario at TRAP_THREADS=1/4/8 and requires
-#      the metric and trace digest lines to be bit-identical across thread
-#      counts.
-#   6b. A drift stage per flavor (plain + TSan): trap_drift replays the
-#      canonical workload-drift scenario at TRAP_THREADS=1/4/8 and requires
-#      the regret/metric/trace digest lines to be bit-identical across
-#      thread counts, then diffs the scenario's JSON report against
-#      tests/golden/drift_scenario.json.
-#   6c. A serve stage per flavor (plain + TSan): trap_serve replays the
-#      canonical 4-connection session script (tests/golden/
-#      serve_session.script -- mixed methods, a mid-session snapshot
-#      publish, a reset) at TRAP_THREADS=1/4/8 and requires the session
-#      digest to be bit-identical across thread counts. The plain flavor
-#      also writes BENCH_serve.json with a serve_requests_per_sec counter.
-#   7. A perf-gate stage (plain flavor only; sanitizers skew timings):
+#   5. A perf-gate stage (plain flavor only; sanitizers skew timings):
 #      bench_engine_micro's shared what-if throughput probe, compared
 #      against bench/baselines/engine_micro_baseline.json by
 #      scripts/perf_gate.py. Single-thread whatif_pairs_per_sec must stay
 #      inside the baseline's tolerance band; concurrent_callers_4_vs_1 is
 #      printed, not gated.
-#   7b. A perfbench stage (plain flavor only): perfbench/selftest.py builds
+#   6. A perfbench stage (plain flavor only): perfbench/selftest.py builds
 #      the frozen end-to-end benchmark from src/ into build-check/perfbench
 #      and runs every workload at reduced scale, so a src/ change that
 #      breaks the benchmark's build or its output checks fails here.
-#   8. An exemption audit: the property-testing trees (src/testing,
+#   7. An exemption audit: the property-testing trees (src/testing,
 #      tools/fuzz) must lint clean without a single NOLINT escape hatch.
-#   9. A clang-format check on src/ tests/ bench/ tools/ (skipped with a
+#   8. A clang-format check on src/ tests/ bench/ tools/ (skipped with a
 #      notice when clang-format is not installed; the lint_fixtures tree is
 #      excluded -- its files exist to be lexed, not formatted).
 #
@@ -78,124 +61,6 @@ run_suite() {
   echo "==> smoke fuzz ${dir} (${fuzz_cases} cases, seed 1)"
   "${dir}/tools/fuzz/trap_fuzz" --cases "${fuzz_cases}" --seed 1
   "${dir}/tools/fuzz/trap_fuzz" --replay tests/corpus
-}
-
-# Runs the fault-injection campaign once and echoes its digest line, failing
-# loudly if the campaign reports violations (nonzero exit) or never printed
-# a digest.
-campaign_digest() {
-  local dir="$1"
-  local out
-  out="$("${dir}/tools/fuzz/trap_fuzz" --fault-campaign --seed 1)"
-  local digest
-  digest="$(printf '%s\n' "${out}" | grep "campaign digest:")"
-  if [ -z "${digest}" ]; then
-    echo "error: ${dir} campaign produced no digest" >&2
-    exit 1
-  fi
-  printf '%s\n' "${digest}"
-}
-
-fault_campaign_stage() {
-  local dir="$1"
-  local threads="$2"   # space-separated TRAP_THREADS values to cross-check
-  echo "==> fault campaign ${dir}"
-  local ref=""
-  local t
-  for t in ${threads}; do
-    local digest
-    digest="$(TRAP_THREADS="${t}" campaign_digest "${dir}")"
-    echo "    TRAP_THREADS=${t}: ${digest}"
-    if [ -z "${ref}" ]; then
-      ref="${digest}"
-    elif [ "${digest}" != "${ref}" ]; then
-      echo "error: campaign digest differs across thread counts" >&2
-      exit 1
-    fi
-  done
-}
-
-# Replays the trap_trace scenario across thread counts and requires both
-# digest lines (metrics + trace) to be bit-identical.
-trace_digest_stage() {
-  local dir="$1"
-  local threads="$2"
-  echo "==> trace digests ${dir}"
-  local ref=""
-  local t
-  for t in ${threads}; do
-    local digest
-    digest="$(TRAP_THREADS="${t}" "${dir}/tools/trace/trap_trace" --digest)"
-    echo "    TRAP_THREADS=${t}: $(printf '%s' "${digest}" | tr '\n' ' ')"
-    if [ -z "${ref}" ]; then
-      ref="${digest}"
-    elif [ "${digest}" != "${ref}" ]; then
-      echo "error: observability digest differs across thread counts" >&2
-      exit 1
-    fi
-  done
-}
-
-# Replays the canonical drift scenario across thread counts, requires the
-# regret/metric/trace digest lines to be bit-identical, then diffs the JSON
-# report against the committed golden.
-drift_digest_stage() {
-  local dir="$1"
-  local threads="$2"
-  echo "==> drift digests ${dir}"
-  local ref=""
-  local t
-  for t in ${threads}; do
-    local digest
-    digest="$(TRAP_THREADS="${t}" "${dir}/tools/drift/trap_drift" \
-        --schema tpch --advisor greedy --episodes 8 --seed 1 --digest)"
-    echo "    TRAP_THREADS=${t}: $(printf '%s' "${digest}" | tr '\n' ' ')"
-    if [ -z "${ref}" ]; then
-      ref="${digest}"
-    elif [ "${digest}" != "${ref}" ]; then
-      echo "error: drift digest differs across thread counts" >&2
-      exit 1
-    fi
-  done
-  "${dir}/tools/drift/trap_drift" --schema tpch --advisor greedy \
-      --episodes 8 --seed 1 --format=json \
-      --golden tests/golden/drift_scenario.json > /dev/null
-}
-
-# Replays the canonical 4-connection serve session (mixed methods, a
-# mid-session snapshot publish, a reset) across thread counts and requires
-# the session digest -- a fold over every response payload -- to be
-# bit-identical: the server executes admitted requests serially on one
-# thread, so the pool size must never leak into response bytes. The plain flavor
-# also writes BENCH_serve.json with a serve_requests_per_sec counter.
-serve_digest_stage() {
-  local dir="$1"
-  local threads="$2"
-  local with_report="$3"   # "report" to also write BENCH_serve.json
-  echo "==> serve session digests ${dir}"
-  local ref=""
-  local t
-  for t in ${threads}; do
-    local digest
-    digest="$(TRAP_THREADS="${t}" "${dir}/tools/serve/trap_serve" \
-        --script tests/golden/serve_session.script --connections 4 --digest)"
-    echo "    TRAP_THREADS=${t}: ${digest}"
-    if [ -z "${ref}" ]; then
-      ref="${digest}"
-    elif [ "${digest}" != "${ref}" ]; then
-      echo "error: serve session digest differs across thread counts" >&2
-      exit 1
-    fi
-  done
-  if [ "${with_report}" = "report" ]; then
-    (cd "${dir}" && ./tools/serve/trap_serve \
-        --script ../tests/golden/serve_session.script --connections 4 \
-        --digest --report serve > /dev/null)
-    if ! grep -q '"serve_requests_per_sec"' "${dir}/BENCH_serve.json"; then
-      echo "error: BENCH_serve.json lacks serve_requests_per_sec" >&2
-      exit 1
-    fi
-  fi
 }
 
 # Runs the shared what-if throughput probe (median of 5, microbenches
@@ -245,19 +110,11 @@ lint_stage() {
 lint_stage build-check
 
 run_suite build-check 2000 -DTRAP_WERROR=ON
-fault_campaign_stage build-check "1 4 8"
-trace_digest_stage build-check "1 4 8"
-drift_digest_stage build-check "1 4 8"
-serve_digest_stage build-check "1 4 8" report
 perf_gate_stage build-check
 perfbench_stage build-check
 
 TRAP_THREADS=4 run_suite build-check-tsan 600 -DTRAP_WERROR=ON \
   -DTRAP_SANITIZE=thread
-fault_campaign_stage build-check-tsan "4"
-trace_digest_stage build-check-tsan "1 4 8"
-drift_digest_stage build-check-tsan "1 4 8"
-serve_digest_stage build-check-tsan "1 4 8" ""
 
 run_suite build-check-asan-ubsan 600 -DTRAP_WERROR=ON \
   -DTRAP_SANITIZE=address,undefined

@@ -239,9 +239,8 @@ std::string BenchReport::Write() const {
     metrics.Set(key, JsonValue::Number(value));
   }
   // Observability block: every sample in the global registry at write time,
-  // plus the digest over the deterministic subset. The digest is what
-  // check.sh compares across TRAP_THREADS values — bit-identical schedules
-  // must produce bit-identical digests.
+  // plus the digest over the deterministic subset. Bit-identical schedules
+  // must produce bit-identical digests, whatever TRAP_THREADS is.
   const std::vector<obs::MetricSample> samples =
       obs::MetricRegistry::Global().Snapshot();
   JsonValue obs_metrics = JsonValue::Object();

@@ -54,8 +54,8 @@ struct CampaignResult {
   // deterministic fields (site, probability, advisor, workload, code,
   // attempts, config_fp) of every case. Trigger counts are excluded: they
   // count draws, which change whenever the engine does more or less work
-  // for the same outcome, and the digest pins outcomes. scripts/check.sh
-  // compares it across TRAP_THREADS settings.
+  // for the same outcome, and the digest pins outcomes. The golden.campaign
+  // rows (tests/golden/digests.txt) pin it.
   std::uint64_t digest = 0;
   bool ok() const { return violations == 0; }
 };

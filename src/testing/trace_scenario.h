@@ -14,8 +14,8 @@ namespace trap::proptest {
 // observability layer: a batched what-if sweep, one advisor recommendation
 // through the retry runtime, and one random perturber pass. The same
 // options produce bit-identical metric and trace digests on every run and
-// for every TRAP_THREADS value — the invariant obs_test and check.sh
-// assert, and the workload trap_trace replays for humans.
+// for every TRAP_THREADS value — the invariant obs_test and the golden.trace
+// rows assert, and the workload trap_trace replays for humans.
 struct TraceScenarioOptions {
   std::string schema = "tpch";     // tpch | tpcds | transaction
   std::string advisor = "Extend";  // any advisor::AdvisorTable() row name

@@ -14,10 +14,10 @@
 //       sync                                    await every response
 //     Responses are folded -- per connection, in send order, ids matched so
 //     shed responses arriving early still land in their slot -- into the
-//     session digest printed as "serve digest: 0x...". check.sh's
-//     serve_digest stage runs the golden session script under several
-//     TRAP_THREADS values and compares this line; --report serve writes
-//     BENCH_serve.json with serve_requests_per_sec.
+//     session digest printed as "serve digest: 0x...". The golden.serve_*
+//     rows (tests/golden/digests.txt) pin that line for the golden session
+//     scripts at TRAP_THREADS=1/4/8; --report serve writes BENCH_serve.json
+//     with serve_requests_per_sec.
 
 #include <sys/socket.h>
 #include <sys/un.h>

@@ -1,7 +1,7 @@
 // trap_trace: replays a deterministic observability scenario and exports
 // the resulting trace. The same scenario options produce bit-identical
-// metric and trace digests for every TRAP_THREADS value; check.sh runs this
-// binary under several thread counts and compares the digest lines.
+// metric and trace digests for every TRAP_THREADS value; the golden.trace
+// rows (tests/golden/digests.txt) pin the default scenario's digest lines.
 //
 //   trap_trace                                 # chrome trace on stdout
 //   trap_trace --format=jsonl                  # one span per line
@@ -99,7 +99,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  // The digest lines check.sh compares across TRAP_THREADS values.
+  // The digest lines, pinned by the golden.trace rows.
   std::printf("metrics digest: 0x%016llx\n",
               static_cast<unsigned long long>(
                   trap::obs::MetricRegistry::Digest(

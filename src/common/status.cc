@@ -1,5 +1,7 @@
 #include "common/status.h"
 
+#include <ostream>
+
 namespace trap::common {
 
 const char* StatusCodeName(StatusCode code) {
@@ -23,6 +25,8 @@ const char* StatusCodeName(StatusCode code) {
   }
   return "UNKNOWN";
 }
+
+void PrintTo(StatusCode code, std::ostream* os) { *os << StatusCodeName(code); }
 
 std::string Status::ToString() const {
   if (ok()) return "OK";

@@ -1,6 +1,7 @@
 #ifndef TRAP_COMMON_STATUS_H_
 #define TRAP_COMMON_STATUS_H_
 
+#include <iosfwd>
 #include <optional>
 #include <string>
 #include <utility>
@@ -27,6 +28,10 @@ enum class StatusCode {
 };
 
 const char* StatusCodeName(StatusCode code);
+
+// Prints StatusCodeName(code). GoogleTest finds it by argument-dependent
+// lookup, so a failing EXPECT_EQ on two codes names them.
+void PrintTo(StatusCode code, std::ostream* os);
 
 class [[nodiscard]] Status {
  public:

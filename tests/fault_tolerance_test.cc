@@ -65,6 +65,13 @@ TEST(StatusTest, CodeNamesAreStable) {
                "FAULT_INJECTED");
 }
 
+// A failing EXPECT_EQ on two codes prints their names, not their bytes.
+TEST(StatusTest, AssertionsPrintCodeNames) {
+  EXPECT_EQ(::testing::PrintToString(StatusCode::kDeadlineExceeded),
+            "DEADLINE_EXCEEDED");
+  EXPECT_EQ(::testing::PrintToString(StatusCode::kOk), "OK");
+}
+
 StatusOr<int> ParsePositive(int v) {
   if (v <= 0) return Status::InvalidArgument("not positive");
   return v;

@@ -10,6 +10,7 @@
 #include "catalog/snapshot.h"
 #include "catalog/stats_overlay.h"
 #include "common/string_util.h"
+#include "testing/gbdt_equivalence.h"
 #include "testing/nn_equivalence.h"
 #include "drift/episode.h"
 #include "drift/replay.h"
@@ -577,6 +578,7 @@ constexpr OracleEntry kOracles[] = {
     {OracleId::kStatsBudget, "stats-budget"},
     {OracleId::kNnKernelEquivalence, "nn-kernel-equivalence"},
     {OracleId::kNnGruEquivalence, "nn-gru-equivalence"},
+    {OracleId::kGbdtSplitEquivalence, "gbdt-split-equivalence"},
 };
 static_assert([] {
   for (size_t i = 1; i < std::size(kOracles); ++i) {
@@ -651,6 +653,8 @@ std::optional<std::string> CheckReproducer(OracleId id, OracleEnv& env,
       return CheckNnKernelEquivalence(r.walk_seed, r.epsilon);
     case OracleId::kNnGruEquivalence:
       return CheckNnGruEquivalence(r.walk_seed, r.epsilon);
+    case OracleId::kGbdtSplitEquivalence:
+      return CheckGbdtSplitEquivalence(r.walk_seed, r.epsilon);
   }
   return std::nullopt;
 }
@@ -746,6 +750,14 @@ std::optional<OracleFailure> RunOracle(OracleId id, OracleEnv& env,
       r.walk_seed = gen.rng().engine()();  // tape seed
       break;
     }
+    case OracleId::kGbdtSplitEquivalence: {
+      // As above; the budget pass drops trees, down to the single tree.
+      sql::Query q = gen.Query();
+      r.workload.queries.push_back(workload::WorkloadQuery{q, 1.0});
+      r.epsilon = static_cast<int>(gen.rng().UniformInt(0, 12));  // trees
+      r.walk_seed = gen.rng().engine()();  // data seed
+      break;
+    }
   }
   std::optional<std::string> message = CheckReproducer(id, env, r);
   if (!message.has_value()) return std::nullopt;
@@ -798,6 +810,10 @@ std::string DescribeReproducer(OracleId id, const OracleEnv& env,
   }
   if (id == OracleId::kNnGruEquivalence) {
     out += common::StrFormat("gru chain: steps=%d seed=%llu\n", r.epsilon,
+                             static_cast<unsigned long long>(r.walk_seed));
+  }
+  if (id == OracleId::kGbdtSplitEquivalence) {
+    out += common::StrFormat("gbdt: trees=%d seed=%llu\n", r.epsilon,
                              static_cast<unsigned long long>(r.walk_seed));
   }
   return out;

@@ -18,7 +18,7 @@ namespace trap::proptest {
 
 using PerturbationConstraint = ::trap::trap::PerturbationConstraint;
 
-// The eleven metamorphic / differential oracle families. Each one states an
+// The twelve metamorphic / differential oracle families. Each one states an
 // invariant the engine, an advisor, the drift runtime or the nn kernels
 // must hold for *every* input, so the harness can hammer them with
 // generated cases instead of hand-picked ones:
@@ -64,7 +64,11 @@ using PerturbationConstraint = ::trap::trap::PerturbationConstraint;
 //                          (1..5 rows, x == h, x/h with other consumers,
 //                          shared parameters, a second Backward) matches
 //                          the unfused chain it stands for on ReferenceGraph
-//                          bit for bit, in the same terms (differential).
+//                          bit for bit, in the same terms (differential);
+//   gbdt-split-equivalence gbdt::RegressionTree and a subsampled
+//                          gbdt::GbdtRegressor, fit on tie-heavy data,
+//                          match the plain per-node stable-sort reference
+//                          bit for bit in every prediction (differential).
 //
 // An id's value salts its case streams (RunOracle), so the values are frozen
 // once an oracle exists and committed corpus cases keep building the same
@@ -81,6 +85,7 @@ enum class OracleId {
   kStatsBudget = 8,
   kNnKernelEquivalence = 10,
   kNnGruEquivalence = 11,
+  kGbdtSplitEquivalence = 12,
 };
 
 const char* OracleName(OracleId id);
@@ -115,9 +120,11 @@ struct Reproducer {
                           // (episode-determinism, regret-sanity) or L1
                           // budget quarters (stats-budget);
                           // nn-kernel-equivalence: tape length in ops;
-                          // nn-gru-equivalence: GRU steps
+                          // nn-gru-equivalence: GRU steps;
+                          // gbdt-split-equivalence: ensemble trees
   uint64_t walk_seed = 0;  // perturbation walk / drift episode-stream seed;
-                           // nn-*-equivalence: tape seed
+                           // nn-*-equivalence: tape seed;
+                           // gbdt-split-equivalence: data seed
   int advisor = 0;        // advisor-contract + drift: advisor id in [0,6)
   int64_t storage_budget = 0;
   int max_indexes = 0;                // 0 = unconstrained count

@@ -1,8 +1,8 @@
 // trap_fuzz: metamorphic / differential fuzzing driver for the TRAP engine,
-// perturber, advisors, drift runtime and nn kernels. Runs seeded generated
-// cases against the eleven oracle families in src/testing/oracles.h, shrinks
-// failures to minimal reproducers, and replays the committed regression
-// corpus.
+// perturber, advisors, drift runtime, nn kernels and GBDT split search. Runs
+// seeded generated cases against the twelve oracle families in
+// src/testing/oracles.h, shrinks failures to minimal reproducers, and
+// replays the committed regression corpus.
 //
 // Usage:
 //   trap_fuzz --cases 2000 --seed 1                      # fuzz all oracles

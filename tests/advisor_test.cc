@@ -216,6 +216,111 @@ TEST_F(AdvisorTest, MultiColumnSwitchChangesCandidates) {
   (void)a;
 }
 
+// Every heuristic under a storage and a count budget, with and without
+// interaction-aware benefits, on two TPC-H workloads and a 16-query TPC-DS
+// one whose interaction-aware DTA runs out of its anytime evaluation
+// budget inside the swap pass. Pinned from the greedy searches that costed
+// every (query, configuration) pair: how a search costs its candidates
+// must not move a recommendation.
+TEST_F(AdvisorTest, HeuristicRecommendationsMatchPinnedFingerprints) {
+  struct Case {
+    const char* name;
+    bool count;  // an index-count budget of 3, else a tenth of the data size
+    bool interaction;
+    uint64_t fingerprints[3];
+  };
+  const Case cases[] = {
+      {"Extend", false, true,
+       {0xbe248e26009db42bULL, 0x2f93fc42701cba2cULL, 0xe512a194d29e91d8ULL}},
+      {"Extend", false, false,
+       {0x2ef8aed6c9a1d6f2ULL, 0x21ef219f0487470cULL, 0x489ccf833d532fe1ULL}},
+      {"Extend", true, true,
+       {0xf0c888b86dc4a1ebULL, 0x7e302fe30b5dd9fdULL, 0xc8d583bec429dd11ULL}},
+      {"Extend", true, false,
+       {0xf0c888b86dc4a1ebULL, 0x476edba63442c82cULL, 0xc8d583bec429dd11ULL}},
+      {"DB2Advis", false, true,
+       {0x2588518105b4a008ULL, 0x48c06a2fc5bee038ULL, 0xd161f2bf1ba95c32ULL}},
+      {"DB2Advis", false, false,
+       {0x2588518105b4a008ULL, 0x48c06a2fc5bee038ULL, 0xd161f2bf1ba95c32ULL}},
+      {"DB2Advis", true, true,
+       {0xbb04e920280ffbf0ULL, 0x3c57a36a69c40facULL, 0x9e4aa4a00cec3dfbULL}},
+      {"DB2Advis", true, false,
+       {0xbb04e920280ffbf0ULL, 0x3c57a36a69c40facULL, 0x9e4aa4a00cec3dfbULL}},
+      {"AutoAdmin", false, true,
+       {0x2588518105b4a008ULL, 0x61bb53c137510cb2ULL, 0x248131d8b26ec91fULL}},
+      {"AutoAdmin", false, false,
+       {0x2588518105b4a008ULL, 0x61bb53c137510cb2ULL, 0x6ce33d0bf2671cd7ULL}},
+      {"AutoAdmin", true, true,
+       {0x08764d75751dc9e3ULL, 0x6c24ecaf2c6a16d3ULL, 0x9a33ba03b6162fa7ULL}},
+      {"AutoAdmin", true, false,
+       {0x08764d75751dc9e3ULL, 0x6c24ecaf2c6a16d3ULL, 0x8a19f1a60c2533a8ULL}},
+      {"Drop", false, true,
+       {0xb3baa19f22523dbcULL, 0x1659678dc1aa1142ULL, 0xdb39328c5a13b51fULL}},
+      {"Drop", false, false,
+       {0xb3baa19f22523dbcULL, 0x1659678dc1aa1142ULL, 0xdb39328c5a13b51fULL}},
+      {"Drop", true, true,
+       {0x08764d75751dc9e3ULL, 0x6c24ecaf2c6a16d3ULL, 0xcf2d29fa7e470ac2ULL}},
+      {"Drop", true, false,
+       {0x08764d75751dc9e3ULL, 0x6c24ecaf2c6a16d3ULL, 0xcf2d29fa7e470ac2ULL}},
+      {"Relaxation", false, true,
+       {0x7b7f35f9e6f9d5acULL, 0xd051e50d2dc19ea3ULL, 0x8e4804f9b0ef8be9ULL}},
+      {"Relaxation", false, false,
+       {0x7b7f35f9e6f9d5acULL, 0xd051e50d2dc19ea3ULL, 0x8e4804f9b0ef8be9ULL}},
+      {"Relaxation", true, true,
+       {0x08764d75751dc9e3ULL, 0x7832096394a74540ULL, 0x8e4804f9b0ef8be9ULL}},
+      {"Relaxation", true, false,
+       {0x08764d75751dc9e3ULL, 0x7832096394a74540ULL, 0x8e4804f9b0ef8be9ULL}},
+      {"DTA", false, true,
+       {0x5a1aba010f6b3fcbULL, 0x62152b1058359ad1ULL, 0x321512c43f11f2f5ULL}},
+      {"DTA", false, false,
+       {0x5a1aba010f6b3fcbULL, 0x44104a6a41123b64ULL, 0xb8e64743954fc408ULL}},
+      {"DTA", true, true,
+       {0x08764d75751dc9e3ULL, 0x6c24ecaf2c6a16d3ULL, 0xcf2d29fa7e470ac2ULL}},
+      {"DTA", true, false,
+       {0x08764d75751dc9e3ULL, 0x6c24ecaf2c6a16d3ULL, 0xcf2d29fa7e470ac2ULL}},
+  };
+  const catalog::Schema tpcds = catalog::MakeTpcDs();
+  const sql::Vocabulary tpcds_vocab(tpcds, 8);
+  const engine::WhatIfOptimizer tpcds_optimizer(tpcds);
+  GeneratorOptions gopt;
+  gopt.max_tables = 5;
+  gopt.max_filters = 5;
+  QueryGenerator gen(tpcds_vocab, gopt, 23);
+  const std::vector<sql::Query> tpcds_pool = gen.GeneratePool(40);
+  common::Rng rng(17);
+  common::Rng tpcds_rng(1);
+  struct Target {
+    const catalog::Schema* schema;
+    const engine::WhatIfOptimizer* optimizer;
+    Workload workload;
+  };
+  const Target targets[] = {
+      {&schema_, &optimizer_, test_workload_},
+      {&schema_, &optimizer_, workload::SampleWorkload(pool_, 8, rng)},
+      {&tpcds, &tpcds_optimizer,
+       workload::SampleWorkload(tpcds_pool, 16, tpcds_rng)},
+  };
+  for (const Case& c : cases) {
+    RegistryOptions opt;
+    opt.heuristic.consider_interaction = c.interaction;
+    for (int i = 0; i < 3; ++i) {
+      const Target& t = targets[i];
+      auto advisor = *MakeAdvisor(c.name, *t.optimizer, opt);
+      const int64_t data = t.schema->DataSizeBytes();
+      const TuningConstraint constraint =
+          c.count ? TuningConstraint::IndexCount(3, data / 2)
+                  : TuningConstraint::Storage(data / 10);
+      const uint64_t fp = advisor->TryRecommend(t.workload, constraint, {})
+                              .value()
+                              .Fingerprint();
+      EXPECT_EQ(fp, c.fingerprints[i])
+          << c.name << (c.count ? " count" : " storage")
+          << (c.interaction ? " interaction" : " isolated") << " workload "
+          << i << " 0x" << std::hex << fp;
+    }
+  }
+}
+
 // -- learning advisors -------------------------------------------------------
 
 TEST_F(AdvisorTest, SwirlTrainsAndImproves) {

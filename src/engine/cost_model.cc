@@ -360,6 +360,14 @@ double CostModel::QueryCost(const QueryShape& shape,
   // sequence, consulting the configuration only through ChooseAccess and
   // ChooseProbe. Expressions evaluate in the same order as Plan(), so the
   // result is bit-identical to the plan root's cumulative cost.
+  //
+  // Invariant relied on by base-relative what-if batches: both choosers
+  // skip every index whose table is not the one being accessed, and an
+  // IndexConfig is sorted, so two configurations holding the same indexes
+  // on the shape's tables yield bit-identical costs here, whatever they
+  // hold elsewhere. The fuzz-only invert-benefit fault keeps it: with no
+  // index on the shape's tables, cost == base and base + (base - cost) is
+  // base exactly. Any new read of `config` must keep this true.
   const TableShape& start = shape.tables[static_cast<size_t>(shape.start)];
   AccessChoice access = ChooseAccess(shape, start, config);
   double cost = access.cost;

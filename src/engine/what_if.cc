@@ -1,5 +1,6 @@
 #include "engine/what_if.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/fault.h"
@@ -14,6 +15,7 @@ namespace {
 // Hot-path metric handles, resolved once (registry pointers are stable).
 struct WhatIfMetrics {
   obs::Counter* calls;
+  obs::Counter* base_reused;
   obs::Counter* shape_misses;
   obs::Counter* batches;
   obs::Histogram* batch_items;
@@ -24,6 +26,7 @@ const WhatIfMetrics& Metrics() {
     obs::MetricRegistry& r = obs::MetricRegistry::Global();
     return new WhatIfMetrics{  // NOLINT(no-heap-on-hot-path): one-time static init
         r.counter("trap.whatif.calls"),
+        r.counter("trap.whatif.base_reused"),
         r.counter("trap.whatif.shape.misses"),
         r.counter("trap.whatif.batch.count"),
         r.histogram("trap.whatif.batch.items"),
@@ -32,13 +35,14 @@ const WhatIfMetrics& Metrics() {
   return *m;
 }
 
-// Tallies one entry point's what-if calls locally and publishes them with a
-// single atomic add on every exit (early error returns included), so the
+// Tallies one entry point's what-if calls and base-reused items locally and
+// publishes them on every exit (early error returns included), so the
 // per-item path does no shared read-modify-write.
 class CallTally {
  public:
   explicit CallTally(std::atomic<int64_t>* total) : total_(total) {}
   ~CallTally() {
+    if (reused != 0) Metrics().base_reused->Add(reused);
     if (count == 0) return;
     total_->fetch_add(count, std::memory_order_relaxed);
     Metrics().calls->Add(count);
@@ -46,11 +50,46 @@ class CallTally {
   CallTally(const CallTally&) = delete;
   CallTally& operator=(const CallTally&) = delete;
 
-  int64_t count = 0;
+  int64_t count = 0;   // items the cost model priced
+  int64_t reused = 0;  // items answered from a base cost
 
  private:
   std::atomic<int64_t>* total_;
 };
+
+// Collects in *tables the table of every index in exactly one of `a` and
+// `b`, by merging the two sorted index lists. A query that reads none of
+// these tables is shown the same indexes, in the same order, by both.
+void DifferingTables(const IndexConfig& a, const IndexConfig& b,
+                     std::vector<int>* tables) {
+  tables->clear();
+  auto i = a.indexes().begin();
+  auto j = b.indexes().begin();
+  const auto i_end = a.indexes().end();
+  const auto j_end = b.indexes().end();
+  while (i != i_end && j != j_end) {
+    const auto order = *i <=> *j;
+    if (order < 0) {
+      tables->push_back((i++)->table());
+    } else if (order > 0) {
+      tables->push_back((j++)->table());
+    } else {
+      ++i;
+      ++j;
+    }
+  }
+  for (; i != i_end; ++i) tables->push_back(i->table());
+  for (; j != j_end; ++j) tables->push_back(j->table());
+}
+
+bool ReadsAnyTable(const QueryShape& shape, const std::vector<int>& tables) {
+  for (const TableShape& ts : shape.tables) {
+    if (std::find(tables.begin(), tables.end(), ts.table) != tables.end()) {
+      return true;
+    }
+  }
+  return false;
+}
 
 }  // namespace
 
@@ -137,7 +176,8 @@ common::Status WhatIfOptimizer::CostStatus(
 
 common::Status WhatIfOptimizer::BatchCostCore(
     std::vector<BatchQuery>& queries, const IndexConfig* configs, size_t nc,
-    BatchKind kind, const common::EvalContext& ctx, double* totals) const {
+    const IndexConfig* base, BatchKind kind, const common::EvalContext& ctx,
+    double* totals) const {
   // One epoch resolution per batch: every item of this batch costs against
   // ctx.snapshot's statistics, whatever other snapshots concurrent callers
   // carry (the hammer tests assert exactly this all-or-nothing property).
@@ -182,29 +222,59 @@ common::Status WhatIfOptimizer::BatchCostCore(
     bq.shape = ResolveShape(*epoch, bq.fp, *bq.query);
   }
 
-  // Cost every item in config-major input order, folding each total in
-  // query order. A failed item keeps the batch going, so every item is
-  // charged its step and counted as a call; the first error in input order
-  // is returned. Only a cancelled or spent token stops the batch early.
+  // Cost every item in input order -- the base items first, then config
+  // major -- folding each total in query order. A failed item keeps the
+  // batch going, so every costed item is charged its step and counted as a
+  // call; the first error in input order is returned. Only a cancelled or
+  // spent token stops the batch early.
   common::Status first_error;
   CallTally calls(&num_calls_);
+  auto stopped = [&] {
+    if (ctx.cancel == nullptr ||
+        !(ctx.cancel->cancelled() || ctx.cancel->expired())) {
+      return false;
+    }
+    if (first_error.ok()) {
+      first_error = common::Status::Cancelled("skipped: evaluation cancelled");
+    }
+    return true;
+  };
+  auto cost_item = [&](const BatchQuery& bq, uint64_t config_fp,
+                       const IndexConfig& config, double* cost) {
+    common::Status status = CostStatus(*epoch, *bq.query, bq.fp, bq.shape,
+                                       config_fp, config, ctx, &calls.count,
+                                       cost);
+    if (status.ok()) return true;
+    if (first_error.ok()) first_error = std::move(status);
+    return false;
+  };
+
+  // Base-relative batch: each query's cost under `base` first. A failed
+  // base item has already failed the batch, so the totals that reuse its
+  // (unset) cost are never returned.
+  const bool relative = base != nullptr && nc > 0;
+  std::vector<double> base_costs;
+  std::vector<int> differing;  // tables where configs[c] and *base differ
+  if (relative) {
+    const uint64_t base_fp = base->Fingerprint();
+    base_costs.assign(nq, 0.0);
+    for (size_t q = 0; q < nq; ++q) {
+      if (stopped()) return first_error;
+      cost_item(queries[q], base_fp, *base, &base_costs[q]);
+    }
+  }
   for (size_t c = 0; c < nc; ++c) {
+    if (relative) DifferingTables(configs[c], *base, &differing);
     double total = 0.0;
-    for (const BatchQuery& bq : queries) {
-      if (ctx.cancel != nullptr &&
-          (ctx.cancel->cancelled() || ctx.cancel->expired())) {
-        if (first_error.ok()) {
-          first_error =
-              common::Status::Cancelled("skipped: evaluation cancelled");
-        }
-        return first_error;
-      }
+    for (size_t q = 0; q < nq; ++q) {
+      if (stopped()) return first_error;
+      const BatchQuery& bq = queries[q];
       double cost = 0.0;
-      common::Status status =
-          CostStatus(*epoch, *bq.query, bq.fp, bq.shape, config_fps[c],
-                     configs[c], ctx, &calls.count, &cost);
-      if (!status.ok()) {
-        if (first_error.ok()) first_error = std::move(status);
+      if (relative && bq.shape != nullptr &&
+          !ReadsAnyTable(*bq.shape, differing)) {
+        ++calls.reused;
+        cost = base_costs[q];
+      } else if (!cost_item(bq, config_fps[c], configs[c], &cost)) {
         continue;
       }
       total += bq.weight * cost;
@@ -232,7 +302,8 @@ common::StatusOr<std::vector<double>> WhatIfOptimizer::TryQueryCosts(
   std::vector<BatchQuery> queries = {BatchQuery{&q, 1.0}};
   std::vector<double> costs(configs.size(), 0.0);
   TRAP_RETURN_IF_ERROR(BatchCostCore(queries, configs.data(), configs.size(),
-                                     BatchKind::kQueryCosts, ctx,
+                                     /*base=*/nullptr, BatchKind::kQueryCosts,
+                                     ctx,
                                      costs.data()));
   return costs;
 }

@@ -34,16 +34,20 @@ namespace trap::engine {
 //     per (stats epoch, query) into a sharded shape cache and fed to
 //     CostModel's allocation-free cost kernel; only access-path and probe
 //     selection run per (query, config) pair.
-//   * Costs are not memoized. Every what-if call runs the shape kernel,
-//     which is cheaper than a lookup in a per-pair memo large enough to
-//     matter (DESIGN.md §3f), and keeps the optimizer's memory at one
-//     shape per distinct query.
+//   * Costs are not memoized across calls. Every what-if call runs the
+//     shape kernel, which is cheaper than a lookup in a per-pair memo large
+//     enough to matter (DESIGN.md §3f), and keeps the optimizer's memory at
+//     one shape per distinct query. No cost survives the call that made it.
 //   * Batched entry points fingerprint each query and configuration and
 //     resolve each query's shape once per batch, then cost every (query,
 //     config) item serially on the calling thread in config-major input
 //     order. Per item the path does no heap allocation; a batch allocates
 //     only a few small per-batch vectors. Fanning batches out over a thread
 //     pool measured slower than one thread (DESIGN.md §3a).
+//   * A batch may be base-relative (TryWorkloadCosts' `base`): a greedy
+//     search's neighbours of its current configuration differ from it on
+//     one or two tables, and a query reading none of them costs exactly
+//     what it costs under the base, which the batch prices once per query.
 //
 // Thread safety: every const method is safe to call concurrently. The shape
 // cache is the only shared mutable state besides the call counter. It is
@@ -62,12 +66,14 @@ namespace trap::engine {
 // substitute kInfiniteCost). Batched calls aggregate per-item Statuses by
 // picking the first error in *input order*, so the returned Status is
 // bit-identical across runs. A batch tries every item even after one fails
-// (each charges one step and counts one call), and stops early only when
-// ctx.cancel is cancelled or spent.
+// (each costed item charges one step and counts one call; an item answered
+// from a base cost charges nothing and draws no fault), and stops early
+// only when ctx.cancel is cancelled or spent.
 //
-// Observability: calls, shape-cache misses, batch counts and batch sizes
-// feed the global obs::MetricRegistry under trap.whatif.*. With a trace
-// sink in the context, each batched call records a whatif.batch span.
+// Observability: calls, base-reused items, shape-cache misses, batch counts
+// and batch sizes feed the global obs::MetricRegistry under trap.whatif.*.
+// With a trace sink in the context, each batched call records a
+// whatif.batch span.
 //
 // Statistics epochs: every evaluation reads its catalog state from the
 // immutable catalog::Snapshot on ctx.snapshot (nullptr = the base epoch;
@@ -118,22 +124,30 @@ class WhatIfOptimizer {
       const common::EvalContext& ctx = {}) const {
     std::vector<BatchQuery> queries = BatchQueries(w);
     double total = 0.0;
-    TRAP_RETURN_IF_ERROR(BatchCostCore(queries, &config, 1,
+    TRAP_RETURN_IF_ERROR(BatchCostCore(queries, &config, 1, /*base=*/nullptr,
                                        BatchKind::kWorkloadCost, ctx, &total));
     return total;
   }
 
   // Batched candidate-benefit sweep: weighted workload cost under each of
-  // `configs`, one what-if call per (query, config) item.
-  // Entry k of the result corresponds to configs[k].
+  // `configs`. Entry k of the result corresponds to configs[k].
+  //
+  // Without `base`, every (query, config) item is one what-if call. With a
+  // `base` configuration -- a greedy search's current configuration, whose
+  // neighbours `configs` are -- each query is first costed once under
+  // `base`, and an item whose config shows the query the same indexes as
+  // `base` (the two differ only on tables the query does not read) takes
+  // that cost instead of a call. The totals are bit-identical either way;
+  // only the number of calls, step charges and fault draws differs.
   template <typename WorkloadT>
   common::StatusOr<std::vector<double>> TryWorkloadCosts(
       const WorkloadT& w, const std::vector<IndexConfig>& configs,
-      const common::EvalContext& ctx = {}) const {
+      const common::EvalContext& ctx = {},
+      const IndexConfig* base = nullptr) const {
     std::vector<BatchQuery> queries = BatchQueries(w);
     std::vector<double> totals(configs.size(), 0.0);
     TRAP_RETURN_IF_ERROR(BatchCostCore(queries, configs.data(),
-                                       configs.size(),
+                                       configs.size(), base,
                                        BatchKind::kWorkloadCosts, ctx,
                                        totals.data()));
     return totals;
@@ -175,8 +189,10 @@ class WhatIfOptimizer {
   static constexpr double kInfiniteCost =
       std::numeric_limits<double>::infinity();
 
-  // Number of what-if calls answered: one per costed (query, config) item —
-  // the paper's efficiency discussions count optimizer invocations.
+  // Number of what-if calls answered: one per (query, config) item the cost
+  // model prices -- the paper's efficiency discussions count optimizer
+  // invocations. Items a base-relative batch answers from its base cost are
+  // not calls.
   int64_t num_calls() const {
     return num_calls_.load(std::memory_order_relaxed);
   }
@@ -233,10 +249,15 @@ class WhatIfOptimizer {
   // TryQueryCosts: fingerprints the queries and the nc configs and resolves
   // each query's shape once, then costs every item in config-major input
   // order and folds totals[0..nc) as the sum of weight * cost in query
-  // order. Returns the first failing item's Status in that order.
+  // order. With a non-null `base` (and nc > 0) the queries are first costed
+  // under `base`, and an item whose config differs from `base` only on
+  // tables its query's shape does not read reuses that cost (see
+  // TryWorkloadCosts). Returns the first failing item's Status in input
+  // order, the base items coming first.
   common::Status BatchCostCore(std::vector<BatchQuery>& queries,
                                const IndexConfig* configs, size_t nc,
-                               BatchKind kind, const common::EvalContext& ctx,
+                               const IndexConfig* base, BatchKind kind,
+                               const common::EvalContext& ctx,
                                double* totals) const;
 
   // The fallible per-pair core: charges one step against ctx, counts one

@@ -19,6 +19,10 @@ using engine::IndexConfig;
 using engine::WhatIfOptimizer;
 using workload::Workload;
 
+// The base of the isolated-benefit ablation's batches: each probe there is a
+// single index on its own.
+const IndexConfig kNoIndexes;
+
 // Candidates that could ever fit the constraint on their own.
 std::vector<Index> FeasibleCandidates(std::vector<Index> candidates,
                                       const TuningConstraint& constraint,
@@ -35,7 +39,7 @@ std::vector<Index> FeasibleCandidates(std::vector<Index> candidates,
 
 // Greedy best configuration for a single query: repeatedly add the candidate
 // with the largest cost reduction, up to `max_indexes` indexes. Each round
-// probes every remaining candidate in one parallel what-if sweep.
+// probes every remaining candidate in one what-if batch.
 StatusOr<IndexConfig> BestConfigForQuery(const WhatIfOptimizer& optimizer,
                                          const sql::Query& q,
                                          const std::vector<Index>& candidates,
@@ -117,9 +121,10 @@ class ExtendAdvisor : public IndexAdvisor {
       obs::TraceSpan round_span(ctx, "advisor.round", round);
       const EvalContext& rctx = round_span.ctx();
       // Enumerate legal moves first, then cost every resulting
-      // configuration in one parallel what-if sweep; the sequential
-      // selection below scans the results in enumeration order, so the
-      // chosen move is identical to the old one-at-a-time loop.
+      // configuration in one what-if batch relative to the current
+      // configuration; the selection below scans the results in
+      // enumeration order, so the chosen move is identical to a
+      // one-at-a-time loop.
       struct Move {
         Index add;               // index to add
         Index remove;            // replaced index (empty columns = none)
@@ -166,8 +171,8 @@ class ExtendAdvisor : public IndexAdvisor {
       if (options_.consider_interaction) {
         counters_.whatif_items->Add(
             static_cast<int64_t>(nexts.size() * w.queries.size()));
-        TRAP_ASSIGN_OR_RETURN(move_costs,
-                              optimizer_->TryWorkloadCosts(w, nexts, rctx));
+        TRAP_ASSIGN_OR_RETURN(
+            move_costs, optimizer_->TryWorkloadCosts(w, nexts, rctx, &config));
       }
 
       std::optional<size_t> best;
@@ -353,9 +358,10 @@ class AutoAdminAdvisor : public IndexAdvisor {
       obs::TraceSpan round_span(ctx, "advisor.round",
                                 static_cast<uint64_t>(round));
       const EvalContext& rctx = round_span.ctx();
-      // Probe every fitting candidate in one parallel sweep, then pick the
-      // winner scanning the results in candidate order (identical to the
-      // old serial loop).
+      // Probe every fitting candidate in one what-if batch relative to the
+      // configuration each probe extends (the current one, or the empty one
+      // for isolated benefits), then pick the winner scanning the results
+      // in candidate order (identical to a one-at-a-time loop).
       std::vector<const Index*> probed;
       std::vector<IndexConfig> evals;
       for (const Index& cand : candidates) {
@@ -373,8 +379,11 @@ class AutoAdminAdvisor : public IndexAdvisor {
       }
       counters_.whatif_items->Add(
           static_cast<int64_t>(evals.size() * w.queries.size()));
-      TRAP_ASSIGN_OR_RETURN(std::vector<double> eval_costs,
-                            optimizer_->TryWorkloadCosts(w, evals, rctx));
+      TRAP_ASSIGN_OR_RETURN(
+          std::vector<double> eval_costs,
+          optimizer_->TryWorkloadCosts(
+              w, evals, rctx,
+              options_.consider_interaction ? &config : &kNoIndexes));
       const Index* best = nullptr;
       double best_cost = current;
       for (size_t i = 0; i < probed.size(); ++i) {
@@ -443,7 +452,9 @@ class DropAdvisor : public IndexAdvisor {
       counters_.rounds->Add();
       obs::TraceSpan round_span(ctx, "advisor.round", round++);
       const EvalContext& rctx = round_span.ctx();
-      // One parallel sweep over every drop candidate per round.
+      // One what-if batch over every drop candidate per round, relative to
+      // the current configuration (or the empty one for isolated
+      // benefits).
       std::vector<IndexConfig> evals;
       evals.reserve(static_cast<size_t>(config.size()));
       for (const Index& i : config.indexes()) {
@@ -459,8 +470,11 @@ class DropAdvisor : public IndexAdvisor {
       }
       counters_.whatif_items->Add(
           static_cast<int64_t>(evals.size() * w.queries.size()));
-      TRAP_ASSIGN_OR_RETURN(std::vector<double> eval_costs,
-                            optimizer_->TryWorkloadCosts(w, evals, rctx));
+      TRAP_ASSIGN_OR_RETURN(
+          std::vector<double> eval_costs,
+          optimizer_->TryWorkloadCosts(
+              w, evals, rctx,
+              options_.consider_interaction ? &config : &kNoIndexes));
       const Index* victim = nullptr;
       double best_cost = 0.0;
       for (size_t k = 0; k < evals.size(); ++k) {
@@ -476,9 +490,10 @@ class DropAdvisor : public IndexAdvisor {
       Index to_remove = *victim;
       config.Remove(to_remove);
     }
-    // Final pruning: drop indexes that provide no benefit at all. The old
-    // loop stopped at the first useless index; sweeping all of them in
-    // parallel and taking the first match picks the same victim.
+    // Final pruning: drop indexes that provide no benefit at all. Costing
+    // every removal in one batch relative to the current configuration and
+    // taking the first useless index picks the victim a one-at-a-time loop
+    // stopping at the first match would.
     while (true) {
       TRAP_RETURN_IF_ERROR(ctx.CheckContinue());
       counters_.rounds->Add();
@@ -495,8 +510,9 @@ class DropAdvisor : public IndexAdvisor {
       }
       counters_.whatif_items->Add(
           static_cast<int64_t>((evals.size() + 1) * w.queries.size()));
-      TRAP_ASSIGN_OR_RETURN(std::vector<double> eval_costs,
-                            optimizer_->TryWorkloadCosts(w, evals, rctx));
+      TRAP_ASSIGN_OR_RETURN(
+          std::vector<double> eval_costs,
+          optimizer_->TryWorkloadCosts(w, evals, rctx, &config));
       const Index* useless = nullptr;
       for (size_t k = 0; k < evals.size(); ++k) {
         if (eval_costs[k] <= current + 1e-9) {
@@ -564,9 +580,9 @@ class RelaxationAdvisor : public IndexAdvisor {
       counters_.rounds->Add();
       obs::TraceSpan round_span(ctx, "advisor.round", round++);
       const EvalContext& rctx = round_span.ctx();
-      // Collect every legal relaxation, cost them in one parallel sweep,
-      // then select scanning in enumeration order (same winner as the old
-      // serial consider() calls).
+      // Collect every legal relaxation, cost them in one what-if batch
+      // relative to the current configuration, then select scanning in
+      // enumeration order (same winner as one-at-a-time consider() calls).
       std::vector<IndexConfig> relaxations;
       std::vector<int64_t> saved_bytes;
       auto consider = [&](IndexConfig next) {
@@ -613,8 +629,9 @@ class RelaxationAdvisor : public IndexAdvisor {
       }
       counters_.whatif_items->Add(
           static_cast<int64_t>(relaxations.size() * w.queries.size()));
-      TRAP_ASSIGN_OR_RETURN(std::vector<double> relax_costs,
-                            optimizer_->TryWorkloadCosts(w, relaxations, rctx));
+      TRAP_ASSIGN_OR_RETURN(
+          std::vector<double> relax_costs,
+          optimizer_->TryWorkloadCosts(w, relaxations, rctx, &config));
       std::optional<size_t> best;
       double best_score = 0.0;
       for (size_t k = 0; k < relaxations.size(); ++k) {
@@ -687,9 +704,10 @@ class DtaAdvisor : public IndexAdvisor {
     TRAP_ASSIGN_OR_RETURN(double base_cost,
                           optimizer_->TryWorkloadCost(w, config, ctx));
     double current = base_cost;
-    // Greedy additions. Each round batches the first budget-many fitting
-    // candidates into one parallel sweep — the same prefix the old serial
-    // loop would have evaluated before exhausting the anytime budget.
+    // Greedy additions. Each round costs the first budget-many fitting
+    // candidates in one what-if batch relative to the configuration each
+    // probe extends -- the same prefix a one-at-a-time loop would have
+    // evaluated before exhausting the anytime budget.
     uint64_t round = 0;
     while (evaluations < kEvaluationBudget) {
       TRAP_RETURN_IF_ERROR(ctx.CheckContinue());
@@ -717,8 +735,11 @@ class DtaAdvisor : public IndexAdvisor {
       }
       counters_.whatif_items->Add(
           static_cast<int64_t>(evals.size() * w.queries.size()));
-      TRAP_ASSIGN_OR_RETURN(std::vector<double> eval_costs,
-                            optimizer_->TryWorkloadCosts(w, evals, rctx));
+      TRAP_ASSIGN_OR_RETURN(
+          std::vector<double> eval_costs,
+          optimizer_->TryWorkloadCosts(
+              w, evals, rctx,
+              options_.consider_interaction ? &config : &kNoIndexes));
       evaluations += static_cast<int>(probed.size());
       const Index* best = nullptr;
       double best_ratio = 0.0;
@@ -745,24 +766,37 @@ class DtaAdvisor : public IndexAdvisor {
                               optimizer_->TryWorkloadCost(w, config, rctx));
       }
     }
-    // One anytime swap pass.
+    // One anytime swap pass. Each selected index's fitting swaps, capped
+    // at the remaining budget, are costed in one batch relative to the
+    // current configuration; scanning them in candidate order takes the
+    // first improving swap and counts the evaluations a one-at-a-time loop
+    // would have made up to it.
     for (const Index& sel : std::vector<Index>(config.indexes())) {
       if (evaluations >= kEvaluationBudget) break;
+      std::vector<IndexConfig> swaps;
       for (const Index& cand : candidates) {
+        if (evaluations + static_cast<int>(swaps.size()) >=
+            kEvaluationBudget) {
+          break;
+        }
         if (config.Contains(cand)) continue;
         IndexConfig next = config;
         next.Remove(sel);
         if (!FitsConstraint(next, cand, constraint, schema)) continue;
         next.Add(cand);
-        TRAP_ASSIGN_OR_RETURN(double cost,
-                              optimizer_->TryWorkloadCost(w, next, ctx));
+        swaps.push_back(std::move(next));
+      }
+      if (swaps.empty()) continue;
+      TRAP_ASSIGN_OR_RETURN(
+          std::vector<double> swap_costs,
+          optimizer_->TryWorkloadCosts(w, swaps, ctx, &config));
+      for (size_t k = 0; k < swaps.size(); ++k) {
         ++evaluations;
-        if (cost < current - 1e-9) {
-          config = next;
-          current = cost;
+        if (swap_costs[k] < current - 1e-9) {
+          config = std::move(swaps[k]);
+          current = swap_costs[k];
           break;
         }
-        if (evaluations >= kEvaluationBudget) break;
       }
     }
     return config;

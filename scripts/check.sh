@@ -22,10 +22,10 @@
 #      counters, snapshot publishes, metrics and trace sinks.
 #   3. The same suite under ASan+UBSan (TRAP_SANITIZE=address,undefined)
 #      with sanitizer recovery disabled, so any UB aborts the run.
-#   4. A smoke-fuzz stage per build flavor: trap_fuzz sweeps all twelve oracle
-#      families at a fixed seed (smaller case counts under sanitizers so the
-#      stage stays near 30 seconds end to end), then replays the committed
-#      regression corpus.
+#   4. A smoke-fuzz stage per build flavor: trap_fuzz sweeps all thirteen
+#      oracle families at a fixed seed (smaller case counts under sanitizers
+#      so the stage stays near 30 seconds end to end), then replays the
+#      committed regression corpus.
 #   5. A perf-gate stage (plain flavor only; sanitizers skew timings):
 #      bench_engine_micro's shared what-if throughput probe, compared
 #      against bench/baselines/engine_micro_baseline.json by

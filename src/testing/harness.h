@@ -21,7 +21,7 @@ struct HarnessOptions {
   uint64_t seed = 1;
   int cases = 1000;
   std::string schema = "tpch";        // tpch | tpcds | transaction
-  std::vector<OracleId> oracles;      // empty = all nine families
+  std::vector<OracleId> oracles;      // empty = all families
   int max_failures = 1;               // stop after this many failures
   bool shrink = true;                 // minimize failures before reporting
 };

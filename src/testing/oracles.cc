@@ -559,6 +559,78 @@ std::optional<std::string> CheckStatsBudget(OracleEnv& env,
   return std::nullopt;
 }
 
+// The configurations a greedy search costs around its current one, `base`,
+// built from `extra`: each extra added; each base index removed, swapped for
+// each extra, and extended by the leading column of each same-table extra;
+// then the extras alone, no index, and the base itself.
+std::vector<engine::IndexConfig> BaseNeighbours(
+    const engine::IndexConfig& base, const std::vector<engine::Index>& extra) {
+  std::vector<engine::IndexConfig> out;
+  auto with = [&](const engine::Index* drop, const engine::Index* add) {
+    engine::IndexConfig next = base;
+    if (drop != nullptr) next.Remove(*drop);
+    if (add != nullptr) next.Add(*add);
+    out.push_back(std::move(next));
+  };
+  for (const engine::Index& e : extra) with(nullptr, &e);
+  for (const engine::Index& i : base.indexes()) {
+    with(&i, nullptr);
+    for (const engine::Index& e : extra) {
+      with(&i, &e);
+      if (e.table() == i.table() &&
+          std::find(i.columns.begin(), i.columns.end(), e.columns[0]) ==
+              i.columns.end()) {
+        engine::Index extended = i;
+        extended.columns.push_back(e.columns[0]);
+        with(&i, &extended);
+      }
+    }
+  }
+  out.emplace_back(extra);
+  out.emplace_back();
+  out.push_back(base);
+  return out;
+}
+
+// (m): costing base neighbours relative to the base is exact -- the totals
+// equal the plain batch's bit for bit -- and costs at most nq calls (the
+// base items) more than the plain batch does.
+std::optional<std::string> CheckWhatIfBaseEquivalence(OracleEnv& env,
+                                                      const Reproducer& r) {
+  const std::vector<engine::IndexConfig> configs =
+      BaseNeighbours(r.config, r.extra);
+  engine::WhatIfOptimizer& opt = env.optimizer;
+  const int64_t start = opt.num_calls();
+  const common::StatusOr<std::vector<double>> plain =
+      opt.TryWorkloadCosts(r.workload, configs);
+  const int64_t plain_calls = opt.num_calls() - start;
+  const common::StatusOr<std::vector<double>> based =
+      opt.TryWorkloadCosts(r.workload, configs, {}, &r.config);
+  const int64_t based_calls = opt.num_calls() - start - plain_calls;
+  if (!plain.ok() || !based.ok()) {
+    return common::StrFormat(
+        "batch failed: plain %s, base-relative %s",
+        plain.status().ToString().c_str(), based.status().ToString().c_str());
+  }
+  for (size_t c = 0; c < configs.size(); ++c) {
+    if ((*plain)[c] != (*based)[c]) {
+      return common::StrFormat(
+          "config %zu of %zu: base-relative total %.17g, plain total %.17g "
+          "(must be bit-identical)",
+          c, configs.size(), (*based)[c], (*plain)[c]);
+    }
+  }
+  const int64_t nq = static_cast<int64_t>(r.workload.queries.size());
+  if (based_calls > plain_calls + nq) {
+    return common::StrFormat(
+        "base-relative batch made %lld what-if calls, plain batch %lld "
+        "(at most %lld base items more allowed)",
+        static_cast<long long>(based_calls),
+        static_cast<long long>(plain_calls), static_cast<long long>(nq));
+  }
+  return std::nullopt;
+}
+
 // One row per oracle, in enum order: the single list every name lookup and
 // AllOracles() walks.
 struct OracleEntry {
@@ -579,6 +651,7 @@ constexpr OracleEntry kOracles[] = {
     {OracleId::kNnKernelEquivalence, "nn-kernel-equivalence"},
     {OracleId::kNnGruEquivalence, "nn-gru-equivalence"},
     {OracleId::kGbdtSplitEquivalence, "gbdt-split-equivalence"},
+    {OracleId::kWhatIfBaseEquivalence, "whatif-base-equivalence"},
 };
 static_assert([] {
   for (size_t i = 1; i < std::size(kOracles); ++i) {
@@ -655,6 +728,8 @@ std::optional<std::string> CheckReproducer(OracleId id, OracleEnv& env,
       return CheckNnGruEquivalence(r.walk_seed, r.epsilon);
     case OracleId::kGbdtSplitEquivalence:
       return CheckGbdtSplitEquivalence(r.walk_seed, r.epsilon);
+    case OracleId::kWhatIfBaseEquivalence:
+      return CheckWhatIfBaseEquivalence(env, r);
   }
   return std::nullopt;
 }
@@ -758,6 +833,29 @@ std::optional<OracleFailure> RunOracle(OracleId id, OracleEnv& env,
       r.walk_seed = gen.rng().engine()();  // data seed
       break;
     }
+    case OracleId::kWhatIfBaseEquivalence: {
+      // Multi-table queries, a random base over their columns, extras for
+      // random queries of the workload, and one index on a random table of
+      // the schema, which often no query reads.
+      r.workload = gen.SmallWorkload(2, 4);
+      r.config = gen.RandomConfigFor(r.workload, 3);
+      const int last = static_cast<int>(r.workload.queries.size()) - 1;
+      const int k = static_cast<int>(gen.rng().UniformInt(1, 3));
+      for (int i = 0; i < k; ++i) {
+        const size_t q = static_cast<size_t>(gen.rng().UniformInt(0, last));
+        r.extra.push_back(gen.RandomIndexFor(r.workload.queries[q].query));
+      }
+      const catalog::Schema& schema = *env.schema;
+      const int any_column =
+          static_cast<int>(gen.rng().UniformInt(0, schema.num_columns() - 1));
+      const int table = schema.ColumnFromGlobalIndex(any_column).table;
+      std::vector<catalog::ColumnId> columns;
+      for (size_t c = 0; c < schema.table(table).columns.size(); ++c) {
+        columns.push_back(catalog::ColumnId{table, static_cast<int>(c)});
+      }
+      r.extra.push_back(gen.RandomIndex(columns));
+      break;
+    }
   }
   std::optional<std::string> message = CheckReproducer(id, env, r);
   if (!message.has_value()) return std::nullopt;
@@ -815,6 +913,11 @@ std::string DescribeReproducer(OracleId id, const OracleEnv& env,
   if (id == OracleId::kGbdtSplitEquivalence) {
     out += common::StrFormat("gbdt: trees=%d seed=%llu\n", r.epsilon,
                              static_cast<unsigned long long>(r.walk_seed));
+  }
+  if (id == OracleId::kWhatIfBaseEquivalence) {
+    out += common::StrFormat(
+        "base-relative batch: %zu configurations around config\n",
+        BaseNeighbours(r.config, r.extra).size());
   }
   return out;
 }

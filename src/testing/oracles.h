@@ -18,7 +18,7 @@ namespace trap::proptest {
 
 using PerturbationConstraint = ::trap::trap::PerturbationConstraint;
 
-// The twelve metamorphic / differential oracle families. Each one states an
+// The thirteen metamorphic / differential oracle families. Each one states an
 // invariant the engine, an advisor, the drift runtime or the nn kernels
 // must hold for *every* input, so the harness can hammer them with
 // generated cases instead of hand-picked ones:
@@ -68,7 +68,12 @@ using PerturbationConstraint = ::trap::trap::PerturbationConstraint;
 //   gbdt-split-equivalence gbdt::RegressionTree and a subsampled
 //                          gbdt::GbdtRegressor, fit on tie-heavy data,
 //                          match the plain per-node stable-sort reference
-//                          bit for bit in every prediction (differential).
+//                          bit for bit in every prediction (differential);
+//   whatif-base-equivalence a base-relative TryWorkloadCosts over a random
+//                          base's neighbours (add, remove, extend, swap)
+//                          and unrelated configurations returns the plain
+//                          batch's totals bit for bit, with at most nq more
+//                          what-if calls (differential).
 //
 // An id's value salts its case streams (RunOracle), so the values are frozen
 // once an oracle exists and committed corpus cases keep building the same
@@ -86,6 +91,7 @@ enum class OracleId {
   kNnKernelEquivalence = 10,
   kNnGruEquivalence = 11,
   kGbdtSplitEquivalence = 12,
+  kWhatIfBaseEquivalence = 13,
 };
 
 const char* OracleName(OracleId id);
@@ -115,6 +121,8 @@ struct Reproducer {
   workload::Workload workload;        // all oracles; single-query ones use [0]
   engine::IndexConfig config;         // base configuration
   std::vector<engine::Index> extra;   // indexes layered on top of `config`
+                                      // (whatif-base-equivalence: the
+                                      // indexes its neighbours add)
   PerturbationConstraint constraint = PerturbationConstraint::kValueOnly;
   int epsilon = 0;        // perturbation-budget; drift oracles: episodes
                           // (episode-determinism, regret-sanity) or L1

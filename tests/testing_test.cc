@@ -5,6 +5,7 @@
 
 #include "catalog/datasets.h"
 #include "common/fault.h"
+#include "obs/metrics.h"
 #include "testing/case_gen.h"
 #include "testing/harness.h"
 #include "testing/oracles.h"
@@ -75,6 +76,26 @@ TEST_F(ProptestTest, AllOraclesPassOnHealthyEngine) {
       ASSERT_FALSE(failure.has_value())
           << OracleName(id) << " case " << i << ": " << failure->message;
     }
+  }
+}
+
+// The base-relative batch oracle holds on all three schemas, and its cases
+// do reach the reuse path: some items are answered from a base cost.
+TEST_F(ProptestTest, WhatIfBaseEquivalenceHoldsAndReusesBaseCosts) {
+  const obs::Counter* reused =
+      obs::MetricRegistry::Global().counter("trap.whatif.base_reused");
+  for (const char* name : {"tpch", "tpcds", "transaction"}) {
+    const std::optional<catalog::Schema> schema = MakeSchemaByName(name);
+    ASSERT_TRUE(schema.has_value());
+    OracleEnv env(*schema);
+    const int64_t before = reused->value();
+    for (int i = 0; i < 100; ++i) {
+      std::optional<OracleFailure> failure =
+          RunOracle(OracleId::kWhatIfBaseEquivalence, env, 7, i);
+      ASSERT_FALSE(failure.has_value())
+          << name << " case " << i << ": " << failure->message;
+    }
+    EXPECT_GT(reused->value(), before) << name;
   }
 }
 

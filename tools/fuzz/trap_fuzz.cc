@@ -1,6 +1,6 @@
 // trap_fuzz: metamorphic / differential fuzzing driver for the TRAP engine,
 // perturber, advisors, drift runtime, nn kernels and GBDT split search. Runs
-// seeded generated cases against the twelve oracle families in
+// seeded generated cases against the thirteen oracle families in
 // src/testing/oracles.h, shrinks failures to minimal reproducers, and
 // replays the committed regression corpus.
 //
